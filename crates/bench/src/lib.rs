@@ -3,8 +3,7 @@
 //!
 //! Each experiment lives in [`experiments`] as a pure function returning a
 //! [`table::Table`]; the `report` binary prints them and writes JSON to
-//! `results/`, and the Criterion benches in `benches/` time the underlying
-//! simulations.
+//! `results/`.
 //!
 //! | Experiment | Paper artefact |
 //! |---|---|
