@@ -33,7 +33,7 @@ use crate::catalog::DeployedModel;
 use crate::config::{KvMode, ServerConfig};
 use crate::detect::{Detector, Transition};
 use crate::instance::{Instance, Residency};
-use crate::kvcache::{KvPager, PageHome};
+use crate::kvcache::{KvPager, PageHome, PageId};
 use crate::memory::{make_room_with, GpuCache};
 use crate::metrics::ServingReport;
 use crate::workload::Request;
@@ -284,6 +284,15 @@ impl ServerState {
             silent_link_factor: vec![1.0; n_links],
             silent_gpu_factor: vec![1.0; n_gpus],
         }
+    }
+
+    /// The KV pager; only decode paths call this.
+    fn pager(&self) -> &KvPager {
+        self.pager.as_ref().expect("decode enabled implies pager")
+    }
+
+    fn pager_mut(&mut self) -> &mut KvPager {
+        self.pager.as_mut().expect("decode enabled implies pager")
     }
 
     /// Installs `probe` on the server and its embedded engine/network so
@@ -912,7 +921,7 @@ fn maybe_swap(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     }
     let now = ctx.now();
     let occupancy = |s: &ServerState| -> f64 {
-        let pager = s.pager.as_ref().expect("decode enabled implies pager");
+        let pager = s.pager();
         let cap = pager.gpu_cap_pages(g);
         if cap == 0 {
             return 0.0;
@@ -940,29 +949,11 @@ fn maybe_swap(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
             .map(|(i, _)| i)
             .expect("batch non-empty");
         let e = s.batches[g].entries.remove(vi);
-        let device_pages: Vec<crate::kvcache::PageId> = {
-            let pager = s.pager.as_ref().expect("decode enabled implies pager");
-            pager
-                .pages_of(e.req)
-                .iter()
-                .copied()
-                .filter(|&p| matches!(pager.page(p), Some(pg) if pg.home == PageHome::Gpu(g)))
-                .collect()
-        };
         let mut spilled = 0u64;
-        for p in device_pages {
-            let pager = s.pager.as_mut().expect("decode enabled implies pager");
-            if pager.spill(p) {
+        for p in s.pager().pages_of(e.req).to_vec() {
+            let on_g = s.pager().page(p).map(|pg| pg.home) == Some(PageHome::Gpu(g));
+            if on_g && spill_page(s, now, g, p) {
                 spilled += 1;
-                s.report.kv_spills += 1;
-                s.probe.emit(
-                    now,
-                    ProbeEvent::KvPageSpill {
-                        req: e.req,
-                        gpu: g,
-                        page: p,
-                    },
-                );
             }
         }
         s.report.sessions_swapped += 1;
@@ -986,10 +977,7 @@ fn maybe_swap(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
         && (occupancy(s) < s.cfg.decode_resilience.resume_below || s.batches[g].entries.is_empty())
     {
         let e = s.swapped.pop_front().expect("checked non-empty");
-        let host_pages = {
-            let pager = s.pager.as_ref().expect("decode enabled implies pager");
-            pager.host_pages_of(e.req)
-        };
+        let host_pages = s.pager().host_pages_of(e.req);
         s.report.sessions_resumed += 1;
         s.probe.emit(
             now,
@@ -1004,6 +992,40 @@ fn maybe_swap(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     }
 }
 
+/// Spills `page` from GPU `g` to the pinned-host pool and emits its
+/// spill event. Returns `false`, spilling nothing, when the page is not
+/// device-resident or the host pool is full.
+fn spill_page(s: &mut ServerState, now: SimTime, g: usize, page: PageId) -> bool {
+    let pager = s.pager_mut();
+    let owner = pager.page(page).map(|p| p.owner);
+    if !pager.spill(page) {
+        return false;
+    }
+    s.report.kv_spills += 1;
+    s.probe.emit(
+        now,
+        ProbeEvent::KvPageSpill {
+            req: owner.expect("a spilled page is live"),
+            gpu: g,
+            page,
+        },
+    );
+    true
+}
+
+/// Spills the `k` least recently touched pages on GPU `g` that were not
+/// touched in `step` (fewer if the host pool fills), returning them.
+fn spill_lru(s: &mut ServerState, now: SimTime, g: usize, step: u64, k: u64) -> Vec<PageId> {
+    let victims = s
+        .pager()
+        .spill_victims(g, step, usize::try_from(k).unwrap_or(0));
+    for &victim in &victims {
+        let spilled = spill_page(s, now, g, victim);
+        debug_assert!(spilled, "victims are device-resident and fit the host pool");
+    }
+    victims
+}
+
 /// Launches one token step on GPU `g`: grows each entry's paged KV by
 /// its newly appended token (spilling LRU pages to pinned host memory
 /// when the device pool fills), places every host-resident page —
@@ -1016,41 +1038,25 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     s.batches[g].stepping = true;
     let page_bytes = s.cfg.decode.page_bytes;
     let kv_mode = s.cfg.decode.kv_mode;
-    let entries: Vec<DecodeEntry> = s.batches[g].entries.clone();
+    let batch = s.batches[g].entries.len();
     // Phase 1: grow KV footprints. The pager never victimises a page
     // touched this step; a full host pool surfaces as an allocation
     // failure (the step proceeds and only under-counts its bytes).
-    for e in &entries {
+    for i in 0..batch {
+        let e = s.batches[g].entries[i];
         let kind = s.instances[e.instance].kind;
         let prof = s.kinds[kind]
             .decode
             .expect("batch entries are decoder kinds");
         let needed = prof.kv_bytes(e.prompt_tokens + e.tokens_done);
-        let pager = s.pager.as_ref().expect("decode enabled implies pager");
+        let pager = s.pager();
         let want = pager
             .pages_for(needed)
             .saturating_sub(pager.pages_of(e.req).len() as u64);
-        // One batched LRU scan covers the whole growth, not a rescan
-        // per evicted page.
         let deficit = want.saturating_sub(pager.gpu_free_pages(g));
-        let victims = pager.spill_victims(g, step_id, usize::try_from(deficit).unwrap_or(0));
-        for victim in victims {
-            let pager = s.pager.as_mut().expect("decode enabled implies pager");
-            let owner = pager.page(victim).expect("victim is live").owner;
-            pager.spill(victim);
-            s.report.kv_spills += 1;
-            s.probe.emit(
-                now,
-                ProbeEvent::KvPageSpill {
-                    req: owner,
-                    gpu: g,
-                    page: victim,
-                },
-            );
-        }
+        spill_lru(s, now, g, step_id, deficit);
         for _ in 0..want {
-            let pager = s.pager.as_mut().expect("decode enabled implies pager");
-            let Some(p) = pager.try_alloc(e.req, g, step_id) else {
+            let Some(p) = s.pager_mut().try_alloc(e.req, g, step_id) else {
                 // Pool full and every resident page pinned (or the host
                 // pool is full): the step proceeds under-counting bytes.
                 s.report.kv_alloc_failures += 1;
@@ -1067,7 +1073,7 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
         }
         // The step appends to the tail page: mark it hot so the spill
         // policy cannot victimise it mid-step.
-        let pager = s.pager.as_mut().expect("decode enabled implies pager");
+        let pager = s.pager_mut();
         if let Some(&tail) = pager.pages_of(e.req).last() {
             pager.touch(tail, step_id);
         }
@@ -1076,29 +1082,23 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     // placement: pages resident now are priced at device bandwidth,
     // pages host-resident now are priced on the wire (recall or DHA)
     // below. Phase-2 evictions shuffle homes but never re-price a page.
-    let resident_kv = s
-        .pager
-        .as_ref()
-        .expect("decode enabled implies pager")
-        .gpu_used_bytes(g);
+    let resident_kv = s.pager().gpu_used_bytes(g);
     // Phase 2: place host-resident pages. The per-page load-vs-DHA
     // decision mirrors the planner's layer rule: recall when the page's
     // remaining accesses amortise the copy, DHA when it is wire-bound.
     let gpu_spec = s.cfg.machine.gpu(g).clone();
-    let mut dha_bytes = 0.0f64;
-    let mut moved_bytes = 0.0f64;
+    let mut dha_pages = 0u64;
     let mut recall_transfers = 0u64;
-    for e in &entries {
+    for i in 0..batch {
+        let e = s.batches[g].entries[i];
+        // The entry's wire set is its host-resident pages now, before
+        // its own evictions below: a page they spill was priced as
+        // resident.
+        let host = s.pager().host_pages_of(e.req);
+        if host == 0 {
+            continue;
+        }
         let remaining = (e.tokens_target - e.tokens_done) as f64;
-        let host_pages: Vec<crate::kvcache::PageId> = {
-            let pager = s.pager.as_ref().expect("decode enabled implies pager");
-            pager
-                .pages_of(e.req)
-                .iter()
-                .copied()
-                .filter(|&p| matches!(pager.page(p), Some(pg) if pg.home == PageHome::Host))
-                .collect()
-        };
         // Page size and remaining horizon are uniform across one
         // entry's pages, so the placement is too.
         let place = match kv_mode {
@@ -1106,54 +1106,50 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
             KvMode::Recall => KvPlacement::Recall,
             KvMode::Auto => choose_kv(page_bytes, remaining, &gpu_spec.pcie, gpu_spec.mem_bw),
         };
-        if place == KvPlacement::Recall && kv_mode == KvMode::Recall {
-            // Forced recall evicts cold pages to make room (one batched
-            // scan); Auto only recalls into free space — its crossover
-            // math assumes recalled pages then stay resident, which an
-            // eviction cascade would violate.
-            let pager = s.pager.as_ref().expect("decode enabled implies pager");
-            let deficit = (host_pages.len() as u64).saturating_sub(pager.gpu_free_pages(g));
-            let victims = pager.spill_victims(g, step_id, usize::try_from(deficit).unwrap_or(0));
-            for victim in victims {
-                let pager = s.pager.as_mut().expect("decode enabled implies pager");
-                let owner = pager.page(victim).expect("victim is live").owner;
-                pager.spill(victim);
-                s.report.kv_spills += 1;
-                s.probe.emit(
-                    now,
-                    ProbeEvent::KvPageSpill {
-                        req: owner,
-                        gpu: g,
-                        page: victim,
-                    },
-                );
-            }
+        let evicted = if place == KvPlacement::Recall && kv_mode == KvMode::Recall {
+            // Forced recall evicts cold pages to make room; Auto only
+            // recalls into free space — its crossover math assumes
+            // recalled pages then stay resident, which an eviction
+            // cascade would violate.
+            let deficit = host.saturating_sub(s.pager().gpu_free_pages(g));
+            spill_lru(s, now, g, step_id, deficit)
+        } else {
+            Vec::new()
+        };
+        // Recalls land in allocation order while the device pool has
+        // room; the remaining pages are read in place over PCIe,
+        // overlapped with compute.
+        let recalls = match place {
+            KvPlacement::Recall => host.min(s.pager().gpu_free_pages(g)),
+            KvPlacement::Dha => 0,
+        };
+        let mut at = 0;
+        for _ in 0..recalls {
+            let pager = s.pager();
+            let (skip, p) = pager.pages_of(e.req)[at..]
+                .iter()
+                .copied()
+                .enumerate()
+                .find(|&(_, p)| {
+                    pager.page(p).map(|pg| pg.home) == Some(PageHome::Host) && !evicted.contains(&p)
+                })
+                .expect("every recall that can land has a host page");
+            at += skip + 1;
+            let recalled = s.pager_mut().recall(p, g, step_id);
+            debug_assert!(recalled, "a host page recalls into free room");
+            s.report.kv_recalls += 1;
+            s.probe.emit(
+                now,
+                ProbeEvent::KvPageRecall {
+                    req: e.req,
+                    gpu: g,
+                    page: p,
+                },
+            );
         }
-        for p in host_pages {
-            let recalled = place == KvPlacement::Recall
-                && s.pager
-                    .as_mut()
-                    .expect("decode enabled implies pager")
-                    .recall(p, g, step_id);
-            if recalled {
-                moved_bytes += page_bytes as f64;
-                recall_transfers += 1;
-                s.report.kv_recalls += 1;
-                s.probe.emit(
-                    now,
-                    ProbeEvent::KvPageRecall {
-                        req: e.req,
-                        gpu: g,
-                        page: p,
-                    },
-                );
-            } else {
-                // Wire-bound page — or the device pool is full: read it
-                // in place over PCIe, overlapped with compute.
-                dha_bytes += page_bytes as f64;
-                s.report.kv_dha_reads += 1;
-            }
-        }
+        recall_transfers += recalls;
+        dha_pages += host - recalls;
+        s.report.kv_dha_reads += host - recalls;
     }
     // Phase 3: price the device side. Weights are read once per distinct
     // kind in the batch, device-resident KV once, all at HBM bandwidth;
@@ -1161,7 +1157,7 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     // they stretch one-shot execution.
     let mut kinds_seen: Vec<usize> = Vec::new();
     let mut weight_bytes = 0u64;
-    for e in &entries {
+    for e in &s.batches[g].entries {
         let kind = s.instances[e.instance].kind;
         if !kinds_seen.contains(&kind) {
             kinds_seen.push(kind);
@@ -1174,12 +1170,14 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     let scale = s.slowdown * s.silent_gpu_factor[g];
     let compute =
         SimDur::from_secs_f64((weight_bytes + resident_kv) as f64 / gpu_spec.mem_bw * scale);
+    // Integer page counts times the page size are exact in f64 (far
+    // below 2^53), equal to summing the bytes page by page.
     let spec = StepSpec {
         step: step_id,
-        batch: entries.len(),
+        batch,
         compute,
-        dha_bytes,
-        moved_bytes,
+        dha_bytes: (dha_pages * page_bytes) as f64,
+        moved_bytes: (recall_transfers * page_bytes) as f64,
         recall_transfers,
     };
     let run = match s.batches[g].run {
@@ -1330,11 +1328,7 @@ fn maybe_checkpoint(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     let dt = (now - s.ckpt_refilled).as_secs_f64();
     s.ckpt_tokens = (s.ckpt_tokens + dt * bw).min(burst);
     s.ckpt_refilled = now;
-    let page_bytes = s
-        .pager
-        .as_ref()
-        .expect("decode enabled implies pager")
-        .page_bytes();
+    let page_bytes = s.pager().page_bytes();
     let entries: Vec<DecodeEntry> = s.batches[g].entries.clone();
     // (req, covered tokens, covered bytes, bytes crossing the wire now)
     let mut batch: Vec<(u64, u64, u64, u64)> = Vec::new();
@@ -1349,9 +1343,7 @@ fn maybe_checkpoint(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
             .decode
             .expect("batch entries are decoder kinds");
         let total = s
-            .pager
-            .as_ref()
-            .expect("decode enabled implies pager")
+            .pager()
             .pages_for(prof.kv_bytes(e.prompt_tokens + e.tokens_done))
             * page_bytes;
         // The tail page is always dirty — tokens appended since the last

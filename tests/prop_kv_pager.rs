@@ -1,12 +1,14 @@
 //! Property tests for the paged KV-cache allocator: across arbitrary
 //! alloc / touch / spill / recall / abort histories, no page is ever
 //! leaked or double-freed, the device- and host-pool occupancy counters
-//! always equal ground truth, and the LRU spill victim is never a page
-//! touched in the current token step.
+//! and per-request page counts always equal ground truth, the LRU spill
+//! victim is never a page touched in the current token step, and the
+//! victims come out in exact least-recently-touched order.
 //!
 //! The pager is driven against an independent shadow model (a plain
-//! map of live pages) so every invariant is checked against state the
-//! pager itself cannot have computed.
+//! map of live pages, stamped by its own clock on every alloc, touch and
+//! recall) so every invariant is checked against state the pager itself
+//! cannot have computed.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -14,6 +16,8 @@ use model_serving::kvcache::{KvPager, PageHome};
 use proptest::prelude::*;
 
 const GPUS: usize = 2;
+/// Requests draw their ids from `0..REQS`.
+const REQS: u64 = 6;
 
 /// One step of a random pager history.
 #[derive(Debug, Clone)]
@@ -37,12 +41,12 @@ enum Op {
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
-            (0u64..6, 0usize..GPUS).prop_map(|(req, gpu)| Op::Alloc { req, gpu }),
+            (0..REQS, 0usize..GPUS).prop_map(|(req, gpu)| Op::Alloc { req, gpu }),
             (0usize..GPUS).prop_map(|gpu| Op::Spill { gpu }),
             (0usize..GPUS, 0usize..5).prop_map(|(gpu, k)| Op::BatchSpill { gpu, k }),
             (0usize..GPUS, 0usize..8).prop_map(|(gpu, nth)| Op::Recall { gpu, nth }),
-            (0u64..6, 0usize..8).prop_map(|(req, nth)| Op::Touch { req, nth }),
-            (0u64..6).prop_map(|req| Op::Free { req }),
+            (0..REQS, 0usize..8).prop_map(|(req, nth)| Op::Touch { req, nth }),
+            (0..REQS).prop_map(|req| Op::Free { req }),
             Just(Op::Step),
         ],
         1..150,
@@ -55,6 +59,9 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 struct Shadow {
     live: BTreeMap<usize, (u64, PageHome)>,
     touched_this_step: BTreeSet<usize>,
+    /// Last-access stamp of every live page, from `clock`.
+    stamps: BTreeMap<usize, u64>,
+    clock: u64,
     allocs: u64,
     frees: u64,
 }
@@ -64,7 +71,50 @@ impl Shadow {
         self.live.values().filter(|&&(_, h)| h == home).count() as u64
     }
 
-    fn check(&self, p: &KvPager) {
+    /// Records an access to `id` (alloc, touch or recall) in this step.
+    fn access(&mut self, id: usize) {
+        self.clock += 1;
+        self.stamps.insert(id, self.clock);
+        self.touched_this_step.insert(id);
+    }
+
+    /// Pages of `req` whose home is `home`.
+    fn owned(&self, req: u64, home: PageHome) -> u64 {
+        self.live
+            .values()
+            .filter(|&&(o, h)| o == req && h == home)
+            .count() as u64
+    }
+
+    fn check(&self, p: &KvPager, step: u64) {
+        // The whole victim order: every page resident on `g` and not
+        // touched this step, least recently accessed first, cut to the
+        // host pool's room.
+        let room = (p.host_cap_pages() - p.host_used_pages()) as usize;
+        for g in 0..GPUS {
+            let mut eligible: Vec<(u64, usize)> = self
+                .live
+                .iter()
+                .filter(|(id, &(_, h))| {
+                    h == PageHome::Gpu(g) && !self.touched_this_step.contains(id)
+                })
+                .map(|(&id, _)| (self.stamps[&id], id))
+                .collect();
+            eligible.sort_unstable();
+            let want: Vec<usize> = eligible.into_iter().take(room).map(|(_, id)| id).collect();
+            assert_eq!(
+                p.spill_victims(g, step, usize::MAX),
+                want,
+                "gpu {g} victims left LRU order"
+            );
+        }
+        for req in 0..REQS {
+            assert_eq!(p.host_pages_of(req), self.owned(req, PageHome::Host));
+            for g in 0..GPUS {
+                assert_eq!(p.gpu_pages_of(req, g), self.owned(req, PageHome::Gpu(g)));
+            }
+        }
+        assert_eq!(p.live_pages(), self.live.len());
         for g in 0..GPUS {
             assert_eq!(
                 p.gpu_used_pages(g),
@@ -124,7 +174,7 @@ proptest! {
                                 "page {id} double-allocated while live"
                             );
                             shadow.live.insert(id, (req, PageHome::Gpu(gpu)));
-                            shadow.touched_this_step.insert(id);
+                            shadow.access(id);
                             shadow.allocs += 1;
                         }
                         None => prop_assert!(full, "alloc failed with free room"),
@@ -179,7 +229,7 @@ proptest! {
                         prop_assert!(!full, "recall succeeded into a full pool");
                         shadow.live.get_mut(&id).unwrap().1 = PageHome::Gpu(gpu);
                         // A recall is an access: pinned for this step.
-                        shadow.touched_this_step.insert(id);
+                        shadow.access(id);
                     } else {
                         prop_assert!(full, "recall failed with free room");
                     }
@@ -191,7 +241,7 @@ proptest! {
                     }
                     let id = pages[nth % pages.len()];
                     p.touch(id, step);
-                    shadow.touched_this_step.insert(id);
+                    shadow.access(id);
                 }
                 Op::Free { req } => {
                     let owned: Vec<usize> = shadow
@@ -209,6 +259,7 @@ proptest! {
                     for id in &owned {
                         prop_assert!(p.page(*id).is_none(), "freed page still live");
                         shadow.live.remove(id);
+                        shadow.stamps.remove(id);
                         shadow.touched_this_step.remove(id);
                     }
                     shadow.frees += owned.len() as u64;
@@ -221,10 +272,10 @@ proptest! {
                     shadow.touched_this_step.clear();
                 }
             }
-            shadow.check(&p);
+            shadow.check(&p, step);
         }
         // Drain everything: a fully freed pager reports empty.
-        for req in 0..6u64 {
+        for req in 0..REQS {
             let freed = p.free_request(req);
             shadow.frees += freed.gpu + freed.host;
         }
