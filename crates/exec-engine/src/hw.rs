@@ -7,11 +7,8 @@ use simcore::flow::LinkId;
 use simcore::probe::Probe;
 use simcore::slab::Slab;
 
-use simcore::time::SimTime;
-
 use crate::decode::DecodeRun;
 use crate::launch::RunState;
-use crate::trace::{Trace, TraceEvent, TraceKind};
 
 /// Stable reference to an in-flight inference run.
 ///
@@ -46,12 +43,10 @@ pub struct HwState<S: HasHw> {
     pub runs: Slab<RunState<S>>,
     /// Live decode processes (one per GPU with a continuous batch).
     pub decodes: Slab<DecodeRun<S>>,
-    /// Optional execution trace (off by default; enable with
-    /// [`HwState::enable_tracing`]).
-    pub trace: Option<Trace>,
-    /// Observability bus for run-phase events (loads, migrations, exec,
-    /// stalls). Disabled (free) by default; hosts install a recording
-    /// probe to capture engine activity.
+    /// The engine's one event stream: every load, migration, exec and
+    /// stall event is emitted here, once. Disabled (free) by default;
+    /// hosts install a recording probe to capture engine activity, and
+    /// [`crate::timeline`] draws its Gantt chart from that log.
     pub probe: Probe,
     /// Weight blocks re-fetched after a checksum mismatch (only grows
     /// when a run launches with `verify_loads` and a corrupt-transfer
@@ -81,7 +76,6 @@ impl<S: HasHw> HwState<S> {
                 map,
                 runs: Slab::new(),
                 decodes: Slab::new(),
-                trace: None,
                 probe: Probe::disabled(),
                 refetches: 0,
                 host_flows: vec![0; links],
@@ -117,23 +111,6 @@ impl<S: HasHw> HwState<S> {
     pub fn fresh_gen(&mut self) -> u64 {
         self.next_gen += 1;
         self.next_gen
-    }
-
-    /// Turns on trace capture.
-    pub fn enable_tracing(&mut self) {
-        self.trace = Some(Trace::default());
-    }
-
-    /// Takes the captured trace (if tracing was enabled).
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
-    }
-
-    /// Records one trace event (no-op when tracing is off).
-    pub fn emit(&mut self, at: SimTime, run: usize, kind: TraceKind) {
-        if let Some(t) = &mut self.trace {
-            t.events.push(TraceEvent { at, run, kind });
-        }
     }
 
     /// Resolves a [`RunRef`], returning `None` for completed/stale runs.

@@ -25,7 +25,6 @@ use simcore::time::{SimDur, SimTime};
 use crate::hw::{HasHw, RunRef};
 use crate::result::{InferenceResult, SlotLoadObs};
 use crate::runtime::ModelRuntime;
-use crate::trace::TraceKind;
 
 /// Completion callback of a run.
 pub type DoneFn<S> = Box<dyn FnOnce(&mut S, &mut Ctx<S>, InferenceResult)>;
@@ -390,8 +389,8 @@ fn load_next<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, slot: usize, 
 }
 
 /// Starts (or restarts, after a checksum mismatch) one weight block's
-/// host→GPU flow. `announce` is false on a re-fetch so load start/end
-/// trace events are not duplicated.
+/// host→GPU flow. `announce` is false on a re-fetch so load-start probe
+/// events are not duplicated.
 #[allow(clippy::too_many_arguments)]
 fn issue_block<S: HasHw>(
     state: &mut S,
@@ -412,7 +411,6 @@ fn issue_block<S: HasHw>(
         let hw = state.hw();
         if announce {
             for &layer in &block {
-                hw.emit(now, r.slot, TraceKind::LoadStart { layer, gpu, slot });
                 hw.probe.emit(
                     now,
                     ProbeEvent::LoadStarted {
@@ -474,9 +472,7 @@ fn issue_block<S: HasHw>(
             return;
         }
         for &layer in &block {
-            let hw = state.hw();
-            hw.emit(now, r.slot, TraceKind::LoadEnd { layer, gpu, slot });
-            hw.probe.emit(
+            state.hw().probe.emit(
                 now,
                 ProbeEvent::LoadFinished {
                     run: r.slot,
@@ -618,16 +614,7 @@ fn mig_pump<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, slot: usize) {
             if state.hw().run_mut(r).is_none() {
                 return;
             }
-            let hw = state.hw();
-            hw.emit(
-                ctx.now(),
-                r.slot,
-                TraceKind::MigrateStart {
-                    layer: layer_idx,
-                    from: sec,
-                },
-            );
-            hw.probe.emit(
+            state.hw().probe.emit(
                 ctx.now(),
                 ProbeEvent::MigrateStarted {
                     run: r.slot,
@@ -644,16 +631,7 @@ fn mig_pump<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, slot: usize) {
                     if let Some(run) = state.hw().run_mut(r) {
                         run.mig_busy[slot - 1] = false;
                     }
-                    let hw = state.hw();
-                    hw.emit(
-                        ctx.now(),
-                        r.slot,
-                        TraceKind::MigrateEnd {
-                            layer: layer_idx,
-                            from: sec,
-                        },
-                    );
-                    hw.probe.emit(
+                    state.hw().probe.emit(
                         ctx.now(),
                         ProbeEvent::MigrateFinished {
                             run: r.slot,
@@ -693,16 +671,7 @@ fn mark_ready<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, layer_idx: u
         (unblock, done, stall_ns, run.current_gpu)
     };
     if unblock {
-        let hw = state.hw();
-        hw.emit(
-            now,
-            r.slot,
-            TraceKind::StallEnd {
-                layer: layer_idx,
-                ns: stall_ns,
-            },
-        );
-        hw.probe.emit(
+        state.hw().probe.emit(
             now,
             ProbeEvent::StallEnded {
                 run: r.slot,
@@ -960,16 +929,7 @@ fn exec_run_layer<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
             run.spec.hedge,
         )
     };
-    let hw = state.hw();
-    hw.emit(
-        now,
-        r.slot,
-        TraceKind::ExecStart {
-            layer: layer_idx,
-            dha: dha_wire > 0.0,
-        },
-    );
-    hw.probe.emit(
+    state.hw().probe.emit(
         now,
         ProbeEvent::ExecStarted {
             run: r.slot,
@@ -1029,9 +989,7 @@ fn exec_part_done<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
         }
     };
     if let Some((layer, gpu)) = advanced {
-        let hw = state.hw();
-        hw.emit(now, r.slot, TraceKind::ExecEnd { layer });
-        hw.probe.emit(
+        state.hw().probe.emit(
             now,
             ProbeEvent::ExecFinished {
                 run: r.slot,

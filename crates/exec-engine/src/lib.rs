@@ -9,7 +9,6 @@
 //! reads) are flows in the max-min-fair network, so contention between
 //! concurrent inferences (Tables 2/4) emerges from the topology.
 
-pub mod chrome;
 pub mod decode;
 pub mod hw;
 pub mod launch;
@@ -17,7 +16,6 @@ pub mod result;
 pub mod runtime;
 pub mod single;
 pub mod timeline;
-pub mod trace;
 
 pub use decode::{abort_decode, begin_decode, start_token_step, stream_kv, StepSpec};
 pub use hw::{DecodeRef, HasHw, HwState, RunRef};
@@ -25,4 +23,3 @@ pub use launch::{abort_run, start_inference, EngineError, LaunchSpec};
 pub use result::InferenceResult;
 pub use runtime::ModelRuntime;
 pub use single::{run_cold, run_traced, run_transfer_only, run_warm, SingleRun};
-pub use trace::{Trace, TraceEvent, TraceKind};

@@ -3,10 +3,13 @@
 //! The serving simulator builds its own world; the microbenchmarks
 //! (Figures 6/11, Tables 2/4) just need "run these inferences on this
 //! machine and give me the results plus final link statistics".
+//! [`run_traced`] runs one inference through a logging probe, so its
+//! events are the same ones a probed serving run records.
 
 use exec_planner::plan::ExecutionPlan;
 use simcore::driver::{FlowDriver, HasFlowDriver};
 use simcore::flow::FlowNet;
+use simcore::probe::{Event, Probe};
 use simcore::sim::Sim;
 use simcore::time::SimTime;
 
@@ -46,8 +49,18 @@ pub fn run_at(
     machine: gpu_topology::machine::Machine,
     specs: Vec<(SimTime, LaunchSpec)>,
 ) -> (Vec<InferenceResult>, FlowNet) {
+    run_probed(machine, specs, Probe::disabled())
+}
+
+/// [`run_at`] with `probe` installed on the hardware state.
+fn run_probed(
+    machine: gpu_topology::machine::Machine,
+    specs: Vec<(SimTime, LaunchSpec)>,
+    probe: Probe,
+) -> (Vec<InferenceResult>, FlowNet) {
     let n = specs.len();
-    let (hw, flows) = HwState::new(machine);
+    let (mut hw, flows) = HwState::new(machine);
+    hw.probe = probe;
     let world = SingleRun {
         hw,
         flows,
@@ -128,38 +141,17 @@ pub fn run_warm(
     run_at(machine, vec![(SimTime::ZERO, spec)]).0.remove(0)
 }
 
-/// Runs one inference with tracing enabled; returns the result and the
-/// captured [`crate::trace::Trace`] (render it with [`crate::timeline`]).
+/// Runs one inference at t = 0 through a logging probe; returns the
+/// result and the probe's event log, whose run-slot-0 events
+/// [`crate::timeline::lanes`] draws and [`simcore::probe::to_perfetto`]
+/// exports.
 pub fn run_traced(
     machine: gpu_topology::machine::Machine,
     spec: LaunchSpec,
-) -> (InferenceResult, crate::trace::Trace) {
-    let (mut hw, flows) = HwState::new(machine);
-    hw.enable_tracing();
-    let world = SingleRun {
-        hw,
-        flows,
-        results: vec![None],
-    };
-    let mut sim = Sim::new(world);
-    sim.schedule_at(
-        SimTime::ZERO,
-        Box::new(move |s: &mut SingleRun, ctx| {
-            start_inference(
-                s,
-                ctx,
-                spec,
-                Box::new(move |s: &mut SingleRun, _ctx, res| {
-                    s.results[0] = Some(res);
-                }),
-            )
-            .expect("launch spec requires NVLink the machine lacks");
-        }),
-    );
-    sim.run_until_idle();
-    let mut world = sim.into_state();
-    let trace = world.hw.take_trace().expect("tracing was enabled");
-    (world.results.remove(0).expect("run completed"), trace)
+) -> (InferenceResult, Vec<Event>) {
+    let (probe, log) = Probe::logging();
+    let (mut results, _) = run_probed(machine, vec![(SimTime::ZERO, spec)], probe);
+    (results.remove(0), log.take().events)
 }
 
 /// Transfers a model without executing (Figure 6): returns the result and

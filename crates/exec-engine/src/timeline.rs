@@ -1,8 +1,9 @@
-//! ASCII Gantt rendering of execution traces.
+//! ASCII Gantt rendering of the engine's probe events.
 //!
 //! Produces the measured counterpart of the paper's Figure 1/7/9
-//! schematics: one lane per stream (execution, load per slot, migration),
-//! time flowing left to right.
+//! schematics from the engine events a logging probe records (see
+//! [`crate::single::run_traced`]): one lane per stream (execution, load
+//! per slot, migration), time flowing left to right.
 //!
 //! ```text
 //! exec      |..####=###############|
@@ -13,9 +14,8 @@
 //!
 //! `#` = busy, `=` = DHA execution, `.` = stalled, ` ` = idle.
 
+use simcore::probe::{Event, ProbeEvent};
 use simcore::time::SimTime;
-
-use crate::trace::{Trace, TraceKind};
 
 /// One rendered lane.
 #[derive(Debug, Clone)]
@@ -26,84 +26,107 @@ pub struct Lane {
     pub intervals: Vec<(SimTime, SimTime, char)>,
 }
 
-/// Extracts the lanes of one run from a trace.
-pub fn lanes(trace: &Trace, run: usize) -> Vec<Lane> {
-    let t = Trace {
-        events: trace.for_run(run),
-    };
+/// Pairs start and end events into busy `'#'` intervals: `open` keys a
+/// start event, `close` keys an end event, and each end closes the
+/// first pending start with the same key.
+fn pair(
+    events: &[Event],
+    open: impl Fn(ProbeEvent) -> Option<usize>,
+    close: impl Fn(ProbeEvent) -> Option<usize>,
+) -> Vec<(SimTime, SimTime, char)> {
+    let mut pending: Vec<(usize, SimTime)> = Vec::new();
     let mut out = Vec::new();
+    for e in events {
+        if let Some(id) = open(e.what) {
+            pending.push((id, e.at));
+        } else if let Some(id) = close(e.what) {
+            if let Some(pos) = pending.iter().position(|&(pid, _)| pid == id) {
+                let (_, start) = pending.swap_remove(pos);
+                out.push((start, e.at, '#'));
+            }
+        }
+    }
+    out
+}
 
+/// Extracts the lanes of engine run slot `run` from a probe log.
+pub fn lanes(events: &[Event], run: usize) -> Vec<Lane> {
     // Execution lane: '#' for in-memory, '=' for DHA, '.' for stalls.
-    let mut exec = Lane {
-        label: "exec".to_string(),
-        intervals: Vec::new(),
-    };
+    let mut exec = Vec::new();
     let mut open: Option<(usize, SimTime, bool)> = None;
-    for e in &t.events {
-        match e.kind {
-            TraceKind::ExecStart { layer, dha } => open = Some((layer, e.at, dha)),
-            TraceKind::ExecEnd { layer } => {
+    // Load slots seen in the log, one lane each.
+    let mut slots = Vec::new();
+    for e in events {
+        match e.what {
+            ProbeEvent::ExecStarted {
+                run: r, layer, dha, ..
+            } if r == run => open = Some((layer, e.at, dha)),
+            ProbeEvent::ExecFinished { run: r, layer, .. } if r == run => {
                 if let Some((l, start, dha)) = open.take() {
                     if l == layer {
-                        exec.intervals
-                            .push((start, e.at, if dha { '=' } else { '#' }));
+                        exec.push((start, e.at, if dha { '=' } else { '#' }));
                     }
                 }
             }
-            TraceKind::StallEnd { ns, .. } => {
+            ProbeEvent::StallEnded { run: r, ns, .. } if r == run => {
                 let start = SimTime::from_nanos(e.at.as_nanos().saturating_sub(ns));
-                exec.intervals.push((start, e.at, '.'));
+                exec.push((start, e.at, '.'));
             }
+            ProbeEvent::LoadStarted { run: r, slot, .. } if r == run => slots.push(slot),
             _ => {}
         }
     }
-    out.push(exec);
+    let mut out = vec![Lane {
+        label: "exec".to_string(),
+        intervals: exec,
+    }];
 
-    // Load lanes, one per slot seen in the trace.
-    let mut slots: Vec<usize> = t
-        .events
-        .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::LoadStart { slot, .. } => Some(slot),
-            _ => None,
-        })
-        .collect();
     slots.sort_unstable();
     slots.dedup();
     for s in slots {
-        let intervals = t.intervals(
-            |k| match k {
-                TraceKind::LoadStart { layer, slot, .. } if *slot == s => {
-                    Some((*layer, String::new()))
-                }
+        let intervals = pair(
+            events,
+            |w| match w {
+                ProbeEvent::LoadStarted {
+                    run: r,
+                    layer,
+                    slot,
+                    ..
+                } if r == run && slot == s => Some(layer),
                 _ => None,
             },
-            |k| match k {
-                TraceKind::LoadEnd { layer, slot, .. } if *slot == s => Some(*layer),
+            |w| match w {
+                ProbeEvent::LoadFinished {
+                    run: r,
+                    layer,
+                    slot,
+                    ..
+                } if r == run && slot == s => Some(layer),
                 _ => None,
             },
         );
         out.push(Lane {
             label: format!("load s{s}"),
-            intervals: intervals.into_iter().map(|(a, b, _)| (a, b, '#')).collect(),
+            intervals,
         });
     }
 
     // Migration lane (all secondaries together).
-    let mig = t.intervals(
-        |k| match k {
-            TraceKind::MigrateStart { layer, .. } => Some((*layer, String::new())),
+    let migrate = pair(
+        events,
+        |w| match w {
+            ProbeEvent::MigrateStarted { run: r, layer, .. } if r == run => Some(layer),
             _ => None,
         },
-        |k| match k {
-            TraceKind::MigrateEnd { layer, .. } => Some(*layer),
+        |w| match w {
+            ProbeEvent::MigrateFinished { run: r, layer, .. } if r == run => Some(layer),
             _ => None,
         },
     );
-    if !mig.is_empty() {
+    if !migrate.is_empty() {
         out.push(Lane {
             label: "migrate".to_string(),
-            intervals: mig.into_iter().map(|(a, b, _)| (a, b, '#')).collect(),
+            intervals: migrate,
         });
     }
     out
@@ -154,48 +177,67 @@ pub fn render(lanes: &[Lane], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceEvent;
 
-    fn toy_trace() -> Trace {
-        let ev = |at: u64, kind| TraceEvent {
+    fn toy_log() -> Vec<Event> {
+        let ev = |at: u64, what| Event {
             at: SimTime::from_nanos(at),
-            run: 0,
-            kind,
+            what,
         };
-        Trace {
-            events: vec![
-                ev(
-                    0,
-                    TraceKind::LoadStart {
-                        layer: 0,
-                        gpu: 0,
-                        slot: 0,
-                    },
-                ),
-                ev(
-                    100,
-                    TraceKind::LoadEnd {
-                        layer: 0,
-                        gpu: 0,
-                        slot: 0,
-                    },
-                ),
-                ev(100, TraceKind::StallEnd { layer: 0, ns: 100 }),
-                ev(
-                    100,
-                    TraceKind::ExecStart {
-                        layer: 0,
-                        dha: false,
-                    },
-                ),
-                ev(200, TraceKind::ExecEnd { layer: 0 }),
-            ],
-        }
+        let (run, layer, gpu, slot) = (0, 0, 0, 0);
+        vec![
+            ev(
+                0,
+                ProbeEvent::LoadStarted {
+                    run,
+                    layer,
+                    gpu,
+                    slot,
+                },
+            ),
+            ev(
+                100,
+                ProbeEvent::LoadFinished {
+                    run,
+                    layer,
+                    gpu,
+                    slot,
+                },
+            ),
+            ev(
+                100,
+                ProbeEvent::StallEnded {
+                    run,
+                    layer,
+                    gpu,
+                    ns: 100,
+                },
+            ),
+            ev(
+                100,
+                ProbeEvent::ExecStarted {
+                    run,
+                    layer,
+                    gpu,
+                    dha: false,
+                },
+            ),
+            ev(200, ProbeEvent::ExecFinished { run, layer, gpu }),
+            // Another run's events draw nothing on run 0's lanes.
+            ev(
+                200,
+                ProbeEvent::LoadStarted {
+                    run: 1,
+                    layer,
+                    gpu,
+                    slot: 1,
+                },
+            ),
+        ]
     }
 
     #[test]
     fn lanes_extracted() {
-        let lanes = lanes(&toy_trace(), 0);
+        let lanes = lanes(&toy_log(), 0);
         assert_eq!(lanes.len(), 2); // exec + load s0 (no migration).
         assert_eq!(lanes[0].label, "exec");
         // Exec lane: one stall interval + one busy interval.
@@ -206,7 +248,7 @@ mod tests {
 
     #[test]
     fn render_produces_expected_shape() {
-        let l = lanes(&toy_trace(), 0);
+        let l = lanes(&toy_log(), 0);
         let chart = render(&l, 20);
         let lines: Vec<&str> = chart.lines().collect();
         assert_eq!(lines.len(), 3); // exec, load, axis.

@@ -36,14 +36,14 @@ fn main() {
             verify_loads: false,
             hedge: None,
         };
-        let (res, trace) = run_traced(machine.clone(), spec);
+        let (res, events) = run_traced(machine.clone(), spec);
         println!(
             "== {model} under {} — {:.2} ms (stall {:.2} ms) ==",
             mode.label(),
             res.latency().as_ms_f64(),
             res.stall.as_ms_f64()
         );
-        println!("{}", render(&lanes(&trace, 0), 100));
+        println!("{}", render(&lanes(&events, 0), 100));
     }
     println!("legend: '#' busy, '=' DHA execution, '.' stalled, ' ' idle");
 }
