@@ -41,6 +41,13 @@
 //! `--page-kib` must be a non-zero power of two (pages subdivide the
 //! pool evenly); anything else is rejected before the run starts.
 //!
+//! Flags that do not parse print the usage line and exit 2. Values that
+//! parse but are out of range (`--concurrency 0`, a rate that is not a
+//! positive finite number, a deployment whose weights do not fit in
+//! pinned host memory, a size or deadline whose unit conversion
+//! overflows 64 bits, a fault spec that does not parse) print
+//! `error: ...` and exit 1 before any simulation state is built.
+//!
 //! `--resilience` (requires `--decode`) arms decode-session resilience:
 //! completed-step KV pages mirror incrementally to pinned host memory,
 //! a crashed GPU's sessions restore from the mirror or re-prefill per
@@ -121,6 +128,19 @@ fn usage() -> ! {
          [--resilience] [--slo-tiers]"
     );
     std::process::exit(2)
+}
+
+/// Prints `error: <msg>` and exits 1.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1)
+}
+
+/// `n` of `flag`'s unit converted by `per_unit` (to bytes or ns); fails
+/// instead of wrapping when the product overflows `u64`.
+fn in_units(flag: &str, n: u64, per_unit: u64) -> u64 {
+    n.checked_mul(per_unit)
+        .unwrap_or_else(|| fail(format!("{flag} {n} is out of range (overflows 64 bits)")))
 }
 
 /// A rejected `--page-kib` value. The pager subdivides its pools into
@@ -388,7 +408,9 @@ fn main() {
             let id = args.model.unwrap_or_else(|| usage());
             let dp = DeepPlan::new(args.machine.clone());
             let b = match args.budget_mib {
-                Some(mib) => dp.plan_with_budget(id, args.batch, mib << 20),
+                Some(mib) => {
+                    dp.plan_with_budget(id, args.batch, in_units("--budget-mib", mib, 1 << 20))
+                }
                 None => dp.plan_mode(id, args.batch, args.mode),
             };
             println!(
@@ -432,26 +454,32 @@ fn main() {
         }
         "serve" => {
             let id = args.model.unwrap_or_else(|| usage());
+            if args.concurrency == 0 {
+                fail("--concurrency must be at least 1");
+            }
+            if !(args.rate.is_finite() && args.rate > 0.0) {
+                fail(format!(
+                    "--rate must be a positive, finite request rate, got {}",
+                    args.rate
+                ));
+            }
             let machine = args.machine.clone();
             let mut cfg = ServerConfig::paper_default(machine.clone(), args.mode);
             if let Some(ms) = args.deadline_ms {
-                cfg.faults.deadline = Some(SimDur::from_millis(ms));
+                cfg.faults.deadline =
+                    Some(SimDur::from_nanos(in_units("--deadline-ms", ms, 1_000_000)));
             }
             cfg.recovery.enabled = args.recovery;
             cfg.detection.enabled = args.detection;
             cfg.admission.queue_cap = args.queue_cap;
             cfg.decode.enabled = args.decode;
             if let Some(kib) = args.page_kib {
-                match validate_page_kib(kib) {
-                    Ok(kib) => cfg.decode.page_bytes = kib << 10,
-                    Err(e) => {
-                        eprintln!("error: --page-kib: {e}");
-                        std::process::exit(1);
-                    }
-                }
+                let kib =
+                    validate_page_kib(kib).unwrap_or_else(|e| fail(format!("--page-kib: {e}")));
+                cfg.decode.page_bytes = in_units("--page-kib", kib, 1 << 10);
             }
             if let Some(mib) = args.kv_pool_mib {
-                cfg.decode.gpu_pool_bytes = mib << 20;
+                cfg.decode.gpu_pool_bytes = in_units("--kv-pool-mib", mib, 1 << 20);
             }
             if let Some(mode) = args.kv_mode {
                 cfg.decode.kv_mode = mode;
@@ -463,10 +491,8 @@ fn main() {
                 cfg.decode_resilience.tiers = ResiliencePolicy::default_tiers();
             }
             let faults = match &args.faults {
-                Some(spec) => FaultSpec::parse(spec, args.seed).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2)
-                }),
+                Some(spec) => FaultSpec::parse(spec, args.seed)
+                    .unwrap_or_else(|e| fail(format!("--faults: {e}"))),
                 None => FaultSpec::none(),
             };
             let model = dnn_models::zoo::build(id);
@@ -476,6 +502,16 @@ fn main() {
                 args.mode,
                 cfg.max_pt_gpus,
             )];
+            // Every instance pins its weights in host memory; the server
+            // asserts they fit, so an oversized deployment stops here.
+            let pinned = u128::from(kinds[0].rt.total_bytes) * args.concurrency as u128;
+            if pinned > u128::from(cfg.host_mem_bytes) {
+                fail(format!(
+                    "--concurrency {}: the instances pin {pinned} B of weights, \
+                     the machine has {} B of host memory",
+                    args.concurrency, cfg.host_mem_bytes
+                ));
+            }
             let instance_kinds = vec![0usize; args.concurrency];
             let mut trace = poisson::generate(
                 args.rate,
@@ -592,15 +628,13 @@ fn main() {
                 println!("  metrics: {alerts} slo burn alert(s)");
                 if let Some(path) = &args.metrics_out {
                     if let Err(e) = std::fs::write(path, sink.registry.to_prometheus()) {
-                        eprintln!("error: writing {path}: {e}");
-                        std::process::exit(1);
+                        fail(format!("writing {path}: {e}"));
                     }
                     println!("  wrote metrics snapshot to {path}");
                 }
                 if let Some(path) = &args.metrics_json {
                     if let Err(e) = std::fs::write(path, sink.to_json_series()) {
-                        eprintln!("error: writing {path}: {e}");
-                        std::process::exit(1);
+                        fail(format!("writing {path}: {e}"));
                     }
                     println!("  wrote metrics time series to {path}");
                 }
@@ -609,25 +643,18 @@ fn main() {
                 let events = &events[..];
                 if let Some(path) = &args.events_out {
                     if let Err(e) = std::fs::write(path, to_jsonl(events)) {
-                        eprintln!("error: writing {path}: {e}");
-                        std::process::exit(1);
+                        fail(format!("writing {path}: {e}"));
                     }
                     println!("  wrote {} event(s) to {path}", events.len());
                 }
                 if let Some(path) = &args.trace_out {
-                    let map = match NetMap::build(&machine) {
-                        Ok((_, map)) => map,
-                        Err(e) => {
-                            eprintln!("error: invalid machine topology: {e}");
-                            std::process::exit(1)
-                        }
-                    };
+                    let (_, map) = NetMap::build(&machine)
+                        .unwrap_or_else(|e| fail(format!("invalid machine topology: {e}")));
                     let opts = PerfettoOptions {
                         link_names: map.link_names(),
                     };
                     if let Err(e) = std::fs::write(path, to_perfetto(events, &opts)) {
-                        eprintln!("error: writing {path}: {e}");
-                        std::process::exit(1);
+                        fail(format!("writing {path}: {e}"));
                     }
                     println!("  wrote Perfetto trace to {path}");
                 }
@@ -635,14 +662,9 @@ fn main() {
         }
         "analyze" => {
             let path = args.input.unwrap_or_else(|| usage());
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!("error: reading {path}: {e}");
-                std::process::exit(1)
-            });
-            let events = parse_jsonl(&text).unwrap_or_else(|e| {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(1)
-            });
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| fail(format!("reading {path}: {e}")));
+            let events = parse_jsonl(&text).unwrap_or_else(|e| fail(format!("{path}: {e}")));
             print!("{}", render_analysis(&analyze(&events)));
         }
         _ => usage(),
