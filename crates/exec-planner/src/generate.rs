@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::algorithm::plan_dha;
 use crate::plan::{ExecutionPlan, LayerExec};
-use crate::transmission::plan_transmission;
+use crate::transmission::{plan_transmission_with_slots, pt_slots};
 
 /// The five execution options of the evaluation (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -64,6 +64,15 @@ pub fn generate(
     mode: PlanMode,
     max_gpus: usize,
 ) -> ExecutionPlan {
+    build_plan(profile, mode, pt_slots(machine, max_gpus, &[]))
+}
+
+/// The plan builder behind [`generate`] and
+/// [`crate::degraded::generate_degraded`]. Algorithm 1 runs on
+/// `profile`, the cost model's view of the layers (its byte counts are
+/// the real ones); the PT modes split the loads over `pt_slots`
+/// transmission slots and the other modes use one.
+pub(crate) fn build_plan(profile: &ModelProfile, mode: PlanMode, pt_slots: usize) -> ExecutionPlan {
     let param_bytes: Vec<u64> = profile.layers.iter().map(|l| l.param_bytes).collect();
     let all_load: Vec<LayerExec> = profile
         .layers
@@ -85,12 +94,7 @@ pub fn generate(
         PlanMode::PtDha => (plan_dha(profile), true, true),
     };
 
-    let t = plan_transmission(
-        machine,
-        &param_bytes,
-        &decisions,
-        if pt { max_gpus } else { 1 },
-    );
+    let t = plan_transmission_with_slots(&param_bytes, &decisions, if pt { pt_slots } else { 1 });
     ExecutionPlan {
         model: profile.model.clone(),
         batch: profile.batch,

@@ -7,7 +7,7 @@
 //! and the NVLink forward (Figure 9).
 
 use gpu_topology::machine::Machine;
-use gpu_topology::select::pt_group;
+use gpu_topology::select::pt_group_masked;
 
 use crate::partition::partition_by_bytes;
 use crate::plan::LayerExec;
@@ -37,21 +37,28 @@ pub fn plan_transmission(
     decisions: &[LayerExec],
     max_gpus: usize,
 ) -> Transmission {
-    assert_eq!(param_bytes.len(), decisions.len());
-    // Topology probe: the widest group available from any primary. The
-    // actual GPU ids are picked at dispatch time; planning only needs the
-    // group *size* (paper: "we do not statically assign the GPU").
-    let slots = (0..machine.gpu_count())
-        .map(|p| pt_group(machine, p, max_gpus).map(|g| g.len()).unwrap_or(1))
+    plan_transmission_with_slots(param_bytes, decisions, pt_slots(machine, max_gpus, &[]))
+}
+
+/// `true` if the mask marks GPU `g` as up (indices beyond the mask are
+/// treated as up, so an empty mask means a fully healthy machine).
+pub(crate) fn is_up(up: &[bool], g: usize) -> bool {
+    up.get(g).copied().unwrap_or(true)
+}
+
+/// Topology probe: the widest parallel-transmission group available
+/// from any GPU the mask `up` marks as up. The actual GPU ids are picked
+/// at dispatch time; planning only needs the group *size* (paper: "we do
+/// not statically assign the GPU").
+pub(crate) fn pt_slots(machine: &Machine, max_gpus: usize, up: &[bool]) -> usize {
+    (0..machine.gpu_count())
+        .filter(|&g| is_up(up, g))
+        .map(|p| pt_group_masked(machine, p, max_gpus, up).map_or(1, |g| g.len()))
         .max()
-        .unwrap_or(1);
-    plan_transmission_with_slots(param_bytes, decisions, slots)
+        .unwrap_or(1)
 }
 
 /// [`plan_transmission`] with the slot count already decided.
-///
-/// Degraded-topology replanning probes group widths through a health
-/// mask instead of the raw machine, then hands the resulting count here.
 pub fn plan_transmission_with_slots(
     param_bytes: &[u64],
     decisions: &[LayerExec],

@@ -18,7 +18,8 @@ use crate::machine::{Machine, TopologyError};
 /// the topology allows".
 ///
 /// A group of size 1 means parallel transmission is not beneficial (or not
-/// possible) from this primary.
+/// possible) from this primary. This is [`pt_group_masked`] with every
+/// GPU up.
 ///
 /// # Errors
 ///
@@ -28,32 +29,14 @@ pub fn pt_group(
     primary: usize,
     max_gpus: usize,
 ) -> Result<Vec<usize>, TopologyError> {
-    if primary >= machine.gpu_count() {
-        return Err(TopologyError::UnknownGpu(primary));
-    }
-    let mut group = vec![primary];
-    let mut used_switches = vec![machine.switch_of(primary)];
-    for g in 0..machine.gpu_count() {
-        if group.len() >= max_gpus {
-            break;
-        }
-        if g == primary || used_switches.contains(&machine.switch_of(g)) {
-            continue;
-        }
-        if !machine.nvlinked(primary, g) {
-            continue;
-        }
-        used_switches.push(machine.switch_of(g));
-        group.push(g);
-    }
-    Ok(group)
+    pt_group_masked(machine, primary, max_gpus, &[])
 }
 
 /// [`pt_group`] restricted to the GPUs marked `true` in `up`.
 ///
 /// Used when replanning against a degraded topology: down GPUs can be
 /// neither primaries nor secondaries. Indices beyond `up.len()` are
-/// treated as up, so an empty mask degenerates to [`pt_group`].
+/// treated as up, so an empty mask is a fully healthy machine.
 ///
 /// # Errors
 ///
