@@ -16,24 +16,29 @@
 //! continuous-batching decode run, probe-off and with the resilience
 //! layer at its default (disabled): it gates the token-step hot path —
 //! including the inert resilience branches — the fig15 one-shot
-//! workload never enters. Run it on a quiet machine:
+//! workload never enters. The codec rows (`codec_*` fields) time
+//! `to_jsonl`, `to_perfetto` and `parse_jsonl` over the first million
+//! events of the probed fig15 log. Run it on a quiet machine:
 //!
 //! ```text
 //! cargo run --release -p bench --bin perf [-- --gate] [-- --note "..."]
 //! ```
 //!
 //! With `--gate` (the CI mode) the run fails, without touching the
-//! trajectory, when bare events/sec drops below 0.9× the last recorded
-//! entry — the perf-regression tripwire. `--note` labels the new entry.
+//! trajectory, when bare events/sec, or any decode or codec row the last
+//! recorded entry carries, drops below 0.9× that entry — the
+//! perf-regression tripwire. `--note` labels the new entry.
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use deepplan::PlanMode;
 use dnn_models::zoo::{build, ModelId};
+use gpu_topology::netmap::NetMap;
 use gpu_topology::presets::p3_8xlarge;
 use model_serving::workload::decode::{assign_lengths, LengthDist};
 use model_serving::{poisson, run_server, DeployedModel, ServerConfig, ServingReport};
 use serde_json::{json, Value};
+use simcore::probe::{parse_jsonl, to_jsonl, to_perfetto, PerfettoOptions};
 use simcore::time::{SimDur, SimTime};
 
 use bench::experiments::fig15;
@@ -49,6 +54,16 @@ const GATE_RATIO: f64 = 0.9;
 const DECODE_REQUESTS: usize = 4_000;
 const DECODE_RATE: f64 = 240.0;
 const DECODE_INSTANCES: usize = 16;
+
+/// Events of the probed fig15 log the codec rows write and read back.
+const CODEC_EVENTS: usize = 1_000_000;
+
+/// Runs `f` once; returns its result and the wall seconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = std::hint::black_box(f());
+    (out, start.elapsed().as_secs_f64())
+}
 
 /// The pinned decode workload: GPT-2 continuous batching on a
 /// p3.8xlarge with a deliberately tight device KV pool (spill/recall
@@ -156,6 +171,24 @@ fn main() {
     let wall_secs_decode = wall_decode.elapsed().as_secs_f64();
     let decode_events_per_sec = decode_report.sim_events as f64 / wall_secs_decode.max(1e-9);
 
+    let codec_log = &probe_log[..probe_log.len().min(CODEC_EVENTS)];
+    let (_, map) = NetMap::build(&p3_8xlarge()).expect("preset topology is valid");
+    let opts = PerfettoOptions {
+        link_names: map.link_names(),
+    };
+    let (jsonl, jsonl_secs) = timed(|| to_jsonl(codec_log));
+    let (perfetto, perfetto_secs) = timed(|| to_perfetto(codec_log, &opts));
+    drop(perfetto);
+    let (parsed, parse_secs) = timed(|| parse_jsonl(&jsonl));
+    assert!(
+        parsed.as_deref() == Ok(codec_log),
+        "parse_jsonl(to_jsonl(log)) must give the log back"
+    );
+    let per_sec = |secs: f64| codec_log.len() as f64 / secs.max(1e-9);
+    let codec_jsonl_events_per_sec = per_sec(jsonl_secs);
+    let codec_perfetto_events_per_sec = per_sec(perfetto_secs);
+    let codec_parse_events_per_sec = per_sec(parse_secs);
+
     let mut trajectory = load_trajectory();
     if let Some(last) = trajectory.last() {
         let last_eps = last["events_per_sec"].as_f64().unwrap_or(0.0);
@@ -179,20 +212,29 @@ fn main() {
             );
             std::process::exit(1);
         }
-        // The decode row gates the same way once a prior entry carries
-        // it; older entries predate the decode workload and gate
+        // The decode and codec rows gate the same way once a prior
+        // entry carries them; older entries predate them and gate
         // nothing.
-        if let Some(last_decode_eps) = last["decode_events_per_sec"].as_f64() {
-            let decode_floor = last_decode_eps * GATE_RATIO;
+        for (key, now) in [
+            ("decode_events_per_sec", decode_events_per_sec),
+            ("codec_jsonl_events_per_sec", codec_jsonl_events_per_sec),
+            (
+                "codec_perfetto_events_per_sec",
+                codec_perfetto_events_per_sec,
+            ),
+            ("codec_parse_events_per_sec", codec_parse_events_per_sec),
+        ] {
+            let Some(last_eps) = last[key].as_f64() else {
+                continue;
+            };
+            let floor = last_eps * GATE_RATIO;
             println!(
-                "gate: {decode_events_per_sec:.0} decode events/sec vs floor {decode_floor:.0} \
-                 ({GATE_RATIO}x last entry {last_decode_eps:.0})"
+                "gate: {key} {now:.0} vs floor {floor:.0} ({GATE_RATIO}x last entry {last_eps:.0})"
             );
-            if gate && decode_events_per_sec < decode_floor {
+            if gate && now < floor {
                 eprintln!(
-                    "error: decode perf regression: {decode_events_per_sec:.0} events/sec \
-                     < {decode_floor:.0} ({GATE_RATIO}x last trajectory entry); \
-                     trajectory left untouched"
+                    "error: perf regression: {key} {now:.0} < {floor:.0} \
+                     ({GATE_RATIO}x last trajectory entry); trajectory left untouched"
                 );
                 std::process::exit(1);
             }
@@ -224,6 +266,10 @@ fn main() {
         "decode_events_per_sec": decode_events_per_sec.round(),
         "decode_tokens": decode_report.tokens_generated,
         "decode_completed": decode_report.completed,
+        "codec_events": codec_log.len(),
+        "codec_jsonl_events_per_sec": codec_jsonl_events_per_sec.round(),
+        "codec_perfetto_events_per_sec": codec_perfetto_events_per_sec.round(),
+        "codec_parse_events_per_sec": codec_parse_events_per_sec.round(),
     });
     println!("{}", serde_json::to_string_pretty(&entry).unwrap());
     trajectory.push(entry);

@@ -612,14 +612,18 @@ fn main() {
                     report.checksum_refetches
                 );
             }
-            let events: Option<Vec<simcore::probe::Event>> = if let Some(sink) = &sink {
+            if let Some(sink) = &sink {
                 sink.borrow_mut().finish();
-                Some(sink.borrow().events().to_vec())
-            } else {
-                log.map(|l| l.borrow().events.clone())
+            }
+            // The exporters read the recorded log in place.
+            let sink = sink.as_ref().map(|s| s.borrow());
+            let log = log.as_ref().map(|l| l.borrow());
+            let events = match (&sink, &log) {
+                (Some(sink), _) => Some(sink.events()),
+                (None, Some(log)) => Some(&log.events[..]),
+                (None, None) => None,
             };
             if let Some(sink) = &sink {
-                let sink = sink.borrow();
                 let alerts = sink
                     .events()
                     .iter()
@@ -639,8 +643,7 @@ fn main() {
                     println!("  wrote metrics time series to {path}");
                 }
             }
-            if let Some(events) = &events {
-                let events = &events[..];
+            if let Some(events) = events {
                 if let Some(path) = &args.events_out {
                     if let Err(e) = std::fs::write(path, to_jsonl(events)) {
                         fail(format!("writing {path}: {e}"));

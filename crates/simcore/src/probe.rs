@@ -30,10 +30,17 @@
 //! [`ProbeEvent::NAMES`], the JSONL writer behind [`to_jsonl`] and the
 //! reader behind [`parse_jsonl`]. Each field type encodes itself through
 //! one small codec trait. Adding an event takes one table row, one arm in
-//! [`to_perfetto`] (whose exhaustive match fails to compile without it)
-//! and one sample line in `tests/data/golden_every_event.jsonl`.
+//! [`to_perfetto`] (whose exhaustive match fails to compile without it),
+//! one arm in `lane_of` if the event claims a Perfetto lane, and one
+//! sample line in `tests/data/golden_every_event.jsonl`.
+//!
+//! Neither exporter allocates per event: each appends to one output
+//! `String`, writing numbers with a small digit writer, and the reader
+//! borrows keys and values from its input.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
+use std::collections::HashSet;
 use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
@@ -44,17 +51,17 @@ trait JsonlField: Sized {
     /// Appends the value as JSON.
     fn write_json(&self, out: &mut String);
     /// Reads field `key` of a parsed line.
-    fn read_json(f: &Fields, key: &str) -> Result<Self, String>;
+    fn read_json(f: &Fields<'_>, key: &str) -> Result<Self, String>;
 }
 
 macro_rules! int_fields {
     ($($t:ty),*) => {$(
         impl JsonlField for $t {
             fn write_json(&self, out: &mut String) {
-                write!(out, "{self}").expect("writing to String cannot fail");
+                push_digits(out, *self as u64, 1);
             }
 
-            fn read_json(f: &Fields, key: &str) -> Result<Self, String> {
+            fn read_json(f: &Fields<'_>, key: &str) -> Result<Self, String> {
                 match f.get(key) {
                     Some(&JsonVal::U(v)) => <$t>::try_from(v)
                         .map_err(|_| format!("out-of-range integer field '{key}'")),
@@ -71,7 +78,7 @@ impl JsonlField for bool {
         out.push_str(if *self { "true" } else { "false" });
     }
 
-    fn read_json(f: &Fields, key: &str) -> Result<Self, String> {
+    fn read_json(f: &Fields<'_>, key: &str) -> Result<Self, String> {
         match f.get(key) {
             Some(&JsonVal::B(v)) => Ok(v),
             _ => Err(format!("missing or non-boolean field '{key}'")),
@@ -82,10 +89,10 @@ impl JsonlField for bool {
 impl JsonlField for f64 {
     /// `{:?}` is Rust's shortest representation that reads back exactly.
     fn write_json(&self, out: &mut String) {
-        write!(out, "{self:?}").expect("writing to String cannot fail");
+        push_f64(out, *self);
     }
 
-    fn read_json(f: &Fields, key: &str) -> Result<Self, String> {
+    fn read_json(f: &Fields<'_>, key: &str) -> Result<Self, String> {
         match f.get(key) {
             Some(&JsonVal::F(v)) => Ok(v),
             Some(&JsonVal::U(v)) => Ok(v as f64),
@@ -134,7 +141,7 @@ macro_rules! label_enum {
                 out.push('"');
             }
 
-            fn read_json(f: &Fields, key: &str) -> Result<Self, String> {
+            fn read_json(f: &Fields<'_>, key: &str) -> Result<Self, String> {
                 let s = f.str(key)?;
                 $ty::parse(s).ok_or_else(|| format!(concat!("unknown ", $what, " '{}'"), s))
             }
@@ -258,7 +265,7 @@ macro_rules! probe_events {
             }
 
             /// Reads the event named by a parsed line's `"ev"` field.
-            fn read_fields(f: &Fields) -> Result<Self, String> {
+            fn read_fields(f: &Fields<'_>) -> Result<Self, String> {
                 Ok(match f.str("ev")? {
                     $( $name => ProbeEvent::$variant {
                         $( $field: JsonlField::read_json(f, stringify!($field))?, )*
@@ -883,6 +890,82 @@ impl Probe {
 }
 
 // ---------------------------------------------------------------------------
+// Number text shared by both writers
+// ---------------------------------------------------------------------------
+
+/// Appends the decimal digits of `v`, zero-padded on the left to `width`.
+fn push_digits(out: &mut String, mut v: u64, width: usize) {
+    let mut buf = [b'0'; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    let start = i.min(buf.len() - width);
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"));
+}
+
+/// Appends `{:?}` of `v`: Rust's shortest text that reads back exactly.
+fn push_f64(out: &mut String, v: f64) {
+    match integral(v) {
+        Some(n) => {
+            push_digits(out, n, 1);
+            out.push_str(".0");
+        }
+        None => push_debug(out, v),
+    }
+}
+
+fn push_debug(out: &mut String, v: f64) {
+    write!(out, "{v:?}").expect("writing to String cannot fail");
+}
+
+/// `v` as an integer when it is integral, positive-signed and below
+/// 10^15, where `{:?}` prints its digits plus `.0`. Every other value
+/// (−0.0, NaN, infinities, fractions, subnormals, 10^15 and above) is
+/// `None` and is written by `{:?}` itself.
+fn integral(v: f64) -> Option<u64> {
+    if v.is_sign_positive() && v < 1e15 {
+        let n = v as u64;
+        (n as f64 == v).then_some(n)
+    } else {
+        None
+    }
+}
+
+/// Appends `{:?}` of `n as f64 / 10^k`, for `k` in 3..=9.
+///
+/// When the exact quotient has at most 15 significant digits (`n` below
+/// 10^15) and is zero or at least 10^-4, no other decimal of at most 15
+/// digits rounds to the same f64, so `{:?}`, which prints the shortest
+/// decimal that reads back, prints exactly that quotient in plain
+/// notation. It is written here from the integer digits of `n`; any other
+/// value goes through `{:?}`.
+fn push_scaled(out: &mut String, n: u64, k: u32) {
+    let scale = 10u64.pow(k);
+    if n == 0 || (n >= scale / 10_000 && n < 1_000_000_000_000_000) {
+        push_digits(out, n / scale, 1);
+        out.push('.');
+        let (mut frac, mut width) = (n % scale, k as usize);
+        if frac == 0 {
+            out.push('0');
+            return;
+        }
+        while frac % 10 == 0 {
+            frac /= 10;
+            width -= 1;
+        }
+        push_digits(out, frac, width);
+    } else {
+        push_debug(out, n as f64 / scale as f64);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // JSONL exporter
 // ---------------------------------------------------------------------------
 
@@ -892,22 +975,15 @@ impl Probe {
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::with_capacity(events.len() * 96);
     for e in events {
-        jsonl_line(&mut out, e);
-        out.push('\n');
+        out.push_str("{\"at\":");
+        push_digits(&mut out, e.at.as_nanos(), 1);
+        out.push_str(",\"ev\":\"");
+        out.push_str(e.what.name());
+        out.push('"');
+        e.what.write_fields(&mut out);
+        out.push_str("}\n");
     }
     out
-}
-
-fn jsonl_line(out: &mut String, e: &Event) {
-    write!(
-        out,
-        r#"{{"at":{},"ev":"{}""#,
-        e.at.as_nanos(),
-        e.what.name()
-    )
-    .expect("writing to String cannot fail");
-    e.what.write_fields(out);
-    out.push('}');
 }
 
 // ---------------------------------------------------------------------------
@@ -928,6 +1004,151 @@ const TID_LOAD_BASE: u64 = 100;
 const TID_MIGRATE_BASE: u64 = 200;
 const TID_DECODE_BASE: u64 = 300;
 
+/// A `(pid, tid)` track that carries slices, named `gpu<gpu> <role>`.
+struct Lane {
+    pid: u64,
+    tid: u64,
+    gpu: usize,
+    role: &'static str,
+}
+
+/// The lane an event's slice or instant lives on, when the event names
+/// one in the `thread_name` metadata.
+fn lane_of(what: &ProbeEvent) -> Option<Lane> {
+    use ProbeEvent::*;
+    let (pid, base, gpu, role) = match *what {
+        RequestEnqueued { gpu, .. }
+        | RequestDispatched { gpu, .. }
+        | RequestRetried { gpu, .. }
+        | FirstToken { gpu, .. }
+        | DecodeFinished { gpu, .. }
+        | RestoreDecision { gpu, .. }
+        | SessionRestored { gpu, .. }
+        | SessionTruncated { gpu, .. } => (PID_SERVING, 0, gpu, "requests"),
+        ExecStarted { gpu, .. } | StallStarted { gpu, .. } | GpuFailed { gpu } => {
+            (PID_ENGINE, 0, gpu, "exec")
+        }
+        LoadStarted { gpu, .. } => (PID_ENGINE, TID_LOAD_BASE, gpu, "load"),
+        MigrateStarted { from: gpu, .. } | PlanMigrationStarted { gpu, .. } => {
+            (PID_ENGINE, TID_MIGRATE_BASE, gpu, "nvlink out")
+        }
+        TokenStepStarted { gpu, .. }
+        | KvPageAlloc { gpu, .. }
+        | KvPageSpill { gpu, .. }
+        | KvPageRecall { gpu, .. }
+        | KvCheckpoint { gpu, .. }
+        | SessionSwappedOut { gpu, .. }
+        | SessionResumed { gpu, .. } => (PID_ENGINE, TID_DECODE_BASE, gpu, "decode"),
+        _ => return None,
+    };
+    Some(Lane {
+        pid,
+        tid: base + gpu as u64,
+        gpu,
+        role,
+    })
+}
+
+/// One piece of a trace entry, appended without `core::fmt`.
+trait Piece {
+    fn put(self, out: &mut String);
+}
+
+impl Piece for &str {
+    fn put(self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl Piece for u64 {
+    fn put(self, out: &mut String) {
+        push_digits(out, self, 1);
+    }
+}
+
+impl Piece for usize {
+    fn put(self, out: &mut String) {
+        push_digits(out, self as u64, 1);
+    }
+}
+
+impl Piece for bool {
+    fn put(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+}
+
+/// A timestamp in nanoseconds, written as `{:?}` of its microseconds.
+struct Micros(u64);
+
+impl Piece for Micros {
+    fn put(self, out: &mut String) {
+        push_scaled(out, self.0, 3);
+    }
+}
+
+/// A bytes/sec rate, written as `{:?}` of the rate over 10^9.
+struct Giga(f64);
+
+impl Piece for Giga {
+    fn put(self, out: &mut String) {
+        match integral(self.0) {
+            Some(n) => push_scaled(out, n, 9),
+            None => push_debug(out, self.0 / 1e9),
+        }
+    }
+}
+
+/// The counter-track label of link `.1`: its escaped name, else `link<i>`.
+struct LinkLabel<'a>(&'a [String], usize);
+
+impl Piece for LinkLabel<'_> {
+    fn put(self, out: &mut String) {
+        match self.0.get(self.1) {
+            Some(name) => out.push_str(name),
+            None => {
+                out.push_str("link");
+                push_digits(out, self.1 as u64, 1);
+            }
+        }
+    }
+}
+
+/// Appends one trace entry, from pieces: the arms most events take.
+macro_rules! put_entry {
+    ($out:expr, $($piece:expr),+ $(,)?) => {{
+        let out: &mut String = $out;
+        out.push_str(",\n");
+        $( Piece::put($piece, out); )+
+    }};
+}
+
+/// Appends one trace entry, from a format string.
+macro_rules! fmt_entry {
+    ($out:expr, $($fmt:tt)+) => {{
+        let out: &mut String = $out;
+        out.push_str(",\n");
+        write!(out, $($fmt)+).expect("writing to String cannot fail");
+    }};
+}
+
+/// Closes the innermost duration slice open on engine lane `tid`.
+fn end_slice(out: &mut String, open_b: &mut Vec<(u64, usize)>, ts: Micros, tid: u64) {
+    if let Some(pos) = open_b.iter().rposition(|&(t, _)| t == tid) {
+        open_b.remove(pos);
+    }
+    put_entry!(
+        out,
+        r#"{"ph":"E","ts":"#,
+        ts,
+        r#","pid":"#,
+        PID_ENGINE,
+        r#","tid":"#,
+        tid,
+        "}"
+    );
+}
+
 /// Serialises events as a Chrome Trace Event Format JSON document.
 ///
 /// Layout:
@@ -941,47 +1162,63 @@ const TID_DECODE_BASE: u64 = 300;
 ///   per-GPU `load` lanes and per-GPU `nvlink out` lanes;
 /// * flow arrows (`s` → `f`, id = request) from each dispatch to the
 ///   run's first kernel, tying serving spans to engine activity.
+///
+/// A first pass finds the lanes for the `thread_name` metadata, which
+/// leads the document; every entry is then written straight into it.
 pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
-    let mut body: Vec<String> = Vec::with_capacity(events.len() + 16);
-    // (pid, tid) lanes seen, for thread_name metadata.
-    let mut lanes: Vec<(u64, u64, String)> = Vec::new();
-    let mut lane = |pid: u64, tid: u64, gpu: usize, role: &str| {
-        if !lanes.iter().any(|&(p, t, _)| p == pid && t == tid) {
-            lanes.push((pid, tid, format!("gpu{gpu} {role}")));
+    let mut lanes: Vec<Lane> = Vec::new();
+    for lane in events.iter().filter_map(|e| lane_of(&e.what)) {
+        if !lanes.iter().any(|l| (l.pid, l.tid) == (lane.pid, lane.tid)) {
+            lanes.push(lane);
         }
-    };
+    }
+    lanes.sort_by_key(|l| (l.pid, l.tid));
+
+    let mut doc = String::with_capacity(events.len() * 112 + 4096);
+    let out = &mut doc;
+    out.push_str("{\"traceEvents\":[\n");
+    write!(
+        out,
+        r#"{{"name":"process_name","ph":"M","pid":{PID_SERVING},"args":{{"name":"serving"}}}}"#
+    )
+    .expect("writing to String cannot fail");
+    fmt_entry!(
+        out,
+        r#"{{"name":"process_name","ph":"M","pid":{PID_ENGINE},"args":{{"name":"engine"}}}}"#
+    );
+    // Lane names are digits and fixed ASCII words: nothing to escape.
+    for l in &lanes {
+        fmt_entry!(
+            out,
+            r#"{{"name":"thread_name","ph":"M","pid":{},"tid":{},"args":{{"name":"gpu{} {}"}}}}"#,
+            l.pid,
+            l.tid,
+            l.gpu,
+            l.role
+        );
+    }
+
+    // Counter-track labels of the named links, escaped once each.
+    let labels: Vec<String> = opts.link_names.iter().map(|n| escape(n)).collect();
     // run slot → request id, for flow arrows; cleared on first exec.
     let mut run_req: Vec<(usize, u64)> = Vec::new();
     // Request ids with an open async span, so a shed closes only spans
     // that were actually opened (pre-enqueue sheds never open one).
-    let mut open_spans: Vec<u64> = Vec::new();
+    let mut open_spans: HashSet<u64> = HashSet::new();
     // Open duration slices (tid, run) on the engine process: an aborted
     // run never gets its Finished events, so its slices are closed here.
     let mut open_b: Vec<(u64, usize)> = Vec::new();
-    // Counter-track label of a link, escaped for a JSON string.
-    let link_label = |link: usize| match opts.link_names.get(link) {
-        Some(name) => escape(name),
-        None => format!("link{link}"),
-    };
-    // Closes the innermost duration slice open on engine lane `tid`.
-    let end_slice = |body: &mut Vec<String>, open_b: &mut Vec<(u64, usize)>, us: f64, tid: u64| {
-        if let Some(pos) = open_b.iter().rposition(|&(t, _)| t == tid) {
-            open_b.remove(pos);
-        }
-        body.push(format!(
-            r#"{{"ph":"E","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid}}}"#
-        ));
-    };
 
     for e in events {
+        let ts = Micros(e.at.as_nanos());
         let us = e.at.as_nanos() as f64 / 1e3;
         match e.what {
             ProbeEvent::RequestEnqueued { req, instance, gpu } => {
-                lane(PID_SERVING, gpu as u64, gpu, "requests");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"req{req}","cat":"request","ph":"b","id":{req},"ts":{us:?},"pid":{PID_SERVING},"tid":{gpu},"args":{{"instance":{instance}}}}}"#
-                ));
-                open_spans.push(req);
+                );
+                open_spans.insert(req);
             }
             ProbeEvent::RequestDispatched {
                 req,
@@ -990,13 +1227,14 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 warm,
                 run,
             } => {
-                lane(PID_SERVING, gpu as u64, gpu, "requests");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"dispatch","cat":"request","ph":"i","s":"t","ts":{us:?},"pid":{PID_SERVING},"tid":{gpu},"args":{{"req":{req},"instance":{instance},"warm":{warm},"run":{run}}}}}"#
-                ));
-                body.push(format!(
+                );
+                fmt_entry!(
+                    out,
                     r#"{{"name":"req{req}","cat":"flow","ph":"s","id":{req},"ts":{us:?},"pid":{PID_SERVING},"tid":{gpu}}}"#
-                ));
+                );
                 run_req.retain(|(r, _)| *r != run);
                 run_req.push((run, req));
             }
@@ -1008,12 +1246,13 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 queue_wait_ns,
                 ..
             } => {
-                open_spans.retain(|&r| r != req);
-                body.push(format!(
+                open_spans.remove(&req);
+                fmt_entry!(
+                    out,
                     r#"{{"name":"req{req}","cat":"request","ph":"e","id":{req},"ts":{us:?},"pid":{PID_SERVING},"tid":{gpu},"args":{{"cold":{cold},"latency_ms":{:?},"queue_wait_ms":{:?}}}}}"#,
                     latency_ns as f64 / 1e6,
                     queue_wait_ns as f64 / 1e6
-                ));
+                );
             }
             ProbeEvent::ExecStarted {
                 run,
@@ -1021,20 +1260,35 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 gpu,
                 dha,
             } => {
-                lane(PID_ENGINE, gpu as u64, gpu, "exec");
                 if let Some(pos) = run_req.iter().position(|(r, _)| *r == run) {
                     let (_, req) = run_req.swap_remove(pos);
-                    body.push(format!(
+                    fmt_entry!(
+                        out,
                         r#"{{"name":"req{req}","cat":"flow","ph":"f","bp":"e","id":{req},"ts":{us:?},"pid":{PID_ENGINE},"tid":{gpu}}}"#
-                    ));
+                    );
                 }
-                body.push(format!(
-                    r#"{{"name":"L{layer}","cat":"exec","ph":"B","ts":{us:?},"pid":{PID_ENGINE},"tid":{gpu},"args":{{"run":{run},"layer":{layer},"dha":{dha}}}}}"#
-                ));
+                put_entry!(
+                    out,
+                    r#"{"name":"L"#,
+                    layer,
+                    r#"","cat":"exec","ph":"B","ts":"#,
+                    ts,
+                    r#","pid":"#,
+                    PID_ENGINE,
+                    r#","tid":"#,
+                    gpu,
+                    r#","args":{"run":"#,
+                    run,
+                    r#","layer":"#,
+                    layer,
+                    r#","dha":"#,
+                    dha,
+                    "}}"
+                );
                 open_b.push((gpu as u64, run));
             }
             ProbeEvent::ExecFinished { gpu, .. } | ProbeEvent::StallEnded { gpu, .. } => {
-                end_slice(&mut body, &mut open_b, us, gpu as u64);
+                end_slice(out, &mut open_b, ts, gpu as u64);
             }
             ProbeEvent::StallStarted {
                 run,
@@ -1042,11 +1296,22 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 gpu,
                 cause,
             } => {
-                lane(PID_ENGINE, gpu as u64, gpu, "exec");
-                body.push(format!(
-                    r#"{{"name":"stall","cat":"stall","ph":"B","ts":{us:?},"pid":{PID_ENGINE},"tid":{gpu},"args":{{"run":{run},"layer":{layer},"cause":"{}"}}}}"#,
-                    cause.as_str()
-                ));
+                put_entry!(
+                    out,
+                    r#"{"name":"stall","cat":"stall","ph":"B","ts":"#,
+                    ts,
+                    r#","pid":"#,
+                    PID_ENGINE,
+                    r#","tid":"#,
+                    gpu,
+                    r#","args":{"run":"#,
+                    run,
+                    r#","layer":"#,
+                    layer,
+                    r#","cause":""#,
+                    cause.as_str(),
+                    "\"}}"
+                );
                 open_b.push((gpu as u64, run));
             }
             ProbeEvent::LoadStarted {
@@ -1056,25 +1321,53 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 slot,
             } => {
                 let tid = TID_LOAD_BASE + gpu as u64;
-                lane(PID_ENGINE, tid, gpu, "load");
-                body.push(format!(
-                    r#"{{"name":"L{layer}","cat":"load","ph":"B","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"run":{run},"layer":{layer},"slot":{slot}}}}}"#
-                ));
+                put_entry!(
+                    out,
+                    r#"{"name":"L"#,
+                    layer,
+                    r#"","cat":"load","ph":"B","ts":"#,
+                    ts,
+                    r#","pid":"#,
+                    PID_ENGINE,
+                    r#","tid":"#,
+                    tid,
+                    r#","args":{"run":"#,
+                    run,
+                    r#","layer":"#,
+                    layer,
+                    r#","slot":"#,
+                    slot,
+                    "}}"
+                );
                 open_b.push((tid, run));
             }
             ProbeEvent::LoadFinished { gpu, .. } => {
-                end_slice(&mut body, &mut open_b, us, TID_LOAD_BASE + gpu as u64);
+                end_slice(out, &mut open_b, ts, TID_LOAD_BASE + gpu as u64);
             }
             ProbeEvent::MigrateStarted { run, layer, from } => {
                 let tid = TID_MIGRATE_BASE + from as u64;
-                lane(PID_ENGINE, tid, from, "nvlink out");
-                body.push(format!(
-                    r#"{{"name":"L{layer}","cat":"migrate","ph":"B","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"run":{run},"layer":{layer},"from":{from}}}}}"#
-                ));
+                put_entry!(
+                    out,
+                    r#"{"name":"L"#,
+                    layer,
+                    r#"","cat":"migrate","ph":"B","ts":"#,
+                    ts,
+                    r#","pid":"#,
+                    PID_ENGINE,
+                    r#","tid":"#,
+                    tid,
+                    r#","args":{"run":"#,
+                    run,
+                    r#","layer":"#,
+                    layer,
+                    r#","from":"#,
+                    from,
+                    "}}"
+                );
                 open_b.push((tid, run));
             }
             ProbeEvent::MigrateFinished { from, .. } => {
-                end_slice(&mut body, &mut open_b, us, TID_MIGRATE_BASE + from as u64);
+                end_slice(out, &mut open_b, ts, TID_MIGRATE_BASE + from as u64);
             }
             ProbeEvent::RunCompleted {
                 run,
@@ -1083,57 +1376,78 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 exec_busy_ns,
             } => {
                 run_req.retain(|(r, _)| *r != run);
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"run done","cat":"exec","ph":"i","s":"t","ts":{us:?},"pid":{PID_ENGINE},"tid":{gpu},"args":{{"run":{run},"stall_ns":{stall_ns},"exec_busy_ns":{exec_busy_ns}}}}}"#
-                ));
+                );
             }
             ProbeEvent::QueueDepth { gpu, depth } => {
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"queue depth gpu{gpu}","ph":"C","ts":{us:?},"pid":{PID_SERVING},"args":{{"depth":{depth}}}}}"#
-                ));
+                );
             }
             ProbeEvent::CacheOccupancy {
                 gpu, used_bytes, ..
             } => {
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"cache gpu{gpu}","ph":"C","ts":{us:?},"pid":{PID_SERVING},"args":{{"used_mib":{:?}}}}}"#,
                     used_bytes as f64 / (1u64 << 20) as f64
-                ));
+                );
             }
             ProbeEvent::HostPinned { bytes } => {
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"host pinned","ph":"C","ts":{us:?},"pid":{PID_SERVING},"args":{{"mib":{:?}}}}}"#,
                     bytes as f64 / (1u64 << 20) as f64
-                ));
+                );
             }
             ProbeEvent::LinkShare {
                 link,
                 rate_bps,
                 flows,
             } => {
-                body.push(format!(
-                    r#"{{"name":"bw {}","ph":"C","ts":{us:?},"pid":{PID_SERVING},"args":{{"gbps":{:?},"flows":{flows}}}}}"#,
-                    link_label(link),
-                    rate_bps / 1e9
-                ));
+                put_entry!(
+                    out,
+                    r#"{"name":"bw "#,
+                    LinkLabel(&labels, link),
+                    r#"","ph":"C","ts":"#,
+                    ts,
+                    r#","pid":"#,
+                    PID_SERVING,
+                    r#","args":{"gbps":"#,
+                    Giga(rate_bps),
+                    r#","flows":"#,
+                    flows,
+                    "}}"
+                );
             }
             ProbeEvent::GpuFailed { gpu } => {
-                lane(PID_ENGINE, gpu as u64, gpu, "exec");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"GPU FAILED","cat":"fault","ph":"i","s":"g","ts":{us:?},"pid":{PID_ENGINE},"tid":{gpu},"args":{{"gpu":{gpu}}}}}"#
-                ));
+                );
             }
             ProbeEvent::GpuRecovered { gpu } => {
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"gpu recovered","cat":"fault","ph":"i","s":"g","ts":{us:?},"pid":{PID_ENGINE},"tid":{gpu},"args":{{"gpu":{gpu}}}}}"#
-                ));
+                );
             }
             ProbeEvent::LinkCapacity { link, capacity_bps } => {
-                body.push(format!(
-                    r#"{{"name":"cap {}","ph":"C","ts":{us:?},"pid":{PID_SERVING},"args":{{"gbps":{:?}}}}}"#,
-                    link_label(link),
-                    capacity_bps / 1e9
-                ));
+                put_entry!(
+                    out,
+                    r#"{"name":"cap "#,
+                    LinkLabel(&labels, link),
+                    r#"","ph":"C","ts":"#,
+                    ts,
+                    r#","pid":"#,
+                    PID_SERVING,
+                    r#","args":{"gbps":"#,
+                    Giga(capacity_bps),
+                    "}}"
+                );
             }
             ProbeEvent::RunAborted { run, gpu } => {
                 run_req.retain(|(r, _)| *r != run);
@@ -1143,16 +1457,18 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 while i < open_b.len() {
                     if open_b[i].1 == run {
                         let (tid, _) = open_b.remove(i);
-                        body.push(format!(
+                        fmt_entry!(
+                            out,
                             r#"{{"ph":"E","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"aborted":true}}}}"#
-                        ));
+                        );
                     } else {
                         i += 1;
                     }
                 }
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"run aborted","cat":"fault","ph":"i","s":"t","ts":{us:?},"pid":{PID_ENGINE},"tid":{gpu},"args":{{"run":{run}}}}}"#
-                ));
+                );
             }
             ProbeEvent::RequestRetried {
                 req,
@@ -1160,10 +1476,10 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 gpu,
                 attempt,
             } => {
-                lane(PID_SERVING, gpu as u64, gpu, "requests");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"retry","cat":"fault","ph":"i","s":"t","ts":{us:?},"pid":{PID_SERVING},"tid":{gpu},"args":{{"req":{req},"instance":{instance},"attempt":{attempt}}}}}"#
-                ));
+                );
             }
             ProbeEvent::RequestShed {
                 req,
@@ -1173,94 +1489,102 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 // Close the async request span (matched by id) — but
                 // only if the request got far enough to open one; a
                 // pre-enqueue shed has no span to close.
-                let had_span = open_spans.contains(&req);
-                if had_span {
-                    open_spans.retain(|&r| r != req);
-                    body.push(format!(
+                if open_spans.remove(&req) {
+                    fmt_entry!(
+                        out,
                         r#"{{"name":"req{req}","cat":"request","ph":"e","id":{req},"ts":{us:?},"pid":{PID_SERVING},"tid":0,"args":{{"shed":"{}"}}}}"#,
                         cause.as_str()
-                    ));
+                    );
                 }
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"shed","cat":"fault","ph":"i","s":"p","ts":{us:?},"pid":{PID_SERVING},"tid":0,"args":{{"req":{req},"instance":{instance},"cause":"{}"}}}}"#,
                     cause.as_str()
-                ));
+                );
             }
             ProbeEvent::HostMemAvailable { bytes } => {
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"host mem available","ph":"C","ts":{us:?},"pid":{PID_SERVING},"args":{{"mib":{:?}}}}}"#,
                     bytes as f64 / (1u64 << 20) as f64
-                ));
+                );
             }
             ProbeEvent::ReplanTriggered {
                 epoch,
                 up_gpus,
                 degraded_links,
             } => {
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"REPLAN","cat":"recovery","ph":"i","s":"g","ts":{us:?},"pid":{PID_SERVING},"tid":0,"args":{{"epoch":{epoch},"up_gpus":{up_gpus},"degraded_links":{degraded_links}}}}}"#
-                ));
+                );
             }
             ProbeEvent::PlanSwapped {
                 kind,
                 slots,
                 resident_bytes,
             } => {
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"plan swapped","cat":"recovery","ph":"i","s":"p","ts":{us:?},"pid":{PID_SERVING},"tid":0,"args":{{"kind":{kind},"slots":{slots},"resident_mib":{:?}}}}}"#,
                     resident_bytes as f64 / (1u64 << 20) as f64
-                ));
+                );
             }
             ProbeEvent::PlanMigrationStarted { kind, gpu, bytes } => {
                 let tid = TID_MIGRATE_BASE + gpu as u64;
-                lane(PID_ENGINE, tid, gpu, "nvlink out");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"plan migration","cat":"recovery","ph":"b","id":{kind},"ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"kind":{kind},"gpu":{gpu},"mib":{:?}}}}}"#,
                     bytes as f64 / (1u64 << 20) as f64
-                ));
+                );
             }
             ProbeEvent::PlanMigrationFinished { kind, gpu } => {
                 let tid = TID_MIGRATE_BASE + gpu as u64;
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"plan migration","cat":"recovery","ph":"e","id":{kind},"ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"kind":{kind},"gpu":{gpu}}}}}"#
-                ));
+                );
             }
             ProbeEvent::SilentFaultInjected { kind, target } => {
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"SILENT {}","cat":"fault","ph":"i","s":"g","ts":{us:?},"pid":{PID_SERVING},"tid":0,"args":{{"kind":"{}","target":{target}}}}}"#,
                     kind.as_str(),
                     kind.as_str()
-                ));
+                );
             }
             ProbeEvent::LinkInferred {
                 link,
                 state,
                 score_milli,
             } => {
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"link {} {}","cat":"detect","ph":"i","s":"g","ts":{us:?},"pid":{PID_SERVING},"tid":0,"args":{{"link":{link},"state":"{}","score_milli":{score_milli}}}}}"#,
                     link,
                     state.as_str(),
                     state.as_str()
-                ));
+                );
             }
             ProbeEvent::GpuInferred {
                 gpu,
                 state,
                 score_milli,
             } => {
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"gpu {} {}","cat":"detect","ph":"i","s":"g","ts":{us:?},"pid":{PID_SERVING},"tid":0,"args":{{"gpu":{gpu},"state":"{}","score_milli":{score_milli}}}}}"#,
                     gpu,
                     state.as_str(),
                     state.as_str()
-                ));
+                );
             }
             ProbeEvent::CanarySent { link, bytes } => {
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"canary","cat":"detect","ph":"i","s":"p","ts":{us:?},"pid":{PID_SERVING},"tid":0,"args":{{"link":{link},"mib":{:?}}}}}"#,
                     bytes as f64 / (1u64 << 20) as f64
-                ));
+                );
             }
             ProbeEvent::ChecksumMismatch {
                 run,
@@ -1269,9 +1593,10 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 slot,
             } => {
                 let tid = TID_LOAD_BASE + gpu as u64;
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"checksum mismatch","cat":"detect","ph":"i","s":"t","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"run":{run},"layer":{layer},"gpu":{gpu},"slot":{slot}}}}}"#
-                ));
+                );
             }
             ProbeEvent::LoadRefetched {
                 run,
@@ -1280,23 +1605,26 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 slot,
             } => {
                 let tid = TID_LOAD_BASE + gpu as u64;
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"refetch","cat":"detect","ph":"i","s":"t","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"run":{run},"layer":{layer},"gpu":{gpu},"slot":{slot}}}}}"#
-                ));
+                );
             }
             ProbeEvent::FlowHedged { primary, hedge } => {
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"hedge","cat":"detect","ph":"i","s":"p","ts":{us:?},"pid":{PID_SERVING},"tid":0,"args":{{"primary":{primary},"hedge":{hedge}}}}}"#
-                ));
+                );
             }
             ProbeEvent::SloBurnAlert {
                 kind,
                 window_ms,
                 burn_milli,
             } => {
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"SLO BURN kind{kind}","cat":"slo","ph":"i","s":"g","ts":{us:?},"pid":{PID_SERVING},"tid":0,"args":{{"kind":{kind},"window_ms":{window_ms},"burn_milli":{burn_milli}}}}}"#
-                ));
+                );
             }
             ProbeEvent::FirstToken {
                 req,
@@ -1304,11 +1632,11 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 gpu,
                 ttft_ns,
             } => {
-                lane(PID_SERVING, gpu as u64, gpu, "requests");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"first token","cat":"decode","ph":"i","s":"t","ts":{us:?},"pid":{PID_SERVING},"tid":{gpu},"args":{{"req":{req},"instance":{instance},"ttft_ms":{:?}}}}}"#,
                     ttft_ns as f64 / 1e6
-                ));
+                );
             }
             ProbeEvent::TokenStepStarted {
                 gpu,
@@ -1318,37 +1646,38 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 moved_bytes,
             } => {
                 let tid = TID_DECODE_BASE + gpu as u64;
-                lane(PID_ENGINE, tid, gpu, "decode");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"step{step}","cat":"decode","ph":"B","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"batch":{batch},"dha_bytes":{dha_bytes},"moved_bytes":{moved_bytes}}}}}"#
-                ));
+                );
             }
             ProbeEvent::TokenStepFinished { gpu, .. } => {
                 let tid = TID_DECODE_BASE + gpu as u64;
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"ph":"E","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid}}}"#
-                ));
+                );
             }
             ProbeEvent::KvPageAlloc { req, gpu, page } => {
                 let tid = TID_DECODE_BASE + gpu as u64;
-                lane(PID_ENGINE, tid, gpu, "decode");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"kv alloc","cat":"kv","ph":"i","s":"t","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"req":{req},"page":{page}}}}}"#
-                ));
+                );
             }
             ProbeEvent::KvPageSpill { req, gpu, page } => {
                 let tid = TID_DECODE_BASE + gpu as u64;
-                lane(PID_ENGINE, tid, gpu, "decode");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"kv spill","cat":"kv","ph":"i","s":"t","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"req":{req},"page":{page}}}}}"#
-                ));
+                );
             }
             ProbeEvent::KvPageRecall { req, gpu, page } => {
                 let tid = TID_DECODE_BASE + gpu as u64;
-                lane(PID_ENGINE, tid, gpu, "decode");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"kv recall","cat":"kv","ph":"i","s":"t","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"req":{req},"page":{page}}}}}"#
-                ));
+                );
             }
             ProbeEvent::DecodeFinished {
                 req,
@@ -1357,12 +1686,12 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 ttft_ns,
                 tpot_ns,
             } => {
-                lane(PID_SERVING, gpu as u64, gpu, "requests");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"decode done","cat":"decode","ph":"i","s":"t","ts":{us:?},"pid":{PID_SERVING},"tid":{gpu},"args":{{"req":{req},"tokens":{tokens},"ttft_ms":{:?},"tpot_ms":{:?}}}}}"#,
                     ttft_ns as f64 / 1e6,
                     tpot_ns as f64 / 1e6
-                ));
+                );
             }
             ProbeEvent::KvCheckpoint {
                 req,
@@ -1371,10 +1700,10 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 bytes,
             } => {
                 let tid = TID_DECODE_BASE + gpu as u64;
-                lane(PID_ENGINE, tid, gpu, "decode");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"kv checkpoint","cat":"resilience","ph":"i","s":"t","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"req":{req},"tokens":{tokens},"bytes":{bytes}}}}}"#
-                ));
+                );
             }
             ProbeEvent::RestoreDecision {
                 req,
@@ -1383,11 +1712,11 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 ckpt_tokens,
                 ckpt_bytes,
             } => {
-                lane(PID_SERVING, gpu as u64, gpu, "requests");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"{}","cat":"resilience","ph":"i","s":"t","ts":{us:?},"pid":{PID_SERVING},"tid":{gpu},"args":{{"req":{req},"restore":{restore},"ckpt_tokens":{ckpt_tokens},"ckpt_bytes":{ckpt_bytes}}}}}"#,
                     if restore { "restore" } else { "re-prefill" }
-                ));
+                );
             }
             ProbeEvent::SessionRestored {
                 req,
@@ -1395,10 +1724,10 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 tokens,
                 bytes,
             } => {
-                lane(PID_SERVING, gpu as u64, gpu, "requests");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"session restored","cat":"resilience","ph":"i","s":"t","ts":{us:?},"pid":{PID_SERVING},"tid":{gpu},"args":{{"req":{req},"tokens":{tokens},"bytes":{bytes}}}}}"#
-                ));
+                );
             }
             ProbeEvent::SessionSwappedOut {
                 req,
@@ -1407,10 +1736,10 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 pages,
             } => {
                 let tid = TID_DECODE_BASE + gpu as u64;
-                lane(PID_ENGINE, tid, gpu, "decode");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"swap out","cat":"resilience","ph":"i","s":"t","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"req":{req},"tokens":{tokens},"pages":{pages}}}}}"#
-                ));
+                );
             }
             ProbeEvent::SessionResumed {
                 req,
@@ -1419,10 +1748,10 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 pages,
             } => {
                 let tid = TID_DECODE_BASE + gpu as u64;
-                lane(PID_ENGINE, tid, gpu, "decode");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"resume","cat":"resilience","ph":"i","s":"t","ts":{us:?},"pid":{PID_ENGINE},"tid":{tid},"args":{{"req":{req},"tokens":{tokens},"pages":{pages}}}}}"#
-                ));
+                );
             }
             ProbeEvent::SessionTruncated {
                 req,
@@ -1430,41 +1759,16 @@ pub fn to_perfetto(events: &[Event], opts: &PerfettoOptions) -> String {
                 tokens,
                 target,
             } => {
-                lane(PID_SERVING, gpu as u64, gpu, "requests");
-                body.push(format!(
+                fmt_entry!(
+                    out,
                     r#"{{"name":"truncated","cat":"resilience","ph":"i","s":"t","ts":{us:?},"pid":{PID_SERVING},"tid":{gpu},"args":{{"req":{req},"tokens":{tokens},"target":{target}}}}}"#
-                ));
+                );
             }
         }
     }
 
-    let mut head: Vec<String> = vec![
-        format!(
-            r#"{{"name":"process_name","ph":"M","pid":{PID_SERVING},"args":{{"name":"serving"}}}}"#
-        ),
-        format!(
-            r#"{{"name":"process_name","ph":"M","pid":{PID_ENGINE},"args":{{"name":"engine"}}}}"#
-        ),
-    ];
-    lanes.sort_by_key(|&(pid, tid, _)| (pid, tid));
-    for (pid, tid, name) in lanes {
-        head.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":{pid},"tid":{tid},"args":{{"name":"{}"}}}}"#,
-            escape(&name)
-        ));
-    }
-    head.extend(body);
-    let mut out = String::with_capacity(head.iter().map(|s| s.len() + 4).sum::<usize>() + 64);
-    out.push_str("{\"traceEvents\":[\n");
-    for (i, line) in head.iter().enumerate() {
-        out.push_str(line);
-        if i + 1 < head.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
-    out
+    doc.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+    doc
 }
 
 fn escape(s: &str) -> String {
@@ -1487,21 +1791,24 @@ fn escape(s: &str) -> String {
 /// A value in one parsed event line. Event lines are flat objects whose
 /// values are only integers, floats, booleans and short strings.
 #[derive(Debug, Clone, PartialEq)]
-enum JsonVal {
+enum JsonVal<'a> {
     U(u64),
     F(f64),
     B(bool),
-    S(String),
+    /// Borrowed from the line unless the string holds an escape.
+    S(Cow<'a, str>),
 }
 
-/// Key → value pairs of one flat JSON object, in source order.
+/// Key → value pairs of one flat JSON object, in source order. Keys and
+/// string values borrow from the line; [`parse_jsonl`] reuses one
+/// `Fields` for every line.
 #[derive(Debug, Default)]
-struct Fields {
-    pairs: Vec<(String, JsonVal)>,
+struct Fields<'a> {
+    pairs: Vec<(Cow<'a, str>, JsonVal<'a>)>,
 }
 
-impl Fields {
-    fn get(&self, key: &str) -> Option<&JsonVal> {
+impl<'a> Fields<'a> {
+    fn get(&self, key: &str) -> Option<&JsonVal<'a>> {
         self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
@@ -1511,58 +1818,79 @@ impl Fields {
             _ => Err(format!("missing or non-string field '{key}'")),
         }
     }
-}
 
-fn parse_object(line: &str) -> Result<Fields, String> {
-    let b = line.as_bytes();
-    let mut i = 0usize;
-    let skip_ws = |b: &[u8], i: &mut usize| {
-        while *i < b.len() && b[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    };
-    skip_ws(b, &mut i);
-    if i >= b.len() || b[i] != b'{' {
-        return Err("expected '{'".to_string());
-    }
-    i += 1;
-    let mut fields = Fields::default();
-    skip_ws(b, &mut i);
-    if i < b.len() && b[i] == b'}' {
-        return Ok(fields);
-    }
-    loop {
+    /// Replaces the pairs with those of the object `line` holds. Text
+    /// after the closing `}` is ignored.
+    fn parse(&mut self, line: &'a str) -> Result<(), String> {
+        self.pairs.clear();
+        let b = line.as_bytes();
+        let mut i = 0usize;
         skip_ws(b, &mut i);
-        let key = parse_string(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i >= b.len() || b[i] != b':' {
-            return Err(format!("expected ':' after key '{key}'"));
+        if i >= b.len() || b[i] != b'{' {
+            return Err("expected '{'".to_string());
         }
         i += 1;
         skip_ws(b, &mut i);
-        let val = parse_value(b, &mut i)?;
-        fields.pairs.push((key, val));
-        skip_ws(b, &mut i);
-        match b.get(i) {
-            Some(b',') => i += 1,
-            Some(b'}') => break,
-            _ => return Err("expected ',' or '}'".to_string()),
+        if i < b.len() && b[i] == b'}' {
+            return Ok(());
+        }
+        loop {
+            skip_ws(b, &mut i);
+            let key = parse_string(line, &mut i)?;
+            skip_ws(b, &mut i);
+            if i >= b.len() || b[i] != b':' {
+                return Err(format!("expected ':' after key '{key}'"));
+            }
+            i += 1;
+            skip_ws(b, &mut i);
+            let val = parse_value(line, &mut i)?;
+            self.pairs.push((key, val));
+            skip_ws(b, &mut i);
+            match b.get(i) {
+                Some(b',') => i += 1,
+                Some(b'}') => return Ok(()),
+                _ => return Err("expected ',' or '}'".to_string()),
+            }
         }
     }
-    Ok(fields)
 }
 
-fn parse_string(b: &[u8], i: &mut usize) -> Result<String, String> {
+fn skip_ws(b: &[u8], i: &mut usize) {
+    while *i < b.len() && b[*i].is_ascii_whitespace() {
+        *i += 1;
+    }
+}
+
+/// The offset from `i` of the next `"` or `\`, the two bytes that end a
+/// plain run of string text. Both are ASCII, so they never occur inside a
+/// multi-byte character and every cut at one is a character boundary.
+fn plain_run(b: &[u8], i: usize) -> Option<usize> {
+    b[i..].iter().position(|&c| c == b'"' || c == b'\\')
+}
+
+/// Reads the string starting at the `"` at `s[*i]`. The result borrows
+/// from `s` unless the string holds an escape.
+fn parse_string<'a>(s: &'a str, i: &mut usize) -> Result<Cow<'a, str>, String> {
+    let b = s.as_bytes();
     if *i >= b.len() || b[*i] != b'"' {
         return Err("expected '\"'".to_string());
     }
     *i += 1;
-    let mut out = String::new();
+    let start = *i;
+    let Some(n) = plain_run(b, start) else {
+        return Err("unterminated string".to_string());
+    };
+    *i += n;
+    if b[*i] == b'"' {
+        *i += 1;
+        return Ok(Cow::Borrowed(&s[start..start + n]));
+    }
+    let mut out = String::from(&s[start..*i]);
     while *i < b.len() {
         match b[*i] {
             b'"' => {
                 *i += 1;
-                return Ok(out);
+                return Ok(Cow::Owned(out));
             }
             b'\\' => {
                 *i += 1;
@@ -1586,23 +1914,19 @@ fn parse_string(b: &[u8], i: &mut usize) -> Result<String, String> {
                 *i += 1;
             }
             _ => {
-                // Multi-byte UTF-8 sequences pass through verbatim.
-                let start = *i;
-                let mut end = *i + 1;
-                while end < b.len() && (b[end] & 0xc0) == 0x80 {
-                    end += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..end]).map_err(|_| "invalid UTF-8")?);
-                *i = end;
+                let n = plain_run(b, *i).unwrap_or(b.len() - *i);
+                out.push_str(&s[*i..*i + n]);
+                *i += n;
             }
         }
     }
     Err("unterminated string".to_string())
 }
 
-fn parse_value(b: &[u8], i: &mut usize) -> Result<JsonVal, String> {
+fn parse_value<'a>(s: &'a str, i: &mut usize) -> Result<JsonVal<'a>, String> {
+    let b = s.as_bytes();
     match b.get(*i) {
-        Some(b'"') => parse_string(b, i).map(JsonVal::S),
+        Some(b'"') => parse_string(s, i).map(JsonVal::S),
         Some(b't') if b[*i..].starts_with(b"true") => {
             *i += 4;
             Ok(JsonVal::B(true))
@@ -1618,17 +1942,19 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<JsonVal, String> {
             {
                 *i += 1;
             }
-            let s = std::str::from_utf8(&b[start..*i]).map_err(|_| "invalid number")?;
-            if let Ok(v) = s.parse::<u64>() {
+            // Every byte of the number is ASCII, so both cuts are
+            // character boundaries.
+            let num = &s[start..*i];
+            if let Ok(v) = num.parse::<u64>() {
                 Ok(JsonVal::U(v))
             } else {
                 // Overflowing literals such as `1e999` parse as infinity,
                 // which no exporter could write back: reject them.
-                s.parse::<f64>()
+                num.parse::<f64>()
                     .ok()
                     .filter(|v| v.is_finite())
                     .map(JsonVal::F)
-                    .ok_or_else(|| format!("invalid number '{s}'"))
+                    .ok_or_else(|| format!("invalid number '{num}'"))
             }
         }
         _ => Err("unsupported value".to_string()),
@@ -1643,13 +1969,14 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<JsonVal, String> {
 /// exactly too because [`to_jsonl`] writes shortest-roundtrip floats.
 pub fn parse_jsonl(input: &str) -> Result<Vec<Event>, String> {
     let mut out = Vec::new();
+    let mut f = Fields::default();
     for (lineno, line) in input.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
         let ctx = |e: String| format!("line {}: {e}", lineno + 1);
-        let f = parse_object(line).map_err(ctx)?;
+        f.parse(line).map_err(ctx)?;
         let at = u64::read_json(&f, "at").map_err(ctx)?;
         let what = ProbeEvent::read_fields(&f).map_err(ctx)?;
         out.push(Event {
@@ -1661,11 +1988,277 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<Event>, String> {
 }
 
 #[cfg(test)]
+#[path = "../tests/jsonl_mutation/mod.rs"]
+mod jsonl_mutation;
+
+#[cfg(test)]
 mod tests {
+    use super::jsonl_mutation::{arb_mutation, mutate, EVERY_EVENT};
     use super::*;
+    use proptest::prelude::*;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
+    }
+
+    /// The owned tokenizer the borrowing one replaced: every key and
+    /// string value is built as a `String`. The borrowing reader must
+    /// return the same events, or the same error text, on any input.
+    mod reference {
+        use std::borrow::Cow;
+
+        use super::super::{Event, Fields, JsonVal, JsonlField, ProbeEvent};
+        use crate::time::SimTime;
+
+        pub fn parse_jsonl(input: &str) -> Result<Vec<Event>, String> {
+            let mut out = Vec::new();
+            for (lineno, line) in input.lines().enumerate() {
+                let line = line.trim();
+                if line.is_empty() {
+                    continue;
+                }
+                let ctx = |e: String| format!("line {}: {e}", lineno + 1);
+                let f = parse_object(line).map_err(ctx)?;
+                let at = u64::read_json(&f, "at").map_err(ctx)?;
+                let what = ProbeEvent::read_fields(&f).map_err(ctx)?;
+                out.push(Event {
+                    at: SimTime::from_nanos(at),
+                    what,
+                });
+            }
+            Ok(out)
+        }
+
+        fn parse_object(line: &str) -> Result<Fields<'static>, String> {
+            let b = line.as_bytes();
+            let mut i = 0usize;
+            let skip_ws = |b: &[u8], i: &mut usize| {
+                while *i < b.len() && b[*i].is_ascii_whitespace() {
+                    *i += 1;
+                }
+            };
+            skip_ws(b, &mut i);
+            if i >= b.len() || b[i] != b'{' {
+                return Err("expected '{'".to_string());
+            }
+            i += 1;
+            let mut fields = Fields::default();
+            skip_ws(b, &mut i);
+            if i < b.len() && b[i] == b'}' {
+                return Ok(fields);
+            }
+            loop {
+                skip_ws(b, &mut i);
+                let key = parse_string(b, &mut i)?;
+                skip_ws(b, &mut i);
+                if i >= b.len() || b[i] != b':' {
+                    return Err(format!("expected ':' after key '{key}'"));
+                }
+                i += 1;
+                skip_ws(b, &mut i);
+                let val = parse_value(b, &mut i)?;
+                fields.pairs.push((Cow::Owned(key), val));
+                skip_ws(b, &mut i);
+                match b.get(i) {
+                    Some(b',') => i += 1,
+                    Some(b'}') => break,
+                    _ => return Err("expected ',' or '}'".to_string()),
+                }
+            }
+            Ok(fields)
+        }
+
+        fn parse_string(b: &[u8], i: &mut usize) -> Result<String, String> {
+            if *i >= b.len() || b[*i] != b'"' {
+                return Err("expected '\"'".to_string());
+            }
+            *i += 1;
+            let mut out = String::new();
+            while *i < b.len() {
+                match b[*i] {
+                    b'"' => {
+                        *i += 1;
+                        return Ok(out);
+                    }
+                    b'\\' => {
+                        *i += 1;
+                        match b.get(*i) {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'u') => {
+                                let hex = b
+                                    .get(*i + 1..*i + 5)
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                    .ok_or("truncated \\u escape")?;
+                                let code =
+                                    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                                out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                                *i += 4;
+                            }
+                            _ => return Err("unsupported escape".to_string()),
+                        }
+                        *i += 1;
+                    }
+                    _ => {
+                        // Multi-byte UTF-8 sequences pass through verbatim.
+                        let start = *i;
+                        let mut end = *i + 1;
+                        while end < b.len() && (b[end] & 0xc0) == 0x80 {
+                            end += 1;
+                        }
+                        out.push_str(
+                            std::str::from_utf8(&b[start..end]).map_err(|_| "invalid UTF-8")?,
+                        );
+                        *i = end;
+                    }
+                }
+            }
+            Err("unterminated string".to_string())
+        }
+
+        fn parse_value(b: &[u8], i: &mut usize) -> Result<JsonVal<'static>, String> {
+            match b.get(*i) {
+                Some(b'"') => parse_string(b, i).map(|s| JsonVal::S(Cow::Owned(s))),
+                Some(b't') if b[*i..].starts_with(b"true") => {
+                    *i += 4;
+                    Ok(JsonVal::B(true))
+                }
+                Some(b'f') if b[*i..].starts_with(b"false") => {
+                    *i += 5;
+                    Ok(JsonVal::B(false))
+                }
+                Some(c) if c.is_ascii_digit() || *c == b'-' => {
+                    let start = *i;
+                    while *i < b.len()
+                        && (b[*i].is_ascii_digit()
+                            || matches!(b[*i], b'-' | b'+' | b'.' | b'e' | b'E'))
+                    {
+                        *i += 1;
+                    }
+                    let s = std::str::from_utf8(&b[start..*i]).map_err(|_| "invalid number")?;
+                    if let Ok(v) = s.parse::<u64>() {
+                        Ok(JsonVal::U(v))
+                    } else {
+                        s.parse::<f64>()
+                            .ok()
+                            .filter(|v| v.is_finite())
+                            .map(JsonVal::F)
+                            .ok_or_else(|| format!("invalid number '{s}'"))
+                    }
+                }
+                _ => Err("unsupported value".to_string()),
+            }
+        }
+    }
+
+    #[test]
+    fn borrowing_reader_matches_the_reference_on_every_event() {
+        let events = parse_jsonl(EVERY_EVENT).expect("golden lines parse");
+        assert_eq!(events.len(), ProbeEvent::NAMES.len());
+        assert_eq!(Ok(events), reference::parse_jsonl(EVERY_EVENT));
+    }
+
+    proptest! {
+        #[test]
+        fn borrowing_reader_matches_the_reference_on_mutated_lines(
+            mutations in prop::collection::vec(arb_mutation(), 1..5)
+        ) {
+            let mut corpus = Vec::new();
+            for golden in EVERY_EVENT.lines() {
+                let line = mutations.iter().fold(golden.to_string(), |l, m| mutate(&l, m));
+                prop_assert_eq!(parse_jsonl(&line), reference::parse_jsonl(&line), "{}", line);
+                corpus.push(line);
+            }
+            // Across lines too: the first bad line is the one named.
+            let corpus = corpus.join("\n");
+            prop_assert_eq!(parse_jsonl(&corpus), reference::parse_jsonl(&corpus));
+        }
+    }
+
+    /// Edge values for the float writers' fast paths.
+    const EDGES: [u64; 8] = [
+        0,
+        1,
+        99,
+        100,
+        999_999_999_999_999,
+        1_000_000_000_000_000,
+        1 << 53,
+        u64::MAX,
+    ];
+
+    fn written(put: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        put(&mut out);
+        out
+    }
+
+    /// Every scale the writers divide by, and the integral and rate paths
+    /// at `n`, against `{:?}`.
+    fn check_scales(n: u64) {
+        for k in [3, 6, 9] {
+            assert_eq!(
+                written(|o| push_scaled(o, n, k)),
+                format!("{:?}", n as f64 / 10u64.pow(k) as f64),
+                "{n} / 10^{k}"
+            );
+        }
+        let v = n as f64;
+        assert_eq!(written(|o| push_f64(o, v)), format!("{v:?}"));
+        assert_eq!(written(|o| Giga(v).put(o)), format!("{:?}", v / 1e9));
+        let r = v / 7.0;
+        assert_eq!(written(|o| Giga(r).put(o)), format!("{:?}", r / 1e9));
+    }
+
+    /// The integral path on any f64: its digits plus `.0` exactly when
+    /// it is a positive-signed integer below 10^15, `{:?}` otherwise.
+    fn check_integral(v: f64) {
+        let fallback = (v == 0.0 && v.is_sign_negative())
+            || v.is_nan()
+            || v.is_infinite()
+            || v.is_subnormal()
+            || v >= 1e15;
+        if fallback {
+            assert_eq!(integral(v), None, "{v:?}");
+        }
+        let fast = v.is_sign_positive() && v < 1e15 && v.fract() == 0.0;
+        assert_eq!(integral(v).is_some(), fast, "{v:?}");
+        assert_eq!(written(|o| push_f64(o, v)), format!("{v:?}"));
+        assert_eq!(written(|o| Giga(v).put(o)), format!("{:?}", v / 1e9));
+    }
+
+    #[test]
+    fn float_writers_match_debug_on_edge_values() {
+        for n in EDGES {
+            check_scales(n);
+            check_integral(n as f64);
+        }
+        for v in [
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            1e15,
+            1e15 + 2.0,
+            -1.0,
+            0.5,
+        ] {
+            check_integral(v);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn float_writers_match_debug(n in any::<u64>(), shift in 0u32..64, bits in any::<u64>()) {
+            check_scales(n >> shift);
+            check_integral((n >> shift) as f64);
+            check_integral(f64::from_bits(bits));
+        }
     }
 
     #[test]

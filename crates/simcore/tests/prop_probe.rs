@@ -4,6 +4,9 @@
 //! must balance, and `parse_jsonl` must answer any mutated line with `Ok`
 //! or `Err`, never a panic.
 
+mod jsonl_mutation;
+
+use jsonl_mutation::{arb_mutation, mutate, EVERY_EVENT};
 use proptest::prelude::*;
 use simcore::probe::{
     parse_jsonl, to_jsonl, to_perfetto, Event, PerfettoOptions, ProbeEvent, StallCause,
@@ -190,106 +193,6 @@ proptest! {
         prop_assert_eq!(ph("s"), n);
         prop_assert_eq!(ph("f"), n);
     }
-}
-
-/// One sample line per event variant.
-const EVERY_EVENT: &str = include_str!("../../../tests/data/golden_every_event.jsonl");
-
-/// Values that stress the reader's integer and float handling.
-const NASTY_VALUES: &[&str] = &[
-    "4294967296",
-    "18446744073709551615",
-    "18446744073709551616",
-    "99999999999999999999999999",
-    "1e999",
-    "-1e999",
-    "1e-999",
-    "-1",
-    "-0",
-    "-4294967296",
-    "0.5",
-    "1e3",
-    "\"\"",
-    "true",
-    "null",
-];
-
-/// One mutation of a JSONL line; the `u64`s pick positions and values.
-#[derive(Debug, Clone)]
-enum Mutation {
-    FlipByte(u64, u8),
-    Truncate(u64),
-    DeleteKey(u64),
-    DuplicateKey(u64, u64),
-    ReplaceValue(u64, u64),
-    RandomValue(u64, u64),
-}
-
-fn arb_mutation() -> impl Strategy<Value = Mutation> {
-    prop_oneof![
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(at, bits)| Mutation::FlipByte(at, (bits % 255) as u8 + 1)),
-        any::<u64>().prop_map(Mutation::Truncate),
-        any::<u64>().prop_map(Mutation::DeleteKey),
-        (any::<u64>(), any::<u64>()).prop_map(|(k, at)| Mutation::DuplicateKey(k, at)),
-        (any::<u64>(), any::<u64>()).prop_map(|(k, v)| Mutation::ReplaceValue(k, v)),
-        (any::<u64>(), any::<u64>()).prop_map(|(k, v)| Mutation::RandomValue(k, v)),
-    ]
-}
-
-/// The `"key":value` pairs of a flat object line. Event lines hold no
-/// commas inside values, so a split on ',' is exact for unmutated lines
-/// and merely arbitrary for mutated ones.
-fn pairs(line: &str) -> Vec<String> {
-    let inner = line.strip_prefix('{').unwrap_or(line);
-    let inner = inner.strip_suffix('}').unwrap_or(inner);
-    inner.split(',').map(str::to_string).collect()
-}
-
-fn object(pairs: &[String]) -> String {
-    format!("{{{}}}", pairs.join(","))
-}
-
-fn with_value(pair: &str, value: &str) -> String {
-    match pair.split_once(':') {
-        Some((key, _)) => format!("{key}:{value}"),
-        None => pair.to_string(),
-    }
-}
-
-fn mutate(line: &str, m: &Mutation) -> String {
-    let mut p = pairs(line);
-    let pick = |n: usize, k: u64| (k % n as u64) as usize;
-    match *m {
-        Mutation::FlipByte(at, bits) => {
-            let mut bytes = line.as_bytes().to_vec();
-            if !bytes.is_empty() {
-                let i = pick(bytes.len(), at);
-                bytes[i] ^= bits;
-            }
-            return String::from_utf8_lossy(&bytes).into_owned();
-        }
-        Mutation::Truncate(at) => {
-            let bytes = &line.as_bytes()[..pick(line.len() + 1, at)];
-            return String::from_utf8_lossy(bytes).into_owned();
-        }
-        Mutation::DeleteKey(k) => {
-            p.remove(pick(p.len(), k));
-        }
-        Mutation::DuplicateKey(k, at) => {
-            let dup = p[pick(p.len(), k)].clone();
-            p.insert(pick(p.len() + 1, at), dup);
-        }
-        Mutation::ReplaceValue(k, v) => {
-            let i = pick(p.len(), k);
-            p[i] = with_value(&p[i], NASTY_VALUES[pick(NASTY_VALUES.len(), v)]);
-        }
-        Mutation::RandomValue(k, v) => {
-            let i = pick(p.len(), k);
-            p[i] = with_value(&p[i], &v.to_string());
-        }
-    }
-    object(&p)
 }
 
 proptest! {
