@@ -200,8 +200,10 @@ impl FaultSpec {
     /// Expands the spec into a time-sorted event list. Scheduled events
     /// are kept verbatim (even past `horizon`); probabilistic processes
     /// are sampled up to `horizon` from seeds derived per process, so
-    /// adding a flap never perturbs another flap's timeline. The sort is
-    /// stable: same-instant events keep spec order.
+    /// adding a flap never perturbs another flap's timeline. Dwells add
+    /// up saturating at the end of simulated time, so a huge dwell ends
+    /// at `horizon` and never wraps before the event it follows. The
+    /// sort is stable: same-instant events keep spec order.
     pub fn materialize(&self, horizon: SimTime) -> Vec<FaultEvent> {
         let mut out = self.scheduled.clone();
         for (i, flap) in self.flaps.iter().enumerate() {
@@ -210,7 +212,7 @@ impl FaultSpec {
             let down_rate = 1.0 / flap.mean_down.as_secs_f64().max(1e-9);
             let mut t = SimTime::ZERO;
             loop {
-                t += SimDur::from_secs_f64(exp_secs(&mut rng, up_rate));
+                t = after(t, exp_secs(&mut rng, up_rate));
                 if t > horizon {
                     break;
                 }
@@ -221,7 +223,7 @@ impl FaultSpec {
                         factor: flap.factor,
                     },
                 });
-                t += SimDur::from_secs_f64(exp_secs(&mut rng, down_rate));
+                t = after(t, exp_secs(&mut rng, down_rate));
                 out.push(FaultEvent {
                     at: t.min(horizon),
                     kind: FaultKind::LinkRestore { link: flap.link },
@@ -234,7 +236,7 @@ impl FaultSpec {
             let repair_rate = 1.0 / crash.mttr.as_secs_f64().max(1e-9);
             let mut t = SimTime::ZERO;
             loop {
-                t += SimDur::from_secs_f64(exp_secs(&mut rng, fail_rate));
+                t = after(t, exp_secs(&mut rng, fail_rate));
                 if t > horizon {
                     break;
                 }
@@ -242,7 +244,7 @@ impl FaultSpec {
                     at: t,
                     kind: FaultKind::GpuFail { gpu: crash.gpu },
                 });
-                t += SimDur::from_secs_f64(exp_secs(&mut rng, repair_rate));
+                t = after(t, exp_secs(&mut rng, repair_rate));
                 out.push(FaultEvent {
                     at: t.min(horizon),
                     kind: FaultKind::GpuRecover { gpu: crash.gpu },
@@ -278,7 +280,9 @@ impl FaultSpec {
     ///
     /// Links are named `pcie=G`, `uplink=S`, `nvlink=A-B` or `link=N`
     /// (raw index). Durations accept `ns`/`us`/`ms`/`s` suffixes
-    /// (bare numbers are seconds); byte counts accept `k`/`m`/`g`.
+    /// (bare numbers are seconds); byte counts accept `k`/`m`/`g`. Both
+    /// must fit 64 bits (in ns and bytes), and the mean dwells of
+    /// `link-flap` and `gpu-crash` must be positive.
     ///
     /// # Errors
     ///
@@ -420,18 +424,25 @@ fn parse_entry(entry: &str, out: &mut FaultSpec) -> Result<(), String> {
         }
         "link-flap" => out.flaps.push(LinkFlap {
             link: link()?,
-            mean_up: parse_dur(get("up")?)?,
-            mean_down: parse_dur(get("down")?)?,
+            mean_up: parse_mean(get("up")?)?,
+            mean_down: parse_mean(get("down")?)?,
             factor: parse_f64(get("factor")?)?,
         }),
         "gpu-crash" => out.crashes.push(GpuCrash {
             gpu: parse_usize(get("gpu")?)?,
-            mtbf: parse_dur(get("mtbf")?)?,
-            mttr: parse_dur(get("mttr")?)?,
+            mtbf: parse_mean(get("mtbf")?)?,
+            mttr: parse_mean(get("mttr")?)?,
         }),
         other => return Err(format!("unknown fault kind '{other}'")),
     }
     Ok(())
+}
+
+/// `t` plus an exponential dwell of `secs`, saturating at the end of
+/// simulated time.
+fn after(t: SimTime, secs: f64) -> SimTime {
+    let dwell = SimDur::from_secs_f64(secs).as_nanos();
+    SimTime::from_nanos(t.as_nanos().saturating_add(dwell))
 }
 
 fn parse_params(params: &str) -> Result<Vec<(&str, &str)>, String> {
@@ -481,7 +492,23 @@ fn parse_dur(s: &str) -> Result<SimDur, String> {
     if !v.is_finite() || v < 0.0 {
         return Err(format!("duration '{s}' must be non-negative"));
     }
-    Ok(SimDur::from_nanos((v * scale_ns).round() as u64))
+    // 2^64 ns is about 584 years; the cast would saturate past it.
+    let ns = (v * scale_ns).round();
+    if ns >= u64::MAX as f64 {
+        return Err(format!("duration '{s}' does not fit 64 bits of ns"));
+    }
+    Ok(SimDur::from_nanos(ns as u64))
+}
+
+/// Parses the mean dwell of a stochastic process: a positive duration.
+/// A zero mean has no exponential distribution; it would dwell 1 ns
+/// each way until the horizon.
+fn parse_mean(s: &str) -> Result<SimDur, String> {
+    let d = parse_dur(s)?;
+    if d == SimDur::ZERO {
+        return Err(format!("mean dwell '{s}' must be positive"));
+    }
+    Ok(d)
 }
 
 /// Parses a byte count: `4096`, `512k`, `96m`, `2g` (binary multiples).
@@ -503,7 +530,11 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
     if !v.is_finite() || v < 0.0 {
         return Err(format!("byte count '{s}' must be non-negative"));
     }
-    Ok((v * (1u64 << shift) as f64) as u64)
+    let bytes = v * (1u64 << shift) as f64;
+    if bytes >= u64::MAX as f64 {
+        return Err(format!("byte count '{s}' does not fit 64 bits"));
+    }
+    Ok(bytes as u64)
 }
 
 #[cfg(test)]
@@ -592,6 +623,61 @@ mod tests {
         }
         // Timeline is sorted.
         assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
+    }
+
+    #[test]
+    fn dwells_saturate_instead_of_wrapping() {
+        let huge = SimDur::from_nanos(u64::MAX);
+        let spec = FaultSpec {
+            seed: 1,
+            flaps: vec![LinkFlap {
+                link: LinkRef::PcieGpu(0),
+                mean_up: SimDur::from_millis(500),
+                mean_down: huge,
+                factor: 0.3,
+            }],
+            crashes: vec![GpuCrash {
+                gpu: 0,
+                mtbf: SimDur::from_millis(500),
+                mttr: huge,
+            }],
+            ..FaultSpec::default()
+        };
+        let horizon = secs(60.0);
+        let tl = spec.materialize(horizon);
+        // Each process goes down once and stays down to the horizon: its
+        // restore never lands before its degrade, and it never flaps again.
+        let kinds: Vec<FaultKind> = tl.iter().map(|e| e.kind).collect();
+        assert_eq!(tl.len(), 4, "{tl:?}");
+        for (down, up) in [
+            (
+                FaultKind::LinkDegrade {
+                    link: LinkRef::PcieGpu(0),
+                    factor: 0.3,
+                },
+                FaultKind::LinkRestore {
+                    link: LinkRef::PcieGpu(0),
+                },
+            ),
+            (
+                FaultKind::GpuFail { gpu: 0 },
+                FaultKind::GpuRecover { gpu: 0 },
+            ),
+        ] {
+            let at = |k| tl[kinds.iter().position(|&x| x == k).unwrap()].at;
+            assert!(at(down) <= horizon);
+            assert_eq!(at(up), horizon);
+        }
+        // A huge mean up-time never reaches the horizon at all.
+        let quiet = FaultSpec {
+            crashes: vec![GpuCrash {
+                gpu: 0,
+                mtbf: huge,
+                mttr: huge,
+            }],
+            ..FaultSpec::default()
+        };
+        assert!(quiet.materialize(horizon).is_empty());
     }
 
     #[test]
@@ -699,19 +785,28 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_entries() {
         for bad in [
-            "gpu-fail:gpu=1",                      // missing @time
-            "gpu-fail@2s",                         // missing gpu=
-            "link-degrade@1s:factor=0.5",          // missing link
-            "warp-core-breach@1s",                 // unknown kind
-            "link-flap:pcie=0,up=2s",              // missing down/factor
-            "gpu-fail@2s:gpu=banana",              // bad integer
-            "slowdown@1s:factor=-2",               // non-positive factor
-            "link-degrade@1s:nvlink=0,factor=0.5", // nvlink wants A-B
-            "silent-link-slow@1s:pcie=0",          // missing factor
-            "silent-link-slow:pcie=0,factor=0.4",  // missing @time
-            "stuck-flow@1s:pcie=0",                // missing stall
-            "silent-gpu-slow@1s:factor=2",         // missing gpu
-            "corrupt-transfer@1s",                 // missing link
+            "gpu-fail:gpu=1",                                  // missing @time
+            "gpu-fail@2s",                                     // missing gpu=
+            "link-degrade@1s:factor=0.5",                      // missing link
+            "warp-core-breach@1s",                             // unknown kind
+            "link-flap:pcie=0,up=2s",                          // missing down/factor
+            "gpu-fail@2s:gpu=banana",                          // bad integer
+            "slowdown@1s:factor=-2",                           // non-positive factor
+            "link-degrade@1s:nvlink=0,factor=0.5",             // nvlink wants A-B
+            "silent-link-slow@1s:pcie=0",                      // missing factor
+            "silent-link-slow:pcie=0,factor=0.4",              // missing @time
+            "stuck-flow@1s:pcie=0",                            // missing stall
+            "silent-gpu-slow@1s:factor=2",                     // missing gpu
+            "corrupt-transfer@1s",                             // missing link
+            "gpu-crash:gpu=0,mtbf=0,mttr=1s",                  // zero mean up-time
+            "gpu-crash:gpu=0,mtbf=1s,mttr=0ms",                // zero mean repair
+            "link-flap:pcie=0,up=0,down=1s,factor=0.5",        // zero mean up
+            "link-flap:pcie=0,up=1s,down=0.1ns,factor=0.5",    // rounds to 0
+            "link-flap:pcie=0,up=500ms,down=1e12s,factor=0.3", // > 2^64 ns
+            "gpu-fail@2e10s:gpu=0",                            // time past 2^64 ns
+            "stuck-flow@1s:pcie=0,stall=1e20ns",               // stall past 2^64 ns
+            "mem-pressure@1s:bytes=2e10g",                     // past 2^64 bytes
+            "mem-pressure@1s:bytes=18446744073709551616",      // 2^64 bytes
         ] {
             assert!(FaultSpec::parse(bad, 0).is_err(), "accepted '{bad}'");
         }
