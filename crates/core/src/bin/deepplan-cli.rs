@@ -45,8 +45,9 @@
 //! parse but are out of range (`--concurrency 0`, a rate that is not a
 //! positive finite number, a deployment whose weights do not fit in
 //! pinned host memory, a size or deadline whose unit conversion
-//! overflows 64 bits, a fault spec that does not parse) print
-//! `error: ...` and exit 1 before any simulation state is built.
+//! overflows 64 bits, a fault spec that does not parse, `--resilience`
+//! or `--slo-tiers` without `--decode`) print `error: ...` and exit 1
+//! before any simulation state is built.
 //!
 //! `--resilience` (requires `--decode`) arms decode-session resilience:
 //! completed-step KV pages mirror incrementally to pinned host memory,
@@ -462,6 +463,9 @@ fn main() {
                     "--rate must be a positive, finite request rate, got {}",
                     args.rate
                 ));
+            }
+            if (args.resilience || args.slo_tiers) && !args.decode {
+                fail("--resilience and --slo-tiers require --decode");
             }
             let machine = args.machine.clone();
             let mut cfg = ServerConfig::paper_default(machine.clone(), args.mode);
