@@ -43,6 +43,6 @@ pub use driver::{cancel_flow, set_link_capacity, start_flow, FlowDriver, HasFlow
 pub use fault::{FaultEvent, FaultKind, FaultSpec, GpuCrash, LinkFlap, LinkRef};
 pub use flow::{FlowId, FlowNet, LinkId};
 pub use probe::{Probe, ProbeEvent, ShedCause, StallCause};
-pub use sim::{CalendarQueue, Ctx, EventFn, Sim};
+pub use sim::{Ctx, EventFn, Sim};
 pub use slab::{GenKey, GenSlab, Slab};
 pub use time::{SimDur, SimTime};

@@ -1,6 +1,6 @@
 //! Kernel-swap byte-identity anchors.
 //!
-//! The event-kernel fast path (calendar queue, slab-backed events,
+//! The event-kernel fast path (heap event queue, slab-backed events,
 //! incremental re-rating, enum probe dispatch) must change *nothing*
 //! observable: these tests re-run the three checked-in golden scenarios
 //! — the fig15-style serving trace, a faulted run and a
