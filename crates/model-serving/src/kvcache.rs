@@ -22,10 +22,11 @@
 //! a free unlinks it. Every stamp comes from one monotonic clock, so each
 //! list is ordered by last touch. Each request has a record of its pages
 //! in allocation order and of how many of them are host-resident, which
-//! every spill and recall adjusts in O(1). Freed slots form a stack
-//! threaded through the same links.
+//! every spill and recall adjusts in O(1); a hash index over request ids
+//! finds it. Freed slots form a stack threaded through the same links.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Index of a page in the pager's slab. Stable for the page's lifetime.
 pub type PageId = usize;
@@ -93,6 +94,29 @@ struct ReqPages {
     host: u64,
 }
 
+/// Hashes a request id with one 64×64→128-bit multiply by a fixed odd
+/// constant, folding the high half into the low. Fixed, so the index and
+/// everything derived from it repeat exactly from run to run; folded, so
+/// both the low bits (bucket) and the top bits (tag) of the hash depend
+/// on every bit of the id, dense trace indices and sparse ids alike.
+#[derive(Default)]
+struct ReqHasher(u64);
+
+impl Hasher for ReqHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the request index hashes only u64 ids");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let p = u128::from(id) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
 /// Ends of one GPU's LRU list: `head` is the least recently touched.
 #[derive(Debug, Clone, Copy)]
 struct Lru {
@@ -121,7 +145,7 @@ pub struct KvPager {
     /// the unused indices.
     reqs: Vec<ReqPages>,
     free_reqs: Vec<u32>,
-    by_req: BTreeMap<u64, u32>,
+    by_req: HashMap<u64, u32, BuildHasherDefault<ReqHasher>>,
     touch_clock: u64,
     /// Lifetime op counters (monotonic; for reports and tests).
     pub allocs: u64,
@@ -171,7 +195,7 @@ impl KvPager {
             live: 0,
             reqs: Vec::new(),
             free_reqs: Vec::new(),
-            by_req: BTreeMap::new(),
+            by_req: HashMap::default(),
             touch_clock: 0,
             allocs: 0,
             spills: 0,
@@ -232,46 +256,59 @@ impl KvPager {
     /// `step`. Fails (returns `None`) when the device pool is full — the
     /// caller must spill a victim first.
     pub fn try_alloc(&mut self, req: u64, gpu: usize, step: u64) -> Option<PageId> {
-        if self.gpu_used[gpu] >= self.gpu_cap[gpu] {
-            return None;
+        // A new page joins the tail of its GPU's LRU list.
+        (self.alloc_pages(req, gpu, step, 1) == 1).then(|| self.lru[gpu].tail as PageId)
+    }
+
+    /// Allocates up to `n` fresh GPU-resident pages for `req` on `gpu`,
+    /// touched in `step`, stopping when the device pool is full. Returns
+    /// how many it allocated; they are the tail of [`KvPager::pages_of`].
+    /// Equivalent to `n` [`KvPager::try_alloc`] calls that stop at the
+    /// first failure, with one index lookup.
+    pub fn alloc_pages(&mut self, req: u64, gpu: usize, step: u64, n: u64) -> u64 {
+        let n = n.min(self.gpu_free_pages(gpu));
+        if n == 0 {
+            return 0;
         }
-        self.gpu_used[gpu] += 1;
-        let last_touch = self.stamp();
         let rec = *self.by_req.entry(req).or_insert_with(|| {
             self.free_reqs.pop().unwrap_or_else(|| {
                 self.reqs.push(ReqPages::default());
                 u32::try_from(self.reqs.len() - 1).expect("request records fit u32 ids")
             })
         });
-        let slot = Slot {
-            owner: req,
-            last_touch,
-            touch_step: step,
-            home: gpu as u32,
-            prev: NIL,
-            next: NIL,
-            req: rec,
-        };
-        let id = match self.free_top {
-            NIL => {
-                let id = u32::try_from(self.slots.len())
-                    .ok()
-                    .filter(|&id| id < NIL)
-                    .expect("KV slab fits u32 ids");
-                self.slots.push(slot);
-                id
-            }
-            id => {
-                self.free_top = self.slots[id as usize].next;
-                self.slots[id as usize] = slot;
-                id
-            }
-        };
-        self.link_tail(id, gpu);
-        self.reqs[rec as usize].pages.push(id as PageId);
-        self.live += 1;
-        self.allocs += 1;
-        Some(id as PageId)
+        for _ in 0..n {
+            let last_touch = self.stamp();
+            let slot = Slot {
+                owner: req,
+                last_touch,
+                touch_step: step,
+                home: gpu as u32,
+                prev: NIL,
+                next: NIL,
+                req: rec,
+            };
+            let id = match self.free_top {
+                NIL => {
+                    let id = u32::try_from(self.slots.len())
+                        .ok()
+                        .filter(|&id| id < NIL)
+                        .expect("KV slab fits u32 ids");
+                    self.slots.push(slot);
+                    id
+                }
+                id => {
+                    self.free_top = self.slots[id as usize].next;
+                    self.slots[id as usize] = slot;
+                    id
+                }
+            };
+            self.link_tail(id, gpu);
+            self.reqs[rec as usize].pages.push(id as PageId);
+        }
+        self.gpu_used[gpu] += n;
+        self.live += n as usize;
+        self.allocs += n;
+        n
     }
 
     /// Marks `page` as touched in `step` (its owner appended to it).

@@ -221,25 +221,26 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
             .saturating_sub(kv.pager.pages_of(e.q.req).len() as u64);
         let deficit = want.saturating_sub(kv.pager.gpu_free_pages(g));
         kv.spill_lru(step_id, deficit);
-        for _ in 0..want {
-            let Some(p) = kv.pager.try_alloc(e.q.req, g, step_id) else {
-                // Pool full and every resident page pinned (or the host
-                // pool is full): the step proceeds under-counting bytes.
-                kv.report.kv_alloc_failures += 1;
-                break;
-            };
+        let got = kv.pager.alloc_pages(e.q.req, g, step_id, want);
+        if got < want {
+            // Pool full and every resident page pinned (or the host
+            // pool is full): the step proceeds under-counting bytes.
+            kv.report.kv_alloc_failures += 1;
+        }
+        let pages = kv.pager.pages_of(e.q.req);
+        for &page in &pages[pages.len() - got as usize..] {
             kv.probe.emit(
                 kv.now,
                 ProbeEvent::KvPageAlloc {
                     req: e.q.req,
                     gpu: g,
-                    page: p,
+                    page,
                 },
             );
         }
         // The step appends to the tail page: mark it hot so the spill
         // policy cannot victimise it mid-step.
-        if let Some(&tail) = kv.pager.pages_of(e.q.req).last() {
+        if let Some(&tail) = pages.last() {
             kv.pager.touch(tail, step_id);
         }
     }

@@ -3,7 +3,11 @@
 //! leaked or double-freed, the device- and host-pool occupancy counters
 //! and per-request page counts always equal ground truth, the LRU spill
 //! victim is never a page touched in the current token step, and the
-//! victims come out in exact least-recently-touched order.
+//! victims come out in exact least-recently-touched order. A bulk
+//! `alloc_pages` leaves the pager exactly as the same number of serial
+//! `try_alloc` calls would. Request ids span the whole `u64` range, not
+//! only dense trace indices, so the pager's request index sees 0,
+//! `u64::MAX` and sparse large ids.
 //!
 //! The pager is driven against an independent shadow model (a plain
 //! map of live pages, stamped by its own clock on every alloc, touch and
@@ -16,14 +20,29 @@ use model_serving::kvcache::{KvPager, PageHome};
 use proptest::prelude::*;
 
 const GPUS: usize = 2;
-/// Requests draw their ids from `0..REQS`.
-const REQS: u64 = 6;
+/// Each history draws this many request ids; ops name a request by its
+/// index among them.
+const REQS: usize = 6;
+
+/// Request ids: 0, `u64::MAX`, small dense ids, powers of two and ids
+/// drawn from the whole range.
+fn arb_req_id() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(u64::MAX),
+        0u64..8,
+        (0u32..64).prop_map(|k| 1u64 << k),
+        any::<u64>(),
+    ]
+}
 
 /// One step of a random pager history.
 #[derive(Debug, Clone)]
 enum Op {
     /// Allocate a fresh page for `req` on `gpu` in the current step.
-    Alloc { req: u64, gpu: usize },
+    Alloc { req: usize, gpu: usize },
+    /// Allocate up to `n` pages for `req` on `gpu` in one call.
+    AllocPages { req: usize, gpu: usize, n: u64 },
     /// Spill the LRU victim of `gpu`, if any.
     Spill { gpu: usize },
     /// Batched victim selection + spill of up to `k` pages.
@@ -31,9 +50,9 @@ enum Op {
     /// Recall the `nth` host-resident page (mod population) to `gpu`.
     Recall { gpu: usize, nth: usize },
     /// Touch the `nth` page of `req` in the current step.
-    Touch { req: u64, nth: usize },
+    Touch { req: usize, nth: usize },
     /// Abort/complete `req`: free all its pages.
-    Free { req: u64 },
+    Free { req: usize },
     /// Advance to the next token step.
     Step,
 }
@@ -42,6 +61,11 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
             (0..REQS, 0usize..GPUS).prop_map(|(req, gpu)| Op::Alloc { req, gpu }),
+            (0..REQS, 0usize..GPUS, 0u64..7).prop_map(|(req, gpu, n)| Op::AllocPages {
+                req,
+                gpu,
+                n
+            }),
             (0usize..GPUS).prop_map(|gpu| Op::Spill { gpu }),
             (0usize..GPUS, 0usize..5).prop_map(|(gpu, k)| Op::BatchSpill { gpu, k }),
             (0usize..GPUS, 0usize..8).prop_map(|(gpu, nth)| Op::Recall { gpu, nth }),
@@ -86,7 +110,18 @@ impl Shadow {
             .count() as u64
     }
 
-    fn check(&self, p: &KvPager, step: u64) {
+    /// Records a fresh page of `req` on `gpu`.
+    fn alloc(&mut self, id: usize, req: u64, gpu: usize) {
+        assert!(
+            !self.live.contains_key(&id),
+            "page {id} double-allocated while live"
+        );
+        self.live.insert(id, (req, PageHome::Gpu(gpu)));
+        self.access(id);
+        self.allocs += 1;
+    }
+
+    fn check(&self, p: &KvPager, step: u64, reqs: &[u64]) {
         // The whole victim order: every page resident on `g` and not
         // touched this step, least recently accessed first, cut to the
         // host pool's room.
@@ -108,7 +143,7 @@ impl Shadow {
                 "gpu {g} victims left LRU order"
             );
         }
-        for req in 0..REQS {
+        for &req in reqs {
             assert_eq!(p.host_pages_of(req), self.owned(req, PageHome::Host));
             for g in 0..GPUS {
                 assert_eq!(p.gpu_pages_of(req, g), self.owned(req, PageHome::Gpu(g)));
@@ -155,6 +190,7 @@ fn spill_one(p: &mut KvPager, shadow: &mut Shadow, step: u64, gpu: usize, victim
 proptest! {
     #[test]
     fn random_histories_never_leak_and_counters_match_ground_truth(
+        reqs in prop::collection::vec(arb_req_id(), REQS),
         ops in arb_ops(),
     ) {
         // 4 device pages per GPU and 6 host pages, 1 KiB each — small
@@ -165,19 +201,38 @@ proptest! {
         for op in ops {
             match op {
                 Op::Alloc { req, gpu } => {
+                    let req = reqs[req];
                     let full = p.gpu_used_pages(gpu) >= p.gpu_cap_pages(gpu);
                     match p.try_alloc(req, gpu, step) {
                         Some(id) => {
                             prop_assert!(!full, "alloc succeeded on a full pool");
-                            prop_assert!(
-                                !shadow.live.contains_key(&id),
-                                "page {id} double-allocated while live"
-                            );
-                            shadow.live.insert(id, (req, PageHome::Gpu(gpu)));
-                            shadow.access(id);
-                            shadow.allocs += 1;
+                            shadow.alloc(id, req, gpu);
                         }
                         None => prop_assert!(full, "alloc failed with free room"),
+                    }
+                }
+                Op::AllocPages { req, gpu, n } => {
+                    // One bulk call must equal `n` serial `try_alloc`
+                    // calls that stop at the first failure: same page
+                    // ids, and the same whole pager state after, which
+                    // covers the LRU links, stamps and counters.
+                    let req = reqs[req];
+                    let mut serial = p.clone();
+                    let mut expect = Vec::new();
+                    for _ in 0..n {
+                        let Some(id) = serial.try_alloc(req, gpu, step) else {
+                            break;
+                        };
+                        expect.push(id);
+                    }
+                    let room = p.gpu_cap_pages(gpu) - p.gpu_used_pages(gpu);
+                    let before = p.pages_of(req).len();
+                    let got = p.alloc_pages(req, gpu, step, n);
+                    prop_assert_eq!(got, n.min(room), "bulk alloc missed the pool cap");
+                    prop_assert_eq!(&p.pages_of(req)[before..], &expect[..]);
+                    prop_assert_eq!(format!("{p:?}"), format!("{serial:?}"));
+                    for id in expect {
+                        shadow.alloc(id, req, gpu);
                     }
                 }
                 Op::Spill { gpu } => {
@@ -235,7 +290,7 @@ proptest! {
                     }
                 }
                 Op::Touch { req, nth } => {
-                    let pages = p.pages_of(req).to_vec();
+                    let pages = p.pages_of(reqs[req]).to_vec();
                     if pages.is_empty() {
                         continue;
                     }
@@ -244,6 +299,7 @@ proptest! {
                     shadow.access(id);
                 }
                 Op::Free { req } => {
+                    let req = reqs[req];
                     let owned: Vec<usize> = shadow
                         .live
                         .iter()
@@ -272,10 +328,10 @@ proptest! {
                     shadow.touched_this_step.clear();
                 }
             }
-            shadow.check(&p, step);
+            shadow.check(&p, step, &reqs);
         }
         // Drain everything: a fully freed pager reports empty.
-        for req in 0..REQS {
+        for &req in &reqs {
             let freed = p.free_request(req);
             shadow.frees += freed.gpu + freed.host;
         }
