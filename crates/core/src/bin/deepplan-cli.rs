@@ -43,7 +43,8 @@
 //!
 //! Flags that do not parse print the usage line and exit 2. Values that
 //! parse but are out of range (`--concurrency 0`, a rate that is not a
-//! positive finite number, a deployment whose weights do not fit in
+//! positive finite number or so low that the requests would arrive
+//! past the end of simulated time, a deployment whose weights do not fit in
 //! pinned host memory, a size or deadline whose unit conversion
 //! overflows 64 bits, a fault spec that does not parse, `--resilience`
 //! or `--slo-tiers` without `--decode`) print `error: ...` and exit 1
@@ -130,6 +131,13 @@ fn usage() -> ! {
     );
     std::process::exit(2)
 }
+
+/// Latest arrival a `serve` trace may have: half of simulated time
+/// (2^63 ns, about 292 years), leaving the other half for the run to
+/// drain. A rate too low for the request count would otherwise put
+/// arrivals at the end of simulated time, past which the run's own
+/// durations cannot be added.
+const LAST_ARRIVAL: SimTime = SimTime::from_nanos(1 << 63);
 
 /// Prints `error: <msg>` and exits 1.
 fn fail(msg: impl std::fmt::Display) -> ! {
@@ -499,6 +507,19 @@ fn main() {
                     .unwrap_or_else(|e| fail(format!("--faults: {e}"))),
                 None => FaultSpec::none(),
             };
+            let mut trace = poisson::generate(
+                args.rate,
+                args.concurrency,
+                args.requests,
+                SimTime::ZERO,
+                args.seed,
+            );
+            if trace.last().is_some_and(|r| r.at > LAST_ARRIVAL) {
+                fail(format!(
+                    "--rate {:e}: {} request(s) would arrive past the end of simulated time",
+                    args.rate, args.requests
+                ));
+            }
             let model = dnn_models::zoo::build(id);
             let kinds = vec![DeployedModel::prepare(
                 &model,
@@ -517,13 +538,6 @@ fn main() {
                 ));
             }
             let instance_kinds = vec![0usize; args.concurrency];
-            let mut trace = poisson::generate(
-                args.rate,
-                args.concurrency,
-                args.requests,
-                SimTime::ZERO,
-                args.seed,
-            );
             if args.decode {
                 decode::assign_lengths(&mut trace, decode::LengthDist::default(), args.seed);
             }

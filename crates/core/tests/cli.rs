@@ -22,6 +22,8 @@ fn out_of_range_values_exit_1_with_an_error_line() {
         &["serve", "bert", "--rate", "-5"],
         &["serve", "bert", "--rate", "nan"],
         &["serve", "bert", "--rate", "inf"],
+        // Every gap saturates to the end of simulated time.
+        &["serve", "bert", "--rate", "1e-300", "--requests", "3"],
         // 1000 BERT-Base instances pin more weights than host memory.
         &["serve", "bert", "--concurrency", "1000"],
         &["serve", "gpt2", "--decode", "--page-kib", &huge],
@@ -54,6 +56,15 @@ fn out_of_range_values_exit_1_with_an_error_line() {
             "bert",
             "--faults",
             "link-flap:pcie=0,up=0,down=300ms,factor=0.3",
+        ],
+        // A 1 ns mean would materialize about horizon/1 ns faults.
+        &[
+            "serve",
+            "bert",
+            "--requests",
+            "50",
+            "--faults",
+            "gpu-crash:gpu=0,mtbf=1ns,mttr=1ns",
         ],
         &[
             "serve",

@@ -524,7 +524,7 @@ pub fn run_server_faulted(
             .map(|r| r.at)
             .max()
             .unwrap_or(SimTime::ZERO)
-            + SimDur::from_secs(1);
+            .saturating_add(SimDur::from_secs(1));
         for ev in faults.materialize(horizon) {
             let kind = ev.kind;
             sim.schedule_at(

@@ -8,7 +8,9 @@ use simcore::time::SimTime;
 use crate::workload::Request;
 
 /// Generates `count` requests at aggregate `rate_per_sec`, uniformly
-/// spread over `instances` instances, starting at `start`.
+/// spread over `instances` instances, starting at `start`. Arrivals
+/// saturate at the end of simulated time (`u64::MAX` ns) rather than
+/// wrap, so they stay sorted at any rate.
 ///
 /// # Panics
 ///
@@ -25,7 +27,7 @@ pub fn generate(
     let mut t = start;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        t += exp_gap(&mut rng, rate_per_sec);
+        t = t.saturating_add(exp_gap(&mut rng, rate_per_sec));
         out.push(Request::new(t, pick_index(&mut rng, instances)));
     }
     out
@@ -50,6 +52,13 @@ mod tests {
         assert!(seen.iter().all(|s| *s));
         // Arrivals are sorted.
         assert!(reqs.windows(2).all(|w| w[0].at <= w[1].at));
+    }
+
+    #[test]
+    fn arrivals_saturate_at_the_end_of_time() {
+        // Each gap of a 1e-300 rps process saturates to u64::MAX ns.
+        let reqs = generate(1e-300, 1, 3, SimTime::ZERO, 7);
+        assert!(reqs.iter().all(|r| r.at.as_nanos() == u64::MAX));
     }
 
     #[test]

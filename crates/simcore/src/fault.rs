@@ -282,7 +282,7 @@ impl FaultSpec {
     /// (raw index). Durations accept `ns`/`us`/`ms`/`s` suffixes
     /// (bare numbers are seconds); byte counts accept `k`/`m`/`g`. Both
     /// must fit 64 bits (in ns and bytes), and the mean dwells of
-    /// `link-flap` and `gpu-crash` must be positive.
+    /// `link-flap` and `gpu-crash` must be at least 1 ms.
     ///
     /// # Errors
     ///
@@ -441,8 +441,7 @@ fn parse_entry(entry: &str, out: &mut FaultSpec) -> Result<(), String> {
 /// `t` plus an exponential dwell of `secs`, saturating at the end of
 /// simulated time.
 fn after(t: SimTime, secs: f64) -> SimTime {
-    let dwell = SimDur::from_secs_f64(secs).as_nanos();
-    SimTime::from_nanos(t.as_nanos().saturating_add(dwell))
+    t.saturating_add(SimDur::from_secs_f64(secs))
 }
 
 fn parse_params(params: &str) -> Result<Vec<(&str, &str)>, String> {
@@ -500,13 +499,18 @@ fn parse_dur(s: &str) -> Result<SimDur, String> {
     Ok(SimDur::from_nanos(ns as u64))
 }
 
-/// Parses the mean dwell of a stochastic process: a positive duration.
-/// A zero mean has no exponential distribution; it would dwell 1 ns
-/// each way until the horizon.
+/// Shortest mean dwell a stochastic process may have. `materialize`
+/// draws about horizon/mean events per process, so a 1 ns mean turns a
+/// one-second horizon into a billion faults; 1 ms keeps it to about a
+/// thousand per simulated second, and every mean in use is 20 ms or more.
+const MIN_MEAN: SimDur = SimDur::from_millis(1);
+
+/// Parses the mean dwell of a stochastic process: a duration of at least
+/// [`MIN_MEAN`].
 fn parse_mean(s: &str) -> Result<SimDur, String> {
     let d = parse_dur(s)?;
-    if d == SimDur::ZERO {
-        return Err(format!("mean dwell '{s}' must be positive"));
+    if d < MIN_MEAN {
+        return Err(format!("mean dwell '{s}' must be at least 1ms"));
     }
     Ok(d)
 }
@@ -802,6 +806,10 @@ mod tests {
             "gpu-crash:gpu=0,mtbf=1s,mttr=0ms",                // zero mean repair
             "link-flap:pcie=0,up=0,down=1s,factor=0.5",        // zero mean up
             "link-flap:pcie=0,up=1s,down=0.1ns,factor=0.5",    // rounds to 0
+            "gpu-crash:gpu=0,mtbf=1ns,mttr=1ns",               // means below 1 ms
+            "gpu-crash:gpu=0,mtbf=1s,mttr=999us",              // repair below 1 ms
+            "link-flap:pcie=0,up=0.5ms,down=1s,factor=0.5",    // up below 1 ms
+            "link-flap:pcie=0,up=1s,down=999999ns,factor=0.5", // down below 1 ms
             "link-flap:pcie=0,up=500ms,down=1e12s,factor=0.3", // > 2^64 ns
             "gpu-fail@2e10s:gpu=0",                            // time past 2^64 ns
             "stuck-flow@1s:pcie=0,stall=1e20ns",               // stall past 2^64 ns
@@ -812,6 +820,8 @@ mod tests {
         }
         assert!(FaultSpec::parse("", 0).unwrap().is_empty());
         assert!(FaultSpec::parse(" ; ; ", 0).unwrap().is_empty());
+        // The shortest mean dwell allowed.
+        assert!(FaultSpec::parse("gpu-crash:gpu=0,mtbf=1ms,mttr=1ms", 0).is_ok());
     }
 
     #[test]

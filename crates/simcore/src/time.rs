@@ -59,6 +59,12 @@ impl SimTime {
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
+
+    /// `self + d`, saturating at the end of simulated time (`u64::MAX`
+    /// ns) instead of wrapping.
+    pub fn saturating_add(self, d: SimDur) -> SimTime {
+        SimTime(self.0.saturating_add(d.0))
+    }
 }
 
 impl SimDur {
@@ -211,6 +217,9 @@ mod tests {
         assert_eq!((t + d).as_nanos(), 3_500);
         assert_eq!((t + d) - t, d);
         assert_eq!(t.since(t + d), SimDur::ZERO);
+        let end = SimTime::from_nanos(u64::MAX);
+        assert_eq!(end.saturating_add(d), end);
+        assert_eq!(t.saturating_add(d), t + d);
     }
 
     #[test]
