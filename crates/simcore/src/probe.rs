@@ -431,7 +431,9 @@ probe_events! {
             /// Pinned bytes.
             bytes: u64,
         },
-        /// Counter: aggregate max-min-fair share currently on a link.
+        /// Counter: aggregate max-min-fair share currently on a link,
+        /// published when the link's share changes (a zero sample when
+        /// it goes idle); the track holds its value in between.
         LinkShare = "link_share" {
             /// Link index in the flow network.
             link: usize,
