@@ -89,7 +89,7 @@ fn forced_recall_under_a_tight_pool_replays_its_recorded_bytes() {
     assert_drained(&r, 48);
     assert!(r.kv_spills > 0, "the tight pool never spilled");
     assert!(r.kv_recalls > 0, "forced recall never copied a page back");
-    assert_eq!(hash, "0xa7602f44113db129");
+    assert_eq!(hash, "0x232295e67204ab3a");
 }
 
 /// Forced DHA: spilled pages are only ever read in place.
@@ -103,7 +103,7 @@ fn forced_dha_replays_its_recorded_bytes() {
     assert!(r.kv_spills > 0, "the tight pool never spilled");
     assert!(r.kv_dha_reads > 0, "no spilled page was read in place");
     assert_eq!(r.kv_recalls, 0, "forced DHA recalled a page");
-    assert_eq!(hash, "0xea40a596bef50461");
+    assert_eq!(hash, "0xe50ed1cc866b2c73");
 }
 
 /// `Auto` at 2 KiB pages, where the crossover picks DHA for most pages
@@ -117,7 +117,7 @@ fn auto_at_2kib_pages_replays_its_recorded_bytes() {
     assert_drained(&r, 48);
     assert!(r.kv_spills > 0, "the tight pool never spilled");
     assert!(r.kv_dha_reads > 0, "no spilled page was read in place");
-    assert_eq!(hash, "0x0dc54999c6f8f8a6");
+    assert_eq!(hash, "0xd2958f0e76738a95");
 }
 
 /// Resilience with recovery and detection on: mid-decode crashes of two
@@ -147,5 +147,5 @@ fn resilience_with_crash_swap_and_restore_replays_its_recorded_bytes() {
     assert!(r.sessions_swapped > 0, "no session was swapped out");
     assert!(r.sessions_resumed > 0, "no swapped session resumed");
     assert!(r.sessions_restored > 0, "no crash victim restored");
-    assert_eq!(hash, "0xa5b7f441c91a8188");
+    assert_eq!(hash, "0x19f21b2ee533e2bb");
 }
