@@ -46,9 +46,10 @@
 //! positive finite number or so low that the requests would arrive
 //! past the end of simulated time, a deployment whose weights do not fit in
 //! pinned host memory, a size or deadline whose unit conversion
-//! overflows 64 bits, a fault spec that does not parse, `--resilience`
-//! or `--slo-tiers` without `--decode`) print `error: ...` and exit 1
-//! before any simulation state is built.
+//! overflows 64 bits, a fault spec that does not parse or names a GPU
+//! or link the machine lacks, a `--requests` count whose trace cannot
+//! be allocated, `--resilience` or `--slo-tiers` without `--decode`)
+//! print `error: ...` and exit 1 before any simulation state is built.
 //!
 //! `--resilience` (requires `--decode`) arms decode-session resilience:
 //! completed-step KV pages mirror incrementally to pinned host memory,
@@ -76,6 +77,7 @@ use dnn_models::zoo::catalog;
 use gpu_topology::machine::Machine;
 use gpu_topology::netmap::NetMap;
 use gpu_topology::presets::{a5000_dual, dgx1_like, p3_8xlarge, single_v100};
+use model_serving::workload::Request;
 use model_serving::{
     decode, metrics_spec, poisson, run_server_faulted, DeployedModel, KvMode, ResiliencePolicy,
     ServerConfig,
@@ -143,6 +145,31 @@ const LAST_ARRIVAL: SimTime = SimTime::from_nanos(1 << 63);
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1)
+}
+
+/// Checks that every GPU and link each `--faults` entry names exists on
+/// `machine`. The server skips a fault whose target it cannot find, so
+/// without this check a typo would run as a silent no-op.
+fn check_fault_targets(spec: &str, seed: u64, machine: &Machine) -> Result<(), String> {
+    let (_, map) = NetMap::build(machine).map_err(|e| format!("invalid machine topology: {e}"))?;
+    for entry in spec.split(';').map(str::trim).filter(|e| !e.is_empty()) {
+        let one = FaultSpec::parse(entry, seed)?;
+        if let Some(gpu) = one.gpus().find(|&g| g >= machine.gpu_count()) {
+            return Err(format!(
+                "fault entry '{entry}': {} has {} GPU(s), no GPU {gpu}",
+                machine.name,
+                machine.gpu_count()
+            ));
+        }
+        let unknown_link = one.links().find(|l| map.resolve_link(l).is_none());
+        if let Some(link) = unknown_link {
+            return Err(format!(
+                "fault entry '{entry}': {} has no link '{link}'",
+                machine.name
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// `n` of `flag`'s unit converted by `per_unit` (to bytes or ns); fails
@@ -503,10 +530,27 @@ fn main() {
                 cfg.decode_resilience.tiers = ResiliencePolicy::default_tiers();
             }
             let faults = match &args.faults {
-                Some(spec) => FaultSpec::parse(spec, args.seed)
-                    .unwrap_or_else(|e| fail(format!("--faults: {e}"))),
+                Some(spec) => {
+                    let faults = FaultSpec::parse(spec, args.seed)
+                        .unwrap_or_else(|e| fail(format!("--faults: {e}")));
+                    check_fault_targets(spec, args.seed, &machine)
+                        .unwrap_or_else(|e| fail(format!("--faults: {e}")));
+                    faults
+                }
                 None => FaultSpec::none(),
             };
+            // The trace holds every request at once: a count the
+            // allocator refuses stops here instead of panicking or
+            // aborting inside the generator.
+            if Vec::<Request>::new()
+                .try_reserve_exact(args.requests)
+                .is_err()
+            {
+                fail(format!(
+                    "--requests {}: a trace that long does not fit in memory",
+                    args.requests
+                ));
+            }
             let mut trace = poisson::generate(
                 args.rate,
                 args.concurrency,

@@ -79,6 +79,15 @@ fn out_of_range_values_exit_1_with_an_error_line() {
         // Session resilience and SLO tiers act on decode sessions.
         &["serve", "bert", "--slo-tiers"],
         &["serve", "gpt2", "--resilience"],
+        // A trace of u64::MAX requests overflows any allocation.
+        &[
+            "serve",
+            "bert",
+            "--requests",
+            "18446744073709551615",
+            "--rate",
+            "1",
+        ],
     ];
     for args in cases {
         let out = cli(args);
@@ -87,6 +96,45 @@ fn out_of_range_values_exit_1_with_an_error_line() {
         assert!(stderr.contains("error:"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+/// Fault entries naming hardware the default 4-GPU p3.8xlarge lacks: the
+/// server would skip each one, so the CLI rejects it by name.
+#[test]
+fn faults_on_missing_hardware_exit_1_naming_the_entry() {
+    for entry in [
+        "gpu-fail@1ms:gpu=9",
+        "corrupt-transfer@1ms:pcie=77",
+        "gpu-crash:gpu=42,mtbf=1s,mttr=1s",
+        "link-degrade@1ms:uplink=9,factor=0.5",
+    ] {
+        let spec = format!("gpu-fail@1ms:gpu=3; {entry}");
+        let out = cli(&["serve", "bert", "--requests", "5", "--faults", &spec]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{entry}: {stderr}");
+        assert!(stderr.contains("error:"), "{entry}: {stderr}");
+        assert!(stderr.contains(entry), "{entry}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{entry}: {stderr}");
+    }
+}
+
+#[test]
+fn faults_on_the_last_gpu_and_links_run() {
+    let out = cli(&[
+        "serve",
+        "bert",
+        "--requests",
+        "5",
+        "--faults",
+        "gpu-crash:gpu=3,mtbf=1s,mttr=1s; link-degrade@1ms:pcie=3,factor=0.5; \
+         link-flap:nvlink=3-0,up=1s,down=1s,factor=0.5",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]

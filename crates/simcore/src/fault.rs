@@ -19,6 +19,8 @@
 //! pressure from co-located jobs, and request-level compute slowdown
 //! (clock capping, MPS interference).
 
+use std::fmt;
+
 use crate::rng::{derive_seed, exp_secs, seeded};
 use crate::time::{SimDur, SimTime};
 
@@ -35,6 +37,19 @@ pub enum LinkRef {
     Uplink(usize),
     /// The NVLink between two GPUs (order-insensitive).
     NvLink(usize, usize),
+}
+
+impl fmt::Display for LinkRef {
+    /// Names the link the way the fault DSL does: `pcie=G`, `uplink=S`,
+    /// `nvlink=A-B` or `link=N`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            LinkRef::Raw(i) => write!(f, "link={i}"),
+            LinkRef::PcieGpu(g) => write!(f, "pcie={g}"),
+            LinkRef::Uplink(s) => write!(f, "uplink={s}"),
+            LinkRef::NvLink(a, b) => write!(f, "nvlink={a}-{b}"),
+        }
+    }
 }
 
 /// One kind of injected fault.
@@ -133,6 +148,32 @@ pub enum FaultKind {
     },
 }
 
+impl FaultKind {
+    /// The GPU this fault strikes, if it names one.
+    pub fn gpu(&self) -> Option<usize> {
+        match *self {
+            FaultKind::GpuFail { gpu }
+            | FaultKind::GpuRecover { gpu }
+            | FaultKind::SilentGpuSlow { gpu, .. }
+            | FaultKind::SilentGpuRestore { gpu } => Some(gpu),
+            _ => None,
+        }
+    }
+
+    /// The link this fault strikes, if it names one.
+    pub fn link(&self) -> Option<LinkRef> {
+        match *self {
+            FaultKind::LinkDegrade { link, .. }
+            | FaultKind::LinkRestore { link }
+            | FaultKind::SilentLinkSlow { link, .. }
+            | FaultKind::SilentLinkRestore { link }
+            | FaultKind::StuckFlow { link, .. }
+            | FaultKind::CorruptTransfer { link } => Some(link),
+            _ => None,
+        }
+    }
+}
+
 /// A fault pinned to a simulated instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
@@ -195,6 +236,18 @@ impl FaultSpec {
     /// Whether the spec injects nothing at all.
     pub fn is_empty(&self) -> bool {
         self.scheduled.is_empty() && self.flaps.is_empty() && self.crashes.is_empty()
+    }
+
+    /// Every GPU the spec names: scheduled entries, then crashes.
+    pub fn gpus(&self) -> impl Iterator<Item = usize> + '_ {
+        let scheduled = self.scheduled.iter().filter_map(|e| e.kind.gpu());
+        scheduled.chain(self.crashes.iter().map(|c| c.gpu))
+    }
+
+    /// Every link the spec names: scheduled entries, then flaps.
+    pub fn links(&self) -> impl Iterator<Item = LinkRef> + '_ {
+        let scheduled = self.scheduled.iter().filter_map(|e| e.kind.link());
+        scheduled.chain(self.flaps.iter().map(|f| f.link))
     }
 
     /// Expands the spec into a time-sorted event list. Scheduled events
@@ -547,6 +600,26 @@ mod tests {
 
     fn secs(s: f64) -> SimTime {
         SimTime::from_nanos((s * 1e9) as u64)
+    }
+
+    #[test]
+    fn gpus_and_links_list_every_named_target() {
+        let spec = FaultSpec::parse(
+            "gpu-fail@1s:gpu=1; link-degrade@1s:uplink=2,factor=0.5; mem-pressure@1s:bytes=1g; \
+             silent-gpu-slow@2s:gpu=3,factor=2; stuck-flow@2s:nvlink=0-2,stall=1ms; \
+             corrupt-transfer@3s:link=7; link-flap:pcie=4,up=1s,down=1s,factor=0.5; \
+             gpu-crash:gpu=5,mtbf=1s,mttr=1s",
+            1,
+        )
+        .unwrap();
+        assert_eq!(spec.gpus().collect::<Vec<_>>(), [1, 3, 5]);
+        let links: Vec<String> = spec.links().map(|l| l.to_string()).collect();
+        assert_eq!(links, ["uplink=2", "nvlink=0-2", "link=7", "pcie=4"]);
+        // Each name parses back to the same link.
+        for link in spec.links() {
+            let back = FaultSpec::parse(&format!("link-restore@1s:{link}"), 1).unwrap();
+            assert_eq!(back.links().collect::<Vec<_>>(), [link]);
+        }
     }
 
     #[test]
