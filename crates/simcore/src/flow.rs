@@ -405,30 +405,30 @@ impl FlowNet {
     }
 
     /// Re-rates after a mutation whose directly touched links are in
-    /// `self.seeds`: restricts the water-filling to the connected
-    /// component those links belong to, or falls back to the full solve.
+    /// `self.seeds`: water-fills each connected component that holds a
+    /// seed link, or falls back to the full solve.
     ///
-    /// The restricted solve is *exactly* the full solve projected onto
-    /// one component — same residuals, same freezing order, same
-    /// floating-point operation sequence — because no flow outside the
-    /// component crosses a component link (that is what "component"
-    /// means here). Debug builds verify bit-equality against the full
-    /// solver on every call.
+    /// A component's rates depend on its own links and flows alone: no
+    /// flow outside it crosses one of its links (that is what
+    /// "component" means here), and components are filled one at a
+    /// time, so the freezing tolerance never ties one component's share
+    /// to another's. Re-filling only the touched components therefore
+    /// leaves every rate where the full solve, which fills every
+    /// component, puts it. Debug builds verify bit-equality against the
+    /// full solver on every call.
     fn rerate_from_seeds(&mut self) {
         if self.force_full_rerate || self.flows.is_empty() {
             self.recompute_rates();
             return;
         }
-        self.collect_component();
-        self.water_fill_component();
+        self.fill_seeded_components();
         #[cfg(debug_assertions)]
         self.assert_matches_full_solve();
     }
 
-    /// Expands `self.seeds` into the connected component of links and
-    /// flows containing them: `self.comp_flows` gets the member flow
-    /// indices in ascending order, `self.link_mark` the member links.
-    fn collect_component(&mut self) {
+    /// Water-fills, one at a time, each connected component of links
+    /// and flows that holds a link in `self.seeds`.
+    fn fill_seeded_components(&mut self) {
         let nl = self.links.len();
         let nf = self.flows.len();
         // Rebuild the link → flows adjacency. Inner vectors keep their
@@ -446,15 +446,27 @@ impl FlowNet {
         self.link_mark.resize(nl, false);
         self.in_comp.clear();
         self.in_comp.resize(nf, false);
-        self.comp_flows.clear();
-        self.bfs.clear();
         for i in 0..self.seeds.len() {
-            let l = self.seeds[i];
-            if !self.link_mark[l] {
-                self.link_mark[l] = true;
-                self.bfs.push(l);
+            let seed = self.seeds[i];
+            if self.link_mark[seed] {
+                continue;
+            }
+            self.collect_component(seed);
+            if !self.comp_flows.is_empty() {
+                self.water_fill_component();
             }
         }
+    }
+
+    /// Collects the component holding the unmarked link `seed`:
+    /// `self.comp_flows` gets its flow indices in ascending order, and
+    /// its links and flows are marked in `self.link_mark` and
+    /// `self.in_comp`.
+    fn collect_component(&mut self, seed: usize) {
+        self.comp_flows.clear();
+        self.link_mark[seed] = true;
+        self.bfs.clear();
+        self.bfs.push(seed);
         while let Some(l) = self.bfs.pop() {
             for j in 0..self.adj[l].len() {
                 let fi = self.adj[l][j] as usize;
@@ -476,9 +488,8 @@ impl FlowNet {
         self.comp_flows.sort_unstable();
     }
 
-    /// Progressive water-filling restricted to the current component.
-    /// Mirrors [`FlowNet::recompute_rates`] exactly, iterating links via
-    /// `link_mark` and flows via `comp_flows`.
+    /// Progressive water-filling restricted to the current component,
+    /// iterating links via `link_mark` and flows via `comp_flows`.
     fn water_fill_component(&mut self) {
         let nl = self.links.len();
         self.residual.clear();
@@ -570,85 +581,17 @@ impl FlowNet {
         }
     }
 
-    /// Recomputes max-min-fair rates with progressive water-filling
-    /// (the from-scratch solver; see [`FlowNet::rerate_from_seeds`] for
-    /// the incremental entry point).
+    /// Recomputes every flow's max-min-fair rate from scratch (see
+    /// [`FlowNet::rerate_from_seeds`] for the incremental entry point):
+    /// every link a flow crosses seeds the fill, so each component is
+    /// filled on its own.
     fn recompute_rates(&mut self) {
-        let n = self.flows.len();
-        if n == 0 {
-            return;
+        let (flows, seeds) = (&self.flows, &mut self.seeds);
+        seeds.clear();
+        for f in flows {
+            seeds.extend(f.path.iter().map(|l| l.0));
         }
-        let nl = self.links.len();
-        self.residual.clear();
-        self.residual.extend(self.links.iter().map(|l| l.capacity));
-        self.unfrozen_per_link.clear();
-        self.unfrozen_per_link.resize(nl, 0);
-        // Stalled flows start (and stay) frozen at rate 0 and do not
-        // count toward any link's fair share.
-        self.frozen.clear();
-        self.frozen.extend(self.flows.iter().map(|f| f.stalled));
-        for f in &mut self.flows {
-            f.rate = 0.0;
-        }
-        {
-            let (flows, unfrozen) = (&self.flows, &mut self.unfrozen_per_link);
-            for f in flows {
-                if f.stalled {
-                    continue;
-                }
-                for l in &f.path {
-                    unfrozen[l.0] += 1;
-                }
-            }
-        }
-        let mut remaining_flows = n - self.frozen.iter().filter(|&&b| b).count();
-        while remaining_flows > 0 {
-            // The bottleneck link is the one offering the smallest fair
-            // share to its unfrozen flows.
-            let mut share = f64::INFINITY;
-            for i in 0..nl {
-                if self.unfrozen_per_link[i] > 0 {
-                    share = share.min(self.residual[i] / self.unfrozen_per_link[i] as f64);
-                }
-            }
-            if !share.is_finite() {
-                break;
-            }
-            // Freeze every unfrozen flow crossing a bottleneck at `share`.
-            let mut froze_any = false;
-            for fi in 0..n {
-                if self.frozen[fi] {
-                    continue;
-                }
-                let is_bottlenecked = self.flows[fi].path.iter().any(|l| {
-                    self.unfrozen_per_link[l.0] > 0
-                        && (self.residual[l.0] / self.unfrozen_per_link[l.0] as f64)
-                            <= share * (1.0 + 1e-12)
-                });
-                if is_bottlenecked {
-                    self.frozen[fi] = true;
-                    froze_any = true;
-                    remaining_flows -= 1;
-                    self.flows[fi].rate = share;
-                    let (flows, residual, unfrozen) =
-                        (&self.flows, &mut self.residual, &mut self.unfrozen_per_link);
-                    for l in &flows[fi].path {
-                        residual[l.0] = (residual[l.0] - share).max(0.0);
-                        unfrozen[l.0] -= 1;
-                    }
-                }
-            }
-            if !froze_any {
-                // Numerical safety valve: freeze everything at `share`.
-                for fi in 0..n {
-                    if !self.frozen[fi] {
-                        self.frozen[fi] = true;
-                        remaining_flows -= 1;
-                        self.flows[fi].rate = share;
-                    }
-                }
-            }
-        }
+        self.fill_seeded_components();
     }
 }
 
@@ -658,6 +601,24 @@ mod tests {
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_nanos((secs * 1e9) as u64)
+    }
+
+    #[test]
+    fn separate_components_never_share_a_fair_share() {
+        // Two one-link components whose fair shares differ by one ulp,
+        // inside the freezing tolerance: each flow still runs at its own
+        // link's share, on either solver.
+        let above = f64::from_bits(100.0f64.to_bits() + 1);
+        for force_full in [false, true] {
+            let mut net = FlowNet::new();
+            net.set_force_full_rerate(force_full);
+            let a = net.add_link(100.0);
+            let b = net.add_link(above);
+            let fa = net.add_flow(1e3, vec![a]);
+            let fb = net.add_flow(1e3, vec![b]);
+            assert_eq!(net.flow_rate(fa), Some(100.0));
+            assert_eq!(net.flow_rate(fb), Some(above));
+        }
     }
 
     #[test]
