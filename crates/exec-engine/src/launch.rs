@@ -12,17 +12,24 @@
 //!   layer waits for its readiness flag (the `cudaStreamWaitEvent`
 //!   analogue), a DHA layer starts immediately and occupies both the SMs
 //!   and a PCIe read flow.
+//!
+//! Bytes move over two kinds of path, each through one primitive: host
+//! →GPU PCIe through [`crate::hw::start_host_flow`] (weight blocks, DHA
+//! reads) and GPU→GPU NVLink through `nvlink_flow` (migration forwards,
+//! distributed-execution hops). Every event a run schedules holds its
+//! [`RunRef`] and resolves it first, so an aborted run's pending timers
+//! and flows land as no-ops.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use exec_planner::plan::{ExecutionPlan, LayerExec};
-use simcore::driver::{start_flow, start_flow_hedged};
+use simcore::driver::start_flow;
 use simcore::probe::{ProbeEvent, StallCause};
 use simcore::sim::Ctx;
 use simcore::time::{SimDur, SimTime};
 
-use crate::hw::{HasHw, RunRef};
+use crate::hw::{start_host_flow, HasHw, RunRef};
 use crate::result::{InferenceResult, SlotLoadObs};
 use crate::runtime::ModelRuntime;
 
@@ -145,8 +152,6 @@ impl LaunchSpec {
 /// Internal state of an in-flight run. Public only because it lives in
 /// [`crate::hw::HwState`]; fields are crate-private.
 pub struct RunState<S> {
-    /// Generation stamp (see [`RunRef`]).
-    pub gen: u64,
     spec: LaunchSpec,
     ready: Vec<bool>,
     loads_pending: usize,
@@ -300,7 +305,6 @@ pub fn start_inference<S: HasHw>(
     let owner = spec.owners();
     let primary = spec.primary;
     let run = RunState {
-        gen: 0,
         spec,
         ready,
         loads_pending,
@@ -321,16 +325,8 @@ pub fn start_inference<S: HasHw>(
         current_gpu: primary,
         on_done: Some(on_done),
     };
-    let hw = state.hw();
-    let gen = hw.fresh_gen();
-    let slot = hw.runs.insert(run);
-    hw.runs[slot].gen = gen;
-    let r = RunRef { slot, gen };
-
-    let (skip_exec, warm) = {
-        let run = state.hw().run_mut(r).expect("just inserted");
-        (run.spec.skip_exec, run.spec.warm)
-    };
+    let (skip_exec, warm) = (run.spec.skip_exec, run.spec.warm);
+    let r = RunRef(state.hw().runs.insert(run));
     if !warm {
         for s in 0..slots {
             load_next(state, ctx, r, s, 0);
@@ -403,48 +399,40 @@ fn issue_block<S: HasHw>(
     next_pos: usize,
     announce: bool,
 ) {
-    if state.hw().run_mut(r).is_none() {
+    let started = ctx.now();
+    let hw = state.hw();
+    let Some(run) = hw.run_mut(r) else {
         return;
-    }
-    let now = ctx.now();
-    let (path, verify, hedge) = {
-        let hw = state.hw();
-        if announce {
-            for &layer in &block {
-                hw.probe.emit(
-                    now,
-                    ProbeEvent::LoadStarted {
-                        run: r.slot,
-                        layer,
-                        gpu,
-                        slot,
-                    },
-                );
-            }
-        }
-        let path = hw.map.host_to_gpu(&hw.machine, gpu);
-        let run = hw.run_mut(r).expect("checked live");
-        (path, run.spec.verify_loads, run.spec.hedge)
     };
+    let (verify, hedge) = (run.spec.verify_loads, run.spec.hedge);
+    if announce {
+        for &layer in &block {
+            hw.probe.emit(
+                started,
+                ProbeEvent::LoadStarted {
+                    run: r.slot(),
+                    layer,
+                    gpu,
+                    slot,
+                },
+            );
+        }
+    }
     // A corrupt-transfer arm on the path poisons this block. The arm is
     // consumed either way; whether anyone *notices* depends on
     // `verify_loads`.
+    let path = hw.map.host_path(&hw.machine, gpu);
     let corrupt = state.flow_driver().take_corrupt(&path);
-    let n_shared = state.hw().host_flow_started(&path);
-    // The observation records *expected work* (bytes weighted by the
-    // concurrent host flows sharing the path), so that span ÷
-    // (obs_bytes / believed_rate) stays near 1.0 under contention and
-    // only a genuinely degraded link pushes it up.
-    let eff_bytes = bytes * f64::from(n_shared);
-    let obs_path = path.clone();
-    let started = now;
-    let done: simcore::sim::EventFn<S> = Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
+    let done = move |state: &mut S, ctx: &mut Ctx<S>, n_shared: u32| {
         let now = ctx.now();
-        state.hw().host_flow_finished(&obs_path);
         let Some(run) = state.hw().run_mut(r) else {
             return;
         };
-        run.slot_obs[slot].0 += eff_bytes;
+        // The observation records *expected work* (bytes weighted by the
+        // concurrent host flows sharing the path), so that span ÷
+        // (obs_bytes / believed_rate) stays near 1.0 under contention and
+        // only a genuinely degraded link pushes it up.
+        run.slot_obs[slot].0 += bytes * f64::from(n_shared);
         run.slot_obs[slot].1 += now.since(started);
         if corrupt && verify {
             // Checksum mismatch: discard the block and fetch it again.
@@ -453,7 +441,7 @@ fn issue_block<S: HasHw>(
             hw.probe.emit(
                 now,
                 ProbeEvent::ChecksumMismatch {
-                    run: r.slot,
+                    run: r.slot(),
                     layer: block[0],
                     gpu,
                     slot,
@@ -462,7 +450,7 @@ fn issue_block<S: HasHw>(
             hw.probe.emit(
                 now,
                 ProbeEvent::LoadRefetched {
-                    run: r.slot,
+                    run: r.slot(),
                     layer: block[0],
                     gpu,
                     slot,
@@ -475,7 +463,7 @@ fn issue_block<S: HasHw>(
             state.hw().probe.emit(
                 now,
                 ProbeEvent::LoadFinished {
-                    run: r.slot,
+                    run: r.slot(),
                     layer,
                     gpu,
                     slot,
@@ -484,18 +472,8 @@ fn issue_block<S: HasHw>(
             on_load_done(state, ctx, r, slot, layer);
         }
         load_next(state, ctx, r, slot, next_pos);
-    });
-    match hedge {
-        Some(h) if bytes > 0.0 => {
-            // Timeout scales with the concurrent host flows at issue so
-            // healthy contention does not trip the watchdog.
-            let timeout = SimDur::from_secs_f64(eff_bytes / h.rate_bps * h.factor).max(h.floor);
-            start_flow_hedged(state, ctx, bytes, path, timeout, done);
-        }
-        _ => {
-            start_flow(state, ctx, bytes, path, done);
-        }
-    }
+    };
+    start_host_flow(state, ctx, gpu, bytes, hedge, done);
 }
 
 /// A layer finished its host→GPU copy.
@@ -532,48 +510,26 @@ fn bulk_forward<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, slot: usiz
     let Some(run) = state.hw().run_mut(r) else {
         return;
     };
-    let layers: Vec<usize> = run.spec.plan.partitions[slot].clone();
-    let bytes: f64 = layers
+    let plan = Arc::clone(&run.spec.plan);
+    let bytes: f64 = plan.partitions[slot]
         .iter()
         .map(|&i| run.spec.rt.layers[i].param_bytes as f64)
         .sum();
     let (sec, _) = slot_gpu(&run.spec, slot);
     let primary = run.spec.primary;
-    let (overhead, path) = {
-        let hw = state.hw();
-        let overhead = SimDur::from_nanos(
-            hw.machine
-                .nvlink
-                .map(|nv| nv.launch_overhead_ns)
-                .unwrap_or(0),
-        );
-        (overhead, hw.map.gpu_to_gpu(&hw.machine, sec, primary))
-    };
-    let Some(path) = path else {
-        // Unreachable after the launch-time check in [`start_inference`]
-        // (NetMap connectivity is static); tear the run down instead of
-        // poisoning the sim if a caller ever bypasses it.
-        abort_run(state, ctx, r);
-        return;
-    };
-    ctx.schedule_in(
-        overhead,
-        Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
-            if state.hw().run_mut(r).is_none() {
-                return;
+    nvlink_flow(
+        state,
+        ctx,
+        r,
+        sec,
+        primary,
+        bytes,
+        None,
+        move |state, ctx| {
+            for &idx in &plan.partitions[slot] {
+                mark_ready(state, ctx, r, idx);
             }
-            start_flow(
-                state,
-                ctx,
-                bytes,
-                path,
-                Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
-                    for idx in layers {
-                        mark_ready(state, ctx, r, idx);
-                    }
-                }),
-            );
-        }),
+        },
     );
 }
 
@@ -585,64 +541,84 @@ fn mig_pump<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, slot: usize) {
     if run.mig_busy[slot - 1] {
         return;
     }
-    let Some(layer_idx) = run.mig_queue[slot - 1].pop_front() else {
+    let Some(layer) = run.mig_queue[slot - 1].pop_front() else {
         return;
     };
     run.mig_busy[slot - 1] = true;
-    let bytes = run.spec.rt.layers[layer_idx].param_bytes as f64;
-    let (sec, _) = slot_gpu(&run.spec, slot);
+    let bytes = run.spec.rt.layers[layer].param_bytes as f64;
+    let (from, _) = slot_gpu(&run.spec, slot);
     let primary = run.spec.primary;
-    let (overhead, path) = {
-        let hw = state.hw();
-        let overhead = SimDur::from_nanos(
-            hw.machine
-                .nvlink
-                .map(|nv| nv.launch_overhead_ns)
-                .unwrap_or(0),
-        );
-        (overhead, hw.map.gpu_to_gpu(&hw.machine, sec, primary))
+    let id = r.slot();
+    let started = ProbeEvent::MigrateStarted {
+        run: id,
+        layer,
+        from,
     };
-    let Some(path) = path else {
-        // Unreachable after the launch-time check in [`start_inference`];
-        // defensive teardown, see `bulk_forward`.
+    nvlink_flow(
+        state,
+        ctx,
+        r,
+        from,
+        primary,
+        bytes,
+        Some(started),
+        move |state, ctx| {
+            let hw = state.hw();
+            if let Some(run) = hw.run_mut(r) {
+                run.mig_busy[slot - 1] = false;
+            }
+            let finished = ProbeEvent::MigrateFinished {
+                run: id,
+                layer,
+                from,
+            };
+            hw.probe.emit(ctx.now(), finished);
+            mark_ready(state, ctx, r, layer);
+            mig_pump(state, ctx, r, slot);
+        },
+    );
+}
+
+/// Copies `bytes` from GPU `from` to GPU `to` over their NVLink for run
+/// `r`: the NVLink launch overhead, then one flow. `started` is published
+/// as the flow starts and `on_done` runs when it drains, each only while
+/// `r` is live, so an aborted run's forwards and hops land as no-ops.
+#[allow(clippy::too_many_arguments)]
+fn nvlink_flow<S: HasHw>(
+    state: &mut S,
+    ctx: &mut Ctx<S>,
+    r: RunRef,
+    from: usize,
+    to: usize,
+    bytes: f64,
+    started: Option<ProbeEvent>,
+    on_done: impl FnOnce(&mut S, &mut Ctx<S>) + 'static,
+) {
+    let hw = state.hw();
+    let overhead = SimDur::from_nanos(hw.machine.nvlink.map_or(0, |nv| nv.launch_overhead_ns));
+    let Some(path) = hw.map.gpu_to_gpu(&hw.machine, from, to) else {
+        // Unreachable after the launch-time check in [`start_inference`]
+        // (NetMap connectivity is static); tear the run down instead of
+        // poisoning the sim if a caller ever bypasses it.
         abort_run(state, ctx, r);
         return;
     };
     ctx.schedule_in(
         overhead,
         Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
-            if state.hw().run_mut(r).is_none() {
+            let hw = state.hw();
+            if hw.run_mut(r).is_none() {
                 return;
             }
-            state.hw().probe.emit(
-                ctx.now(),
-                ProbeEvent::MigrateStarted {
-                    run: r.slot,
-                    layer: layer_idx,
-                    from: sec,
-                },
-            );
-            start_flow(
-                state,
-                ctx,
-                bytes,
-                path,
-                Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
-                    if let Some(run) = state.hw().run_mut(r) {
-                        run.mig_busy[slot - 1] = false;
-                    }
-                    state.hw().probe.emit(
-                        ctx.now(),
-                        ProbeEvent::MigrateFinished {
-                            run: r.slot,
-                            layer: layer_idx,
-                            from: sec,
-                        },
-                    );
-                    mark_ready(state, ctx, r, layer_idx);
-                    mig_pump(state, ctx, r, slot);
-                }),
-            );
+            if let Some(e) = started {
+                hw.probe.emit(ctx.now(), e);
+            }
+            let done = move |state: &mut S, ctx: &mut Ctx<S>| {
+                if state.hw().run_mut(r).is_some() {
+                    on_done(state, ctx);
+                }
+            };
+            start_flow(state, ctx, bytes, path, Box::new(done));
         }),
     );
 }
@@ -674,7 +650,7 @@ fn mark_ready<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, layer_idx: u
         state.hw().probe.emit(
             now,
             ProbeEvent::StallEnded {
-                run: r.slot,
+                run: r.slot(),
                 layer: layer_idx,
                 gpu,
                 ns: stall_ns,
@@ -747,7 +723,7 @@ fn exec_try<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
             state.hw().probe.emit(
                 now,
                 ProbeEvent::StallStarted {
-                    run: r.slot,
+                    run: r.slot(),
                     layer,
                     gpu,
                     cause,
@@ -782,120 +758,42 @@ fn stall_cause<S>(run: &RunState<S>) -> StallCause {
 /// All layers ran; under distributed execution the result must first hop
 /// back to the primary GPU.
 fn exec_finish<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
-    let back_hop = {
-        let Some(run) = state.hw().run_mut(r) else {
-            return;
-        };
-        if run.spec.distributed && run.current_gpu != run.spec.primary {
-            let bytes = run
-                .spec
-                .rt
-                .layers
-                .last()
-                .map(|l| l.act_out_bytes)
-                .unwrap_or(0.0);
-            Some((run.current_gpu, run.spec.primary, bytes))
-        } else {
-            None
-        }
-    };
-    match back_hop {
-        None => complete(state, ctx, r),
-        Some((from, to, bytes)) => {
-            if let Some(run) = state.hw().run_mut(r) {
-                run.current_gpu = to;
-            }
-            hop(
-                state,
-                ctx,
-                r,
-                from,
-                to,
-                bytes,
-                Box::new(move |state: &mut S, ctx: &mut Ctx<S>| complete(state, ctx, r)),
-            );
-        }
-    }
-}
-
-/// Transfers `bytes` of activations over NVLink between two GPUs, then
-/// continues with `then`.
-fn hop<S: HasHw>(
-    state: &mut S,
-    ctx: &mut Ctx<S>,
-    r: RunRef,
-    from: usize,
-    to: usize,
-    bytes: f64,
-    then: simcore::sim::EventFn<S>,
-) {
-    let (overhead, path) = {
-        let hw = state.hw();
-        let overhead = SimDur::from_nanos(
-            hw.machine
-                .nvlink
-                .map(|nv| nv.launch_overhead_ns)
-                .unwrap_or(0),
-        );
-        (overhead, hw.map.gpu_to_gpu(&hw.machine, from, to))
-    };
-    let Some(path) = path else {
-        // Unreachable after the launch-time check in [`start_inference`];
-        // defensive teardown, see `bulk_forward`.
-        abort_run(state, ctx, r);
+    let Some(run) = state.hw().run_mut(r) else {
         return;
     };
-    ctx.schedule_in(
-        overhead,
-        Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
-            if state.hw().run_mut(r).is_none() {
-                return;
-            }
-            start_flow(state, ctx, bytes, path, then);
-        }),
-    );
+    if !run.spec.distributed || run.current_gpu == run.spec.primary {
+        complete(state, ctx, r);
+        return;
+    }
+    let bytes = run.spec.rt.layers.last().map_or(0.0, |l| l.act_out_bytes);
+    let (from, to) = (run.current_gpu, run.spec.primary);
+    run.current_gpu = to;
+    nvlink_flow(state, ctx, r, from, to, bytes, None, move |state, ctx| {
+        complete(state, ctx, r)
+    });
 }
 
-/// Starts executing layer `exec_next` (gate already open).
+/// Starts executing layer `exec_next` (gate already open), first hopping
+/// the activations to the layer's owner under distributed execution.
 fn exec_start_layer<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
-    let needed_hop = {
-        let Some(run) = state.hw().run_mut(r) else {
-            return;
-        };
-        if run.use_warm_fast || !run.spec.distributed {
-            None
-        } else {
-            let i = run.exec_next;
-            let target = run.owner[i];
-            if target == run.current_gpu {
-                None
-            } else {
-                let bytes = if i > 0 {
-                    run.spec.rt.layers[i - 1].act_out_bytes
-                } else {
-                    0.0
-                };
-                Some((run.current_gpu, target, bytes))
-            }
-        }
+    let Some(run) = state.hw().run_mut(r) else {
+        return;
     };
-    match needed_hop {
-        None => exec_run_layer(state, ctx, r),
-        Some((from, to, bytes)) => {
-            if let Some(run) = state.hw().run_mut(r) {
-                run.current_gpu = to;
-            }
-            hop(
-                state,
-                ctx,
-                r,
-                from,
-                to,
-                bytes,
-                Box::new(move |state: &mut S, ctx: &mut Ctx<S>| exec_run_layer(state, ctx, r)),
-            );
-        }
+    let i = run.exec_next;
+    if run.use_warm_fast || !run.spec.distributed || run.owner[i] == run.current_gpu {
+        exec_run_layer(state, ctx, r);
+        return;
     }
+    let bytes = if i > 0 {
+        run.spec.rt.layers[i - 1].act_out_bytes
+    } else {
+        0.0
+    };
+    let (from, to) = (run.current_gpu, run.owner[i]);
+    run.current_gpu = to;
+    nvlink_flow(state, ctx, r, from, to, bytes, None, move |state, ctx| {
+        exec_run_layer(state, ctx, r)
+    });
 }
 
 /// Runs the compute (and DHA flow) of the current layer on the current
@@ -932,7 +830,7 @@ fn exec_run_layer<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
     state.hw().probe.emit(
         now,
         ProbeEvent::ExecStarted {
-            run: r.slot,
+            run: r.slot(),
             layer: layer_idx,
             gpu,
             dha: dha_wire > 0.0,
@@ -943,31 +841,12 @@ fn exec_run_layer<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
         Box::new(move |state: &mut S, ctx: &mut Ctx<S>| exec_part_done(state, ctx, r)),
     );
     if dha_wire > 0.0 {
-        let path = {
-            let hw = state.hw();
-            hw.map.host_to_gpu(&hw.machine, gpu)
-        };
-        let n_shared = state.hw().host_flow_started(&path);
-        let obs_path = path.clone();
-        let done = Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
-            state.hw().host_flow_finished(&obs_path);
+        // DHA reads are weight transfers too: a stuck or silently slow
+        // read stalls the exec stream exactly like a stuck load, so it
+        // gets the same watchdog.
+        start_host_flow(state, ctx, gpu, dha_wire, hedge, move |state, ctx, _| {
             exec_part_done(state, ctx, r)
         });
-        match hedge {
-            Some(h) => {
-                // DHA reads are weight transfers too: a stuck or
-                // silently slow read stalls the exec stream exactly like
-                // a stuck load, so it gets the same watchdog. The
-                // timeout scales with the host flows sharing the path at
-                // issue so healthy contention does not trip it.
-                let expected = dha_wire * f64::from(n_shared) / h.rate_bps;
-                let timeout = SimDur::from_secs_f64(expected * h.factor).max(h.floor);
-                start_flow_hedged(state, ctx, dha_wire, path, timeout, done);
-            }
-            None => {
-                start_flow(state, ctx, dha_wire, path, done);
-            }
-        }
     }
 }
 
@@ -992,7 +871,7 @@ fn exec_part_done<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
         state.hw().probe.emit(
             now,
             ProbeEvent::ExecFinished {
-                run: r.slot,
+                run: r.slot(),
                 layer,
                 gpu,
             },
@@ -1005,10 +884,9 @@ fn exec_part_done<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
 fn complete<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
     let now = ctx.now();
     let hw = state.hw();
-    if hw.runs.get(r.slot).map(|x| x.gen) != Some(r.gen) {
+    let Some(run) = hw.runs.remove(r.0) else {
         return;
-    }
-    let run = hw.runs.remove(r.slot).expect("checked occupied");
+    };
     let resident_bytes: u64 = run
         .spec
         .rt
@@ -1021,7 +899,7 @@ fn complete<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
     hw.probe.emit(
         now,
         ProbeEvent::RunCompleted {
-            run: r.slot,
+            run: r.slot(),
             gpu: run.spec.primary,
             stall_ns: run.stall.as_nanos(),
             exec_busy_ns: run.exec_busy.as_nanos(),
@@ -1054,7 +932,7 @@ fn complete<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
 /// Aborts an in-flight run (fault injection: its GPU died). The run is
 /// torn down immediately: its slot is freed, its completion callback is
 /// dropped without firing, and every pending flow/timer event it had
-/// scheduled becomes a no-op through the [`RunRef`] generation guard.
+/// scheduled becomes a no-op, because its [`RunRef`] no longer resolves.
 /// The host decides what happens to the request (retry elsewhere, shed).
 ///
 /// Returns `false` when the run already completed — its callback may
@@ -1062,14 +940,13 @@ fn complete<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
 pub fn abort_run<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) -> bool {
     let now = ctx.now();
     let hw = state.hw();
-    if hw.runs.get(r.slot).map(|x| x.gen) != Some(r.gen) {
+    let Some(run) = hw.runs.remove(r.0) else {
         return false;
-    }
-    let run = hw.runs.remove(r.slot).expect("checked occupied");
+    };
     hw.probe.emit(
         now,
         ProbeEvent::RunAborted {
-            run: r.slot,
+            run: r.slot(),
             gpu: run.spec.primary,
         },
     );

@@ -96,12 +96,18 @@ impl NetMap {
         names
     }
 
-    /// Link path for a host→GPU transfer.
-    pub fn host_to_gpu(&self, machine: &Machine, gpu: usize) -> Vec<LinkId> {
-        vec![
+    /// The links a host→GPU transfer crosses: the GPU's switch uplink,
+    /// then its own PCIe lane.
+    pub fn host_path(&self, machine: &Machine, gpu: usize) -> [LinkId; 2] {
+        [
             self.switch_uplink[machine.switch_of(gpu)],
             self.gpu_pcie[gpu],
         ]
+    }
+
+    /// [`NetMap::host_path`] as an owned path for a flow.
+    pub fn host_to_gpu(&self, machine: &Machine, gpu: usize) -> Vec<LinkId> {
+        self.host_path(machine, gpu).to_vec()
     }
 
     /// Resolves a topology-level [`LinkRef`] from a fault spec to the

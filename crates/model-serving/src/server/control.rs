@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use exec_engine::hw::start_host_flow;
 use exec_engine::launch::abort_run;
 use exec_engine::result::InferenceResult;
 use exec_planner::generate_degraded;
@@ -396,14 +397,11 @@ fn send_canary(s: &mut ServerState, ctx: &mut Ctx<ServerState>, l: LinkId) {
         // never reach probation; nothing to probe.
         return;
     };
-    let path = s.hw.map.host_to_gpu(&s.cfg.machine, g0);
     let bytes = s.cfg.detection.canary_bytes as f64;
     let believed = s.believed_path_rate(g0);
     if believed <= 0.0 || !believed.is_finite() || bytes <= 0.0 {
         return;
     }
-    let n_shared = s.hw.host_flow_started(&path);
-    let expected = bytes * f64::from(n_shared) / believed;
     s.report.canaries += 1;
     s.probe.emit(
         ctx.now(),
@@ -413,30 +411,23 @@ fn send_canary(s: &mut ServerState, ctx: &mut Ctx<ServerState>, l: LinkId) {
         },
     );
     let sent = ctx.now();
-    let obs_path = path.clone();
-    start_flow(
-        s,
-        ctx,
-        bytes,
-        path,
-        Box::new(move |s: &mut ServerState, ctx| {
-            s.hw.host_flow_finished(&obs_path);
-            let ratio = (ctx.now() - sent).as_secs_f64() / expected;
-            let t = s.detector.as_mut().and_then(|d| d.observe_canary(l, ratio));
-            match t {
-                Some(t) => handle_transition(s, ctx, t),
-                None => {
-                    // Clean but not yet enough: keep probing.
-                    if s.detector
-                        .as_ref()
-                        .is_some_and(|d| d.link_state(l) == DetectState::Probation)
-                    {
-                        send_canary(s, ctx, l);
-                    }
+    start_host_flow(s, ctx, g0, bytes, None, move |s, ctx, n_shared| {
+        let expected = bytes * f64::from(n_shared) / believed;
+        let ratio = (ctx.now() - sent).as_secs_f64() / expected;
+        let t = s.detector.as_mut().and_then(|d| d.observe_canary(l, ratio));
+        match t {
+            Some(t) => handle_transition(s, ctx, t),
+            None => {
+                // Clean but not yet enough: keep probing.
+                if s.detector
+                    .as_ref()
+                    .is_some_and(|d| d.link_state(l) == DetectState::Probation)
+                {
+                    send_canary(s, ctx, l);
                 }
             }
-        }),
-    );
+        }
+    });
 }
 
 /// A health transition happened (GPU up/down, link degrade/restore, a

@@ -276,7 +276,7 @@ pub(super) fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: u
             instance: inst_id,
             gpu: g,
             warm,
-            run: s.hw.runs.vacant_key(),
+            run: s.hw.runs.vacant_index(),
         },
     );
     // All captures are `Copy`, so the completion callback can be minted

@@ -272,10 +272,7 @@ impl ServerState {
 
     /// GPU `g`'s host path: its switch uplink, then its own PCIe lane.
     fn host_path(&self, g: usize) -> [LinkId; 2] {
-        [
-            self.hw.map.switch_uplink[self.cfg.machine.switch_of(g)],
-            self.hw.map.gpu_pcie[g],
-        ]
+        self.hw.map.host_path(&self.cfg.machine, g)
     }
 
     /// Believed capacity factor of GPU `g`'s host path, by announced

@@ -13,7 +13,8 @@
 //!   every failure scenario replays bit-for-bit.
 //! * [`driver`] — glue that schedules flow-completion events into the
 //!   simulator ([`FlowDriver`], [`HasFlowDriver`]).
-//! * [`slab`] — a tiny generational-free slab allocator for run bookkeeping.
+//! * [`slab`] — free-list slabs, plain and generational, for state that
+//!   scheduled events refer to by key.
 //! * [`rng`] — seeded random-variate helpers (exponential, Poisson process).
 //! * [`stats`] — summary statistics, percentiles and time-series bucketing.
 //! * [`probe`] — the observability event bus ([`Probe`], [`probe::EventLog`])

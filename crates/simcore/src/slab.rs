@@ -1,8 +1,10 @@
-//! A minimal slab allocator for per-run bookkeeping.
+//! Minimal slab allocators for state touched from many events.
 //!
-//! Keys are plain `usize` indices; freed slots are recycled. This avoids an
-//! external dependency for what the engine needs: stable ids for in-flight
-//! inference runs whose state is touched from many events.
+//! [`Slab`] keys are plain `usize` indices; freed slots are recycled.
+//! [`GenSlab`] adds a per-slot generation, so a key held by a scheduled
+//! event goes stale when its value is removed: the engine's in-flight
+//! runs and decode processes, and the driver's hedged races, live there.
+//! Both avoid an external dependency.
 
 /// A vector-backed slab with free-list recycling.
 ///
@@ -55,13 +57,6 @@ impl<T> Slab<T> {
                 self.slots.len() - 1
             }
         }
-    }
-
-    /// The key the next [`Slab::insert`] will return (free slots are
-    /// recycled LIFO). Lets callers name a value in events published
-    /// *before* the insertion happens.
-    pub fn vacant_key(&self) -> usize {
-        self.free.last().copied().unwrap_or(self.slots.len())
     }
 
     /// Removes and returns the value at `key`, if occupied.
@@ -132,6 +127,14 @@ pub struct GenKey {
     gen: u32,
 }
 
+impl GenKey {
+    /// The slot index. Unlike the key, it is shared by every value the
+    /// slot ever holds.
+    pub fn index(self) -> usize {
+        self.idx as usize
+    }
+}
+
 /// A generational slab: like [`Slab`], but removal bumps the slot's
 /// generation so stale keys can never observe a later occupant.
 ///
@@ -197,6 +200,13 @@ impl<T> GenSlab<T> {
                 }
             }
         }
+    }
+
+    /// The slot index the next [`GenSlab::insert`] will use (free slots
+    /// are recycled LIFO). Lets callers name a value in events published
+    /// *before* the insertion happens.
+    pub fn vacant_index(&self) -> usize {
+        self.free.last().map_or(self.slots.len(), |&i| i as usize)
     }
 
     /// Removes and returns the value at `key`, if still live. The slot's
@@ -310,12 +320,27 @@ mod tests {
     }
 
     #[test]
+    fn gen_slab_names_the_slot_the_next_insert_takes() {
+        let mut s = GenSlab::new();
+        assert_eq!(s.vacant_index(), 0);
+        let a = s.insert(1);
+        let b = s.insert(2);
+        assert_eq!(s.vacant_index(), 2);
+        s.remove(a);
+        s.remove(b);
+        assert_eq!(s.vacant_index(), b.index(), "LIFO reuse");
+        assert_eq!(s.insert(3).index(), b.index());
+        assert_eq!(s.vacant_index(), a.index());
+    }
+
+    #[test]
     fn gen_slab_stale_keys_never_alias() {
         let mut s = GenSlab::new();
         let a = s.insert("old");
         s.remove(a);
         let b = s.insert("new");
         // Same physical slot, different generation.
+        assert_eq!(b.index(), a.index());
         assert_eq!(s.get(a), None);
         assert_eq!(s.get_mut(a), None);
         assert_eq!(s.remove(a), None);
