@@ -232,10 +232,7 @@ fn start_flow_cb<S: HasFlowDriver>(
             );
         }
     }
-    d.gen += 1;
-    d.emit_link_shares(now);
-    fire_completions(state, ctx);
-    reschedule_tick(state, ctx);
+    settle(state, ctx);
     id
 }
 
@@ -253,10 +250,7 @@ pub fn unfreeze_flow<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>, id: Flow
         d.emit_link_shares(now);
         return;
     }
-    d.gen += 1;
-    d.emit_link_shares(now);
-    fire_completions(state, ctx);
-    reschedule_tick(state, ctx);
+    settle(state, ctx);
 }
 
 /// Starts a flow with a hedged duplicate: if the primary transfer has not
@@ -367,10 +361,7 @@ pub fn set_link_capacity<S: HasFlowDriver>(
     let d = state.flow_driver();
     d.net.advance(now);
     d.net.set_link_capacity(link, capacity);
-    d.gen += 1;
-    d.emit_link_shares(now);
-    fire_completions(state, ctx);
-    reschedule_tick(state, ctx);
+    settle(state, ctx);
 }
 
 /// Cancels an in-flight flow (fault injection: its endpoint died). The
@@ -401,11 +392,20 @@ pub fn cancel_flow<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>, id: FlowId
         }
         Some(Callback::Plain(_)) | None => {}
     }
+    settle(state, ctx);
+    true
+}
+
+/// Closes every mutation that may have moved rates (a flow added,
+/// unfrozen or cancelled, a capacity change, a tick): invalidates the
+/// pending tick, publishes the link shares that changed, delivers the
+/// flows that finished and schedules the next tick.
+fn settle<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>) {
+    let d = state.flow_driver();
     d.gen += 1;
-    d.emit_link_shares(now);
+    d.emit_link_shares(ctx.now());
     fire_completions(state, ctx);
     reschedule_tick(state, ctx);
-    true
 }
 
 /// Delivers callbacks for every flow the network has marked complete.
@@ -443,13 +443,8 @@ fn reschedule_tick<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>) {
             if state.flow_driver().gen != my_gen {
                 return; // Stale tick: rates changed since scheduling.
             }
-            let now = ctx.now();
-            let d = state.flow_driver();
-            d.net.advance(now);
-            d.gen += 1;
-            d.emit_link_shares(now);
-            fire_completions(state, ctx);
-            reschedule_tick(state, ctx);
+            state.flow_driver().net.advance(ctx.now());
+            settle(state, ctx);
         }),
     );
 }
