@@ -30,7 +30,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::probe::{Event, EventLog, EventSink, Probe, ProbeEvent, StallCause};
+use crate::probe::{Event, EventLog, Probe, ProbeEvent, StallCause};
 use crate::time::SimTime;
 
 // ---------------------------------------------------------------------------
@@ -574,7 +574,7 @@ struct KindHandles {
     ttft: HistId,
 }
 
-/// An [`EventSink`] that records every event into an inner [`EventLog`]
+/// A probe sink that records every event into an inner [`EventLog`]
 /// *and* feeds the streaming metric registry and SLO monitors. Fired
 /// SLO alerts are appended to the log as first-class probe events, so
 /// they flow through the normal exporters.
@@ -892,10 +892,9 @@ impl MetricsSink {
     pub fn events(&self) -> &[Event] {
         &self.log.events
     }
-}
 
-impl EventSink for MetricsSink {
-    fn record(&mut self, at: SimTime, what: ProbeEvent) {
+    /// Records one event, then feeds it to the registry and monitors.
+    pub fn record(&mut self, at: SimTime, what: ProbeEvent) {
         self.log.record(at, what);
         self.feed(at, what);
     }

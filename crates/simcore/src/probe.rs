@@ -2,10 +2,11 @@
 //!
 //! A [`Probe`] is a cheap cloneable handle that simulation components
 //! (the flow network driver, the execution engine, the serving server)
-//! use to publish [`ProbeEvent`]s to an optional [`EventSink`]. The
-//! default probe is disabled: emitting through it is a branch on an
-//! `Option` and constructs nothing, so instrumented hot paths cost
-//! nothing when observability is off.
+//! use to publish [`ProbeEvent`]s to an optional sink: an [`EventLog`]
+//! or a [`MetricsSink`](crate::metrics::MetricsSink). The default probe
+//! is disabled: emitting through it is a branch on an `Option` and
+//! constructs nothing, so instrumented hot paths cost nothing when
+//! observability is off.
 //!
 //! Events cover three views of one run:
 //!
@@ -771,12 +772,6 @@ pub struct Event {
     pub what: ProbeEvent,
 }
 
-/// Receives events published through a [`Probe`].
-pub trait EventSink {
-    /// Records one event. Called in simulated-time order per producer.
-    fn record(&mut self, at: SimTime, what: ProbeEvent);
-}
-
 /// The canonical recording sink: an append-only in-memory log.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
@@ -799,28 +794,22 @@ impl EventLog {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-}
 
-impl EventSink for EventLog {
-    fn record(&mut self, at: SimTime, what: ProbeEvent) {
+    /// Records one event. Producers call it in simulated-time order.
+    pub fn record(&mut self, at: SimTime, what: ProbeEvent) {
         self.events.push(Event { at, what });
     }
 }
 
-/// The sink attached to an enabled [`Probe`].
-///
-/// The two sinks the engine itself constructs ([`EventLog`] and
-/// [`MetricsSink`](crate::metrics::MetricsSink)) get dedicated variants so
-/// the emit hot path is a direct (devirtualized) call; external sinks
-/// still dispatch through `dyn EventSink`.
+/// The sink attached to an enabled [`Probe`]: one variant per sink, so
+/// an emit is a branch and a direct call.
 #[derive(Clone)]
 enum SinkHandle {
     Log(Rc<RefCell<EventLog>>),
     Metrics(Rc<RefCell<crate::metrics::MetricsSink>>),
-    Dyn(Rc<RefCell<dyn EventSink>>),
 }
 
-/// A cloneable handle onto an optional [`EventSink`].
+/// A cloneable handle onto an optional sink.
 ///
 /// The default (disabled) probe drops every emission without
 /// constructing anything. Clones share the same sink.
@@ -849,8 +838,7 @@ impl Probe {
         (Probe::with_log(log.clone()), log)
     }
 
-    /// A probe recording into an existing shared [`EventLog`]. Uses the
-    /// devirtualized fast path.
+    /// A probe recording into an existing shared [`EventLog`].
     pub fn with_log(log: Rc<RefCell<EventLog>>) -> Self {
         Probe {
             sink: Some(SinkHandle::Log(log)),
@@ -858,17 +846,9 @@ impl Probe {
     }
 
     /// A probe feeding a [`MetricsSink`](crate::metrics::MetricsSink).
-    /// Uses the devirtualized fast path.
     pub fn with_metrics(sink: Rc<RefCell<crate::metrics::MetricsSink>>) -> Self {
         Probe {
             sink: Some(SinkHandle::Metrics(sink)),
-        }
-    }
-
-    /// A probe publishing into an arbitrary sink (dynamic dispatch).
-    pub fn with_sink(sink: Rc<RefCell<dyn EventSink>>) -> Self {
-        Probe {
-            sink: Some(SinkHandle::Dyn(sink)),
         }
     }
 
@@ -884,9 +864,8 @@ impl Probe {
     pub fn emit(&self, at: SimTime, what: ProbeEvent) {
         match &self.sink {
             None => {}
-            Some(SinkHandle::Log(log)) => log.borrow_mut().events.push(Event { at, what }),
+            Some(SinkHandle::Log(log)) => log.borrow_mut().record(at, what),
             Some(SinkHandle::Metrics(sink)) => sink.borrow_mut().record(at, what),
-            Some(SinkHandle::Dyn(sink)) => sink.borrow_mut().record(at, what),
         }
     }
 }
