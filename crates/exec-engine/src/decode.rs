@@ -20,6 +20,7 @@
 
 use simcore::probe::ProbeEvent;
 use simcore::sim::{Ctx, EventFn};
+use simcore::slab::GenKey;
 use simcore::time::{SimDur, SimTime};
 
 use crate::hw::{start_host_flow, DecodeRef, HasHw};
@@ -143,9 +144,10 @@ fn step_exec<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: DecodeRef, spec: Step
         };
         run.pending_parts = if spec.dha_bytes > 0.0 { 2 } else { 1 };
     }
-    ctx.schedule_in(
+    ctx.call_in(
         spec.compute,
-        Box::new(move |state: &mut S, ctx: &mut Ctx<S>| step_part_done(state, ctx, r)),
+        |state, ctx, r| step_part_done(state, ctx, DecodeRef(GenKey::from_bits(r))),
+        r.0.to_bits(),
     );
     if spec.dha_bytes > 0.0 {
         start_host_flow(

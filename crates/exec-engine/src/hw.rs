@@ -136,10 +136,10 @@ pub fn start_host_flow<S: HasHw>(
             // issue so healthy contention does not trip the watchdog.
             let expected = bytes * f64::from(n_shared) / h.rate_bps;
             let timeout = SimDur::from_secs_f64(expected * h.factor).max(h.floor);
-            start_flow_hedged(state, ctx, bytes, path.to_vec(), timeout, done);
+            start_flow_hedged(state, ctx, bytes, &path, timeout, done);
         }
         _ => {
-            start_flow(state, ctx, bytes, path.to_vec(), done);
+            start_flow(state, ctx, bytes, &path, done);
         }
     }
 }

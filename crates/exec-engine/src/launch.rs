@@ -21,12 +21,14 @@
 //! and flows land as no-ops.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 use exec_planner::plan::{ExecutionPlan, LayerExec};
 use simcore::driver::start_flow;
 use simcore::probe::{ProbeEvent, StallCause};
 use simcore::sim::Ctx;
+use simcore::slab::GenKey;
 use simcore::time::{SimDur, SimTime};
 
 use crate::hw::{start_host_flow, HasHw, RunRef};
@@ -278,7 +280,7 @@ pub fn start_inference<S: HasHw>(
     );
     for (from, to) in required_nvlink_pairs(&spec) {
         let hw = state.hw();
-        if hw.map.gpu_to_gpu(&hw.machine, from, to).is_none() {
+        if hw.map.nvlink_between(&hw.machine, from, to).is_none() {
             return Err(EngineError::MissingNvlink { from, to });
         }
     }
@@ -356,7 +358,6 @@ fn load_next<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, slot: usize, 
             return;
         }
         let cap = run.spec.plan.block_bytes.unwrap_or(0);
-        let mut block = vec![part[pos]];
         let mut bytes = run.spec.rt.layers[part[pos]].param_bytes;
         let mut end = pos + 1;
         while end < part.len() && bytes < cap {
@@ -365,38 +366,36 @@ fn load_next<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, slot: usize, 
                 break;
             }
             bytes += next_bytes;
-            block.push(part[end]);
             end += 1;
         }
         let (gpu, _) = slot_gpu(&run.spec, slot);
-        (block, bytes as f64, gpu)
+        (pos..end, bytes as f64, gpu)
     };
     let overhead = {
         let hw = state.hw();
         SimDur::from_nanos(hw.machine.gpu(gpu).pcie.launch_overhead_ns)
     };
-    let next_pos = pos + block.len();
     ctx.schedule_in(
         overhead,
         Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
-            issue_block(state, ctx, r, slot, block, bytes, gpu, next_pos, true);
+            issue_block(state, ctx, r, slot, block, bytes, gpu, true);
         }),
     );
 }
 
 /// Starts (or restarts, after a checksum mismatch) one weight block's
-/// host→GPU flow. `announce` is false on a re-fetch so load-start probe
-/// events are not duplicated.
+/// host→GPU flow: positions `block` of slot `slot`'s partition.
+/// `announce` is false on a re-fetch so load-start probe events are not
+/// duplicated.
 #[allow(clippy::too_many_arguments)]
 fn issue_block<S: HasHw>(
     state: &mut S,
     ctx: &mut Ctx<S>,
     r: RunRef,
     slot: usize,
-    block: Vec<usize>,
+    block: Range<usize>,
     bytes: f64,
     gpu: usize,
-    next_pos: usize,
     announce: bool,
 ) {
     let started = ctx.now();
@@ -405,8 +404,9 @@ fn issue_block<S: HasHw>(
         return;
     };
     let (verify, hedge) = (run.spec.verify_loads, run.spec.hedge);
+    let plan = Arc::clone(&run.spec.plan);
     if announce {
-        for &layer in &block {
+        for &layer in &plan.partitions[slot][block.clone()] {
             hw.probe.emit(
                 started,
                 ProbeEvent::LoadStarted {
@@ -434,6 +434,7 @@ fn issue_block<S: HasHw>(
         // only a genuinely degraded link pushes it up.
         run.slot_obs[slot].0 += bytes * f64::from(n_shared);
         run.slot_obs[slot].1 += now.since(started);
+        let layers = &plan.partitions[slot][block.clone()];
         if corrupt && verify {
             // Checksum mismatch: discard the block and fetch it again.
             let hw = state.hw();
@@ -442,7 +443,7 @@ fn issue_block<S: HasHw>(
                 now,
                 ProbeEvent::ChecksumMismatch {
                     run: r.slot(),
-                    layer: block[0],
+                    layer: layers[0],
                     gpu,
                     slot,
                 },
@@ -451,15 +452,15 @@ fn issue_block<S: HasHw>(
                 now,
                 ProbeEvent::LoadRefetched {
                     run: r.slot(),
-                    layer: block[0],
+                    layer: layers[0],
                     gpu,
                     slot,
                 },
             );
-            issue_block(state, ctx, r, slot, block, bytes, gpu, next_pos, false);
+            issue_block(state, ctx, r, slot, block, bytes, gpu, false);
             return;
         }
-        for &layer in &block {
+        for &layer in layers {
             state.hw().probe.emit(
                 now,
                 ProbeEvent::LoadFinished {
@@ -471,7 +472,7 @@ fn issue_block<S: HasHw>(
             );
             on_load_done(state, ctx, r, slot, layer);
         }
-        load_next(state, ctx, r, slot, next_pos);
+        load_next(state, ctx, r, slot, block.end);
     };
     start_host_flow(state, ctx, gpu, bytes, hedge, done);
 }
@@ -596,7 +597,7 @@ fn nvlink_flow<S: HasHw>(
 ) {
     let hw = state.hw();
     let overhead = SimDur::from_nanos(hw.machine.nvlink.map_or(0, |nv| nv.launch_overhead_ns));
-    let Some(path) = hw.map.gpu_to_gpu(&hw.machine, from, to) else {
+    let Some(link) = hw.map.nvlink_between(&hw.machine, from, to) else {
         // Unreachable after the launch-time check in [`start_inference`]
         // (NetMap connectivity is static); tear the run down instead of
         // poisoning the sim if a caller ever bypasses it.
@@ -618,7 +619,7 @@ fn nvlink_flow<S: HasHw>(
                     on_done(state, ctx);
                 }
             };
-            start_flow(state, ctx, bytes, path, Box::new(done));
+            start_flow(state, ctx, bytes, &[link], Box::new(done));
         }),
     );
 }
@@ -836,9 +837,10 @@ fn exec_run_layer<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
             dha: dha_wire > 0.0,
         },
     );
-    ctx.schedule_in(
+    ctx.call_in(
         compute,
-        Box::new(move |state: &mut S, ctx: &mut Ctx<S>| exec_part_done(state, ctx, r)),
+        |state, ctx, r| exec_part_done(state, ctx, RunRef(GenKey::from_bits(r))),
+        r.0.to_bits(),
     );
     if dha_wire > 0.0 {
         // DHA reads are weight transfers too: a stuck or silently slow

@@ -7,8 +7,9 @@
 //! * one *downstream PCIe link* per GPU (switch ⇄ GPU);
 //! * one *NVLink* per connected GPU pair.
 //!
-//! A host→GPU transfer crosses `[uplink(switch(g)), pcie(g)]`; a GPU→GPU
-//! NVLink transfer crosses the single pair link.
+//! A host→GPU transfer crosses `[uplink(switch(g)), pcie(g)]`
+//! ([`NetMap::host_path`]); a GPU→GPU NVLink transfer crosses the single
+//! pair link ([`NetMap::nvlink_between`]).
 
 use simcore::fault::LinkRef;
 use simcore::flow::{FlowNet, LinkId};
@@ -105,11 +106,6 @@ impl NetMap {
         ]
     }
 
-    /// [`NetMap::host_path`] as an owned path for a flow.
-    pub fn host_to_gpu(&self, machine: &Machine, gpu: usize) -> Vec<LinkId> {
-        self.host_path(machine, gpu).to_vec()
-    }
-
     /// Resolves a topology-level [`LinkRef`] from a fault spec to the
     /// concrete [`LinkId`] in the built network. Returns `None` for
     /// out-of-range or non-existent links (e.g. an NVLink pair this
@@ -144,17 +140,14 @@ impl NetMap {
         Vec::new()
     }
 
-    /// Link path for a GPU→GPU NVLink transfer, or `None` when the pair is
-    /// not NVLink-connected.
-    pub fn gpu_to_gpu(&self, machine: &Machine, a: usize, b: usize) -> Option<Vec<LinkId>> {
+    /// The NVLink a GPU→GPU transfer between `a` and `b` crosses (its
+    /// whole path), or `None` when the pair is not NVLink-connected.
+    pub fn nvlink_between(&self, machine: &Machine, a: usize, b: usize) -> Option<LinkId> {
         if !machine.nvlinked(a, b) {
             return None;
         }
         let key = (a.min(b), a.max(b));
-        self.nvlink
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, l)| vec![*l])
+        self.nvlink.iter().find(|(k, _)| *k == key).map(|(_, l)| *l)
     }
 }
 
@@ -193,8 +186,8 @@ mod tests {
     fn same_switch_gpus_share_uplink() {
         let m = machine();
         let (mut net, map) = NetMap::build(&m).unwrap();
-        let f0 = net.add_flow(1e9, map.host_to_gpu(&m, 0));
-        let f1 = net.add_flow(1e9, map.host_to_gpu(&m, 1));
+        let f0 = net.add_flow(1e9, &map.host_path(&m, 0));
+        let f1 = net.add_flow(1e9, &map.host_path(&m, 1));
         // Both behind switch 0: each gets half the 13.44 GB/s uplink
         // (56 % of the solo 12 GB/s — the Table 2 contention effect).
         assert!((net.flow_rate(f0).unwrap() - 6.72e9).abs() < 1e6);
@@ -205,8 +198,8 @@ mod tests {
     fn cross_switch_gpus_get_full_bandwidth() {
         let m = machine();
         let (mut net, map) = NetMap::build(&m).unwrap();
-        let f0 = net.add_flow(1e9, map.host_to_gpu(&m, 0));
-        let f2 = net.add_flow(1e9, map.host_to_gpu(&m, 2));
+        let f0 = net.add_flow(1e9, &map.host_path(&m, 0));
+        let f2 = net.add_flow(1e9, &map.host_path(&m, 2));
         assert!((net.flow_rate(f0).unwrap() - 12e9).abs() < 1.0);
         assert!((net.flow_rate(f2).unwrap() - 12e9).abs() < 1.0);
     }
@@ -248,17 +241,17 @@ mod tests {
     fn nvlink_path_exists_only_for_linked_pairs() {
         let m = machine();
         let (_net, map) = NetMap::build(&m).unwrap();
-        assert!(map.gpu_to_gpu(&m, 0, 2).is_some());
-        assert!(map.gpu_to_gpu(&m, 2, 0).is_some());
-        assert!(map.gpu_to_gpu(&m, 1, 1).is_none());
+        assert!(map.nvlink_between(&m, 0, 2).is_some());
+        assert_eq!(map.nvlink_between(&m, 2, 0), map.nvlink_between(&m, 0, 2));
+        assert!(map.nvlink_between(&m, 1, 1).is_none());
     }
 
     #[test]
     fn nvlink_does_not_contend_with_pcie() {
         let m = machine();
         let (mut net, map) = NetMap::build(&m).unwrap();
-        let load = net.add_flow(1e9, map.host_to_gpu(&m, 0));
-        let fwd = net.add_flow(1e9, map.gpu_to_gpu(&m, 2, 0).unwrap());
+        let load = net.add_flow(1e9, &map.host_path(&m, 0));
+        let fwd = net.add_flow(1e9, &[map.nvlink_between(&m, 2, 0).unwrap()]);
         assert!((net.flow_rate(load).unwrap() - 12e9).abs() < 1.0);
         assert!((net.flow_rate(fwd).unwrap() - 40e9).abs() < 1.0);
         net.advance(SimTime::from_nanos(1));

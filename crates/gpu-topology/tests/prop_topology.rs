@@ -51,14 +51,14 @@ proptest! {
     fn netmap_paths_stay_within_the_link_table(m in arb_machine()) {
         let (net, map) = NetMap::build(&m).unwrap();
         for g in 0..m.gpu_count() {
-            for link in map.host_to_gpu(&m, g) {
+            for link in map.host_path(&m, g) {
                 prop_assert!(link.0 < net.link_count());
             }
         }
         for a in 0..m.gpu_count() {
             for b in 0..m.gpu_count() {
-                let path = map.gpu_to_gpu(&m, a, b);
-                prop_assert_eq!(path.is_some(), m.nvlinked(a, b));
+                let link = map.nvlink_between(&m, a, b);
+                prop_assert_eq!(link.is_some(), m.nvlinked(a, b));
             }
         }
     }
@@ -69,7 +69,7 @@ proptest! {
         // Start one host flow per GPU; per-switch rate sums must respect
         // the uplink.
         let flows: Vec<_> = (0..m.gpu_count())
-            .map(|g| (g, net.add_flow(1e12, map.host_to_gpu(&m, g))))
+            .map(|g| (g, net.add_flow(1e12, &map.host_path(&m, g))))
             .collect();
         for sw in 0..m.switch_count {
             let uplink_cap = net.link_capacity(map.switch_uplink[sw]);

@@ -591,12 +591,12 @@ fn migrate_kind(s: &mut ServerState, ctx: &mut Ctx<ServerState>, k: usize, new_b
                         bytes: delta,
                     },
                 );
-                let path = s.hw.map.host_to_gpu(&s.cfg.machine, g);
+                let path = s.hw.map.host_path(&s.cfg.machine, g);
                 start_flow(
                     s,
                     ctx,
                     delta as f64,
-                    path,
+                    &path,
                     Box::new(move |s: &mut ServerState, ctx| {
                         s.probe.emit(
                             ctx.now(),

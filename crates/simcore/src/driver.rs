@@ -10,10 +10,13 @@
 //! Callbacks live in a [`Slab`] whose key travels with the flow as its
 //! tag, so completion delivery is an indexed load instead of a hash
 //! lookup; hedged-transfer races live in a [`GenSlab`] referenced by
-//! `Copy` keys from the scheduled closures, replacing the old
-//! `Rc<RefCell<Race>>`-clone-per-event pattern.
+//! `Copy` keys from the scheduled events, replacing the old
+//! `Rc<RefCell<Race>>`-clone-per-event pattern. The tick, a race's
+//! finish line and a stuck flow's unfreeze each carry one word (the
+//! generation, the race key's bits, the flow id), so they are word
+//! events ([`Ctx::call_at`]) and schedule without allocating.
 
-use crate::flow::{FlowId, FlowNet, LinkId};
+use crate::flow::{FlowId, FlowNet, FlowPath, LinkId};
 use crate::probe::{Probe, ProbeEvent};
 use crate::sim::{Ctx, EventFn};
 use crate::slab::{GenKey, GenSlab, Slab};
@@ -198,7 +201,7 @@ pub fn start_flow<S: HasFlowDriver>(
     state: &mut S,
     ctx: &mut Ctx<S>,
     bytes: f64,
-    path: Vec<LinkId>,
+    path: &[LinkId],
     on_done: EventFn<S>,
 ) -> FlowId {
     start_flow_cb(state, ctx, bytes, path, Callback::Plain(on_done))
@@ -210,7 +213,7 @@ fn start_flow_cb<S: HasFlowDriver>(
     state: &mut S,
     ctx: &mut Ctx<S>,
     bytes: f64,
-    path: Vec<LinkId>,
+    path: &[LinkId],
     on_done: Callback<S>,
 ) -> FlowId {
     let now = ctx.now();
@@ -224,11 +227,10 @@ fn start_flow_cb<S: HasFlowDriver>(
     if let Some(i) = arm {
         if d.net.freeze_flow(id) {
             let (_, stall) = d.stuck_arms.remove(i);
-            ctx.schedule_in(
+            ctx.call_in(
                 stall,
-                Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
-                    unfreeze_flow(state, ctx, id);
-                }),
+                |state, ctx, id| unfreeze_flow(state, ctx, FlowId(id)),
+                id.0,
             );
         }
     }
@@ -266,7 +268,7 @@ pub fn start_flow_hedged<S: HasFlowDriver>(
     state: &mut S,
     ctx: &mut Ctx<S>,
     bytes: f64,
-    path: Vec<LinkId>,
+    path: &[LinkId],
     timeout: SimDur,
     on_done: EventFn<S>,
 ) -> FlowId {
@@ -276,10 +278,11 @@ pub fn start_flow_hedged<S: HasFlowDriver>(
         ids: Vec::new(),
         on_done: Some(on_done),
     });
-    let primary = start_flow_cb(state, ctx, bytes, path.clone(), Callback::Race(key));
+    let primary = start_flow_cb(state, ctx, bytes, path, Callback::Race(key));
     if let Some(race) = state.flow_driver().races.get_mut(key) {
         race.ids.push(primary);
     }
+    let path = FlowPath::new(path);
     ctx.schedule_in(
         timeout,
         Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
@@ -300,7 +303,7 @@ pub fn start_flow_hedged<S: HasFlowDriver>(
             if d.net.flow_remaining(primary).is_none() {
                 return;
             }
-            let hedge = start_flow_cb(state, ctx, bytes, path, Callback::Race(key));
+            let hedge = start_flow_cb(state, ctx, bytes, path.links(), Callback::Race(key));
             if let Some(race) = state.flow_driver().races.get_mut(key) {
                 race.ids.push(hedge);
             }
@@ -318,11 +321,13 @@ pub fn start_flow_hedged<S: HasFlowDriver>(
     primary
 }
 
-/// Finish line of a hedged race: the first contestant home takes the
-/// callback, cancels every other contestant, and delivers. Scheduled as
-/// a zero-delay event per completing contestant; later arrivals find the
-/// race settled (or already freed) and return.
-fn race_finish<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>, key: GenKey) {
+/// Finish line of a hedged race (`key` is its [`GenKey::to_bits`]): the
+/// first contestant home takes the callback, cancels every other
+/// contestant, and delivers. Scheduled as a zero-delay word event per
+/// completing contestant; later arrivals find the race settled (or
+/// already freed) and return.
+fn race_finish<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>, key: u64) {
+    let key = GenKey::from_bits(key);
     let d = state.flow_driver();
     let Some(race) = d.races.get_mut(key) else {
         return;
@@ -419,10 +424,7 @@ fn fire_completions<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>) {
             // Deliver through the event queue so that callback effects
             // observe a consistent driver state.
             Some(Callback::Plain(cb)) => ctx.schedule_in(SimDur::ZERO, cb),
-            Some(Callback::Race(key)) => ctx.schedule_in(
-                SimDur::ZERO,
-                Box::new(move |state: &mut S, ctx: &mut Ctx<S>| race_finish(state, ctx, key)),
-            ),
+            Some(Callback::Race(key)) => ctx.call_in(SimDur::ZERO, race_finish, key.to_bits()),
             None => {}
         }
     }
@@ -433,20 +435,19 @@ fn fire_completions<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>) {
 fn reschedule_tick<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>) {
     let now = ctx.now();
     let d = state.flow_driver();
-    let Some(at) = d.net.next_completion_time(now) else {
-        return;
-    };
-    let my_gen = d.gen;
-    ctx.schedule_at(
-        at,
-        Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
-            if state.flow_driver().gen != my_gen {
-                return; // Stale tick: rates changed since scheduling.
-            }
-            state.flow_driver().net.advance(ctx.now());
-            settle(state, ctx);
-        }),
-    );
+    if let Some(at) = d.net.next_completion_time(now) {
+        ctx.call_at(at, tick, d.gen);
+    }
+}
+
+/// A tick scheduled under generation `gen`: advances the network and
+/// settles, unless rates changed since it was scheduled.
+fn tick<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>, gen: u64) {
+    if state.flow_driver().gen != gen {
+        return; // Stale tick: rates changed since scheduling.
+    }
+    state.flow_driver().net.advance(ctx.now());
+    settle(state, ctx);
 }
 
 #[cfg(test)]
@@ -491,7 +492,7 @@ mod tests {
                     w,
                     ctx,
                     50.0,
-                    vec![l],
+                    &[l],
                     Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
                 );
             }),
@@ -514,7 +515,7 @@ mod tests {
                     w,
                     ctx,
                     100.0,
-                    vec![l],
+                    &[l],
                     Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
                 );
             }),
@@ -527,7 +528,7 @@ mod tests {
                     w,
                     ctx,
                     25.0,
-                    vec![l],
+                    &[l],
                     Box::new(|w: &mut World, ctx| w.log.push((2, ctx.now()))),
                 );
             }),
@@ -556,7 +557,7 @@ mod tests {
                     w,
                     ctx,
                     100.0,
-                    vec![l],
+                    &[l],
                     Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
                 );
             }),
@@ -584,7 +585,7 @@ mod tests {
                     w,
                     ctx,
                     100.0,
-                    vec![l],
+                    &[l],
                     Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
                 );
                 w.started.push(id);
@@ -592,7 +593,7 @@ mod tests {
                     w,
                     ctx,
                     100.0,
-                    vec![l],
+                    &[l],
                     Box::new(|w: &mut World, ctx| w.log.push((2, ctx.now()))),
                 );
             }),
@@ -626,7 +627,7 @@ mod tests {
                     w,
                     ctx,
                     100.0,
-                    vec![l],
+                    &[l],
                     Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
                 );
             }),
@@ -659,7 +660,7 @@ mod tests {
                     w,
                     ctx,
                     100.0,
-                    vec![l1],
+                    &[l1],
                     Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
                 );
                 // First flow on l0 consumes the arm.
@@ -667,7 +668,7 @@ mod tests {
                     w,
                     ctx,
                     100.0,
-                    vec![l0],
+                    &[l0],
                     Box::new(|w: &mut World, ctx| w.log.push((2, ctx.now()))),
                 );
                 // Second flow on l0 is clean.
@@ -675,7 +676,7 @@ mod tests {
                     w,
                     ctx,
                     100.0,
-                    vec![l0],
+                    &[l0],
                     Box::new(|w: &mut World, ctx| w.log.push((3, ctx.now()))),
                 );
             }),
@@ -719,7 +720,7 @@ mod tests {
                     w,
                     ctx,
                     100.0,
-                    vec![l],
+                    &[l],
                     crate::time::SimDur::from_secs_f64(2.0),
                     Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
                 );
@@ -748,7 +749,7 @@ mod tests {
                     w,
                     ctx,
                     100.0,
-                    vec![l],
+                    &[l],
                     crate::time::SimDur::from_secs_f64(5.0),
                     Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
                 );
@@ -772,7 +773,7 @@ mod tests {
                     w,
                     ctx,
                     0.0,
-                    vec![l],
+                    &[l],
                     Box::new(|w: &mut World, ctx| w.log.push((7, ctx.now()))),
                 );
             }),

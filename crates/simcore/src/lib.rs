@@ -4,8 +4,9 @@
 //! reproduction. It provides:
 //!
 //! * [`time`] — integer-nanosecond simulated time ([`SimTime`], [`SimDur`]).
-//! * [`sim`] — a closure-based discrete-event simulator ([`Sim`], [`Ctx`])
-//!   generic over a user state type.
+//! * [`sim`] — a discrete-event simulator ([`Sim`], [`Ctx`]) generic over
+//!   a user state type, whose events are boxed closures or allocation-free
+//!   word events (a plain function and one `u64`).
 //! * [`flow`] — a fluid-flow network with max-min-fair bandwidth sharing,
 //!   used to model PCIe links, PCIe switches and NVLink.
 //! * [`fault`] — deterministic, seed-driven fault injection ([`FaultSpec`]):

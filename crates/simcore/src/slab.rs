@@ -84,12 +84,6 @@ impl<T> Slab<T> {
         self.len
     }
 
-    /// Number of slots ever allocated (occupied + recyclable). A bounded
-    /// capacity under churn is the sign that recycling works.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Whether the slab holds no values.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -132,6 +126,20 @@ impl GenKey {
     /// slot ever holds.
     pub fn index(self) -> usize {
         self.idx as usize
+    }
+
+    /// The key as one word: the argument of a word event
+    /// ([`crate::sim::Ctx::call_at`]) that must find its value again.
+    pub fn to_bits(self) -> u64 {
+        u64::from(self.gen) << 32 | u64::from(self.idx)
+    }
+
+    /// The key whose [`GenKey::to_bits`] is `bits`.
+    pub fn from_bits(bits: u64) -> GenKey {
+        GenKey {
+            idx: bits as u32,
+            gen: (bits >> 32) as u32,
+        }
     }
 }
 
@@ -331,6 +339,31 @@ mod tests {
         assert_eq!(s.vacant_index(), b.index(), "LIFO reuse");
         assert_eq!(s.insert(3).index(), b.index());
         assert_eq!(s.vacant_index(), a.index());
+    }
+
+    #[test]
+    fn gen_keys_round_trip_through_their_bits() {
+        let mut s = GenSlab::new();
+        let mut keys = Vec::new();
+        for round in 0..3 {
+            let a = s.insert(round);
+            let b = s.insert(round + 10);
+            keys.extend([a, b]);
+            s.remove(a);
+            s.remove(b);
+        }
+        for k in keys.iter().copied().chain([GenKey {
+            idx: u32::MAX,
+            gen: u32::MAX,
+        }]) {
+            assert_eq!(GenKey::from_bits(k.to_bits()), k);
+        }
+        // Same slot, different generation: different words.
+        assert_eq!(keys[0].index(), keys[3].index());
+        assert_ne!(keys[0].to_bits(), keys[3].to_bits());
+        let live = s.insert(7);
+        assert_eq!(s.get(GenKey::from_bits(live.to_bits())), Some(&7));
+        assert_eq!(s.get(GenKey::from_bits(keys[0].to_bits())), None);
     }
 
     #[test]

@@ -29,7 +29,7 @@ proptest! {
         let mut ids = Vec::new();
         for (bytes, path) in &flows {
             let p: Vec<LinkId> = path.iter().map(|&i| link_ids[i]).collect();
-            ids.push((net.add_flow(*bytes, p), path.clone()));
+            ids.push((net.add_flow(*bytes, &p), path.clone()));
         }
         // Per-link sum of rates must not exceed capacity.
         for (li, &cap) in caps.iter().enumerate() {
@@ -71,7 +71,7 @@ proptest! {
         let n_flows = flows.len();
         for (bytes, path) in &flows {
             let p: Vec<LinkId> = path.iter().map(|&i| link_ids[i]).collect();
-            net.add_flow(*bytes, p);
+            net.add_flow(*bytes, &p);
         }
         let mut done = net.take_completed().len();
         let mut now = SimTime::ZERO;
@@ -97,7 +97,7 @@ proptest! {
         let mut ids = Vec::new();
         for (bytes, path) in &flows {
             let p: Vec<LinkId> = path.iter().map(|&i| link_ids[i]).collect();
-            ids.push(net.add_flow(*bytes, p));
+            ids.push(net.add_flow(*bytes, &p));
         }
         let mut sorted = checkpoints.clone();
         sorted.sort_unstable();
@@ -130,7 +130,7 @@ proptest! {
         let mut ids = Vec::new();
         for (bytes, path) in &flows {
             let p: Vec<LinkId> = path.iter().map(|&i| link_ids[i]).collect();
-            ids.push((net.add_flow(*bytes, p), path.clone()));
+            ids.push((net.add_flow(*bytes, &p), path.clone()));
         }
         let mut sorted = changes.clone();
         sorted.sort_by_key(|&(_, _, t)| t);
@@ -163,7 +163,7 @@ proptest! {
         let mut expected = vec![0.0f64; caps.len()];
         for (bytes, path) in &flows {
             let p: Vec<LinkId> = path.iter().map(|&i| link_ids[i]).collect();
-            net.add_flow(*bytes, p);
+            net.add_flow(*bytes, &p);
             for &i in path {
                 expected[i] += *bytes;
             }
@@ -205,7 +205,7 @@ proptest! {
         let mut ids = Vec::new();
         for (bytes, path) in &flows {
             let p: Vec<LinkId> = path.iter().map(|&i| link_ids[i]).collect();
-            ids.push(net.add_flow(*bytes, p));
+            ids.push(net.add_flow(*bytes, &p));
         }
         let victim = ids[victim % ids.len()];
         let before: Vec<(simcore::flow::FlowId, f64)> = ids

@@ -81,7 +81,7 @@ impl Net {
 
     fn add(&mut self, bytes: f64, path: &[usize]) {
         let p: Vec<LinkId> = path.iter().map(|&i| self.links[i]).collect();
-        let id = self.net.add_flow(bytes, p);
+        let id = self.net.add_flow(bytes, &p);
         self.live.push(id);
         self.added.push((bytes, path.to_vec()));
         self.reap();

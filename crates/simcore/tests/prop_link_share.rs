@@ -83,8 +83,8 @@ impl HasFlowDriver for World {
 fn apply(w: &mut World, ctx: &mut Ctx<World>, op: &Op) {
     match op {
         Op::Start(bytes, path) => {
-            let path = path.iter().map(|&i| w.links[i]).collect();
-            let id = start_flow(w, ctx, *bytes, path, Box::new(|_, _| {}));
+            let path: Vec<LinkId> = path.iter().map(|&i| w.links[i]).collect();
+            let id = start_flow(w, ctx, *bytes, &path, Box::new(|_, _| {}));
             w.started.push(id);
         }
         Op::Cancel(sel) => {

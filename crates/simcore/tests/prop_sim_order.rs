@@ -8,8 +8,10 @@
 //! `max(now, d)`.
 //!
 //! The test schedules events from outside the simulator and from
-//! inside handlers (every event may schedule children when it runs), and
-//! interleaves `run_until(d)` with `run_until_idle`. Times mix
+//! inside handlers (every event may schedule children when it runs, each
+//! child either a boxed closure or a word event: a plain function and
+//! its id as the one `u64` argument), and interleaves `run_until(d)`
+//! with `run_until_idle`. Times mix
 //! same-instant bursts, past times that clamp to now, and far-future
 //! times up to `u64::MAX`. A reference model replays the same script by
 //! picking, at every step, the pending event with the least
@@ -17,7 +19,7 @@
 //! execution log must equal the model's.
 
 use proptest::prelude::*;
-use simcore::{EventFn, Sim, SimDur, SimTime};
+use simcore::{Ctx, EventFn, Sim, SimDur, SimTime};
 
 /// When an event is scheduled for, relative to the scheduler's "now".
 #[derive(Debug, Clone, Copy)]
@@ -77,6 +79,10 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A child event: when it is scheduled for, and whether it is a word
+/// event (else a boxed closure).
+type Kid = (When, bool);
+
 /// The simulated world: what ran, and the children each event
 /// schedules. Event ids count schedules, from the script and from
 /// handlers alike, so an id is also its scheduling order.
@@ -84,7 +90,7 @@ struct World {
     /// `(event id, time it ran)` in execution order.
     log: Vec<(usize, u64)>,
     /// `kids[id]`: the events `id` schedules when it runs.
-    kids: Vec<Vec<When>>,
+    kids: Vec<Vec<Kid>>,
     next_id: usize,
 }
 
@@ -106,23 +112,39 @@ fn schedule(sim: &mut Sim<World>, when: When) {
     }
 }
 
-/// Event `id`: logs itself, then schedules its children through the
-/// handler context.
+/// Boxed event `id`: runs [`run_event`].
 fn event(id: usize) -> EventFn<World> {
-    Box::new(move |w: &mut World, ctx| {
-        let now = ctx.now().as_nanos();
-        w.log.push((id, now));
-        let kids = w.kids.get(id).cloned().unwrap_or_default();
-        for when in kids {
-            let child = w.take_id();
-            match when {
-                When::In(d) => {
-                    ctx.schedule_in(SimDur::from_nanos(d.min(u64::MAX - now)), event(child))
+    Box::new(move |w: &mut World, ctx| run_event(w, ctx, id as u64))
+}
+
+/// Event `id`, as a boxed closure or a word event: logs itself, then
+/// schedules its children through the handler context.
+fn run_event(w: &mut World, ctx: &mut Ctx<World>, id: u64) {
+    let id = id as usize;
+    let now = ctx.now().as_nanos();
+    w.log.push((id, now));
+    let kids = w.kids.get(id).cloned().unwrap_or_default();
+    for (when, word) in kids {
+        let child = w.take_id();
+        match when {
+            When::In(d) => {
+                let d = SimDur::from_nanos(d.min(u64::MAX - now));
+                if word {
+                    ctx.call_in(d, run_event, child as u64);
+                } else {
+                    ctx.schedule_in(d, event(child));
                 }
-                When::At(t) => ctx.schedule_at(SimTime::from_nanos(t), event(child)),
+            }
+            When::At(t) => {
+                let t = SimTime::from_nanos(t);
+                if word {
+                    ctx.call_at(t, run_event, child as u64);
+                } else {
+                    ctx.schedule_at(t, event(child));
+                }
             }
         }
-    })
+    }
 }
 
 /// Reference model: pending events in a plain list, the next one found
@@ -143,7 +165,7 @@ impl Model {
 
     /// Runs every event due at or before `deadline` (all of them when
     /// `None`).
-    fn run(&mut self, kids: &[Vec<When>], deadline: Option<u64>) {
+    fn run(&mut self, kids: &[Vec<Kid>], deadline: Option<u64>) {
         while let Some(i) = (0..self.pending.len()).min_by_key(|&i| self.pending[i]) {
             let (at, id) = self.pending[i];
             if deadline.is_some_and(|d| at > d) {
@@ -152,7 +174,7 @@ impl Model {
             self.pending.swap_remove(i);
             self.now = at;
             self.log.push((id, at));
-            for &when in kids.get(id).map_or(&[][..], |k| &k[..]) {
+            for &(when, _) in kids.get(id).map_or(&[][..], |k| &k[..]) {
                 self.schedule(when);
             }
         }
@@ -169,7 +191,10 @@ impl Model {
 proptest! {
     #[test]
     fn execution_order_matches_the_reference_model(
-        kids in prop::collection::vec(prop::collection::vec(arb_when(), 0..4), 0..64),
+        kids in prop::collection::vec(
+            prop::collection::vec((arb_when(), any::<bool>()), 0..4),
+            0..64,
+        ),
         ops in prop::collection::vec(arb_op(), 1..120),
     ) {
         let mut sim = Sim::new(World { log: Vec::new(), kids: kids.clone(), next_id: 0 });

@@ -1,8 +1,9 @@
 //! Kernel-swap byte-identity anchors.
 //!
-//! The event-kernel fast path (heap event queue, slab-backed events,
-//! incremental re-rating, enum probe dispatch) must change *nothing*
-//! observable: these tests re-run the three checked-in golden scenarios
+//! The event-kernel fast path (heap event queue whose entries own their
+//! handlers, allocation-free word events, component-local incremental
+//! re-rating over inline flow paths, enum probe dispatch) must change
+//! *nothing* observable: these tests re-run the three checked-in golden scenarios
 //! — the fig15-style serving trace, a faulted run and a
 //! detection-enabled run — and diff the JSONL event log byte-for-byte
 //! against the files under `tests/data/`.

@@ -126,15 +126,15 @@ fn table2_anchor_same_switch_gpus_halve_host_bandwidth() {
     let machine = p3_8xlarge();
     let solo = {
         let (mut net, map) = NetMap::build(&machine).expect("valid topology");
-        let f = net.add_flow(1e12, map.host_to_gpu(&machine, 0));
+        let f = net.add_flow(1e12, &map.host_path(&machine, 0));
         net.flow_rate(f).unwrap()
     };
 
     // GPUs 0 and 1 share a switch on this machine.
     assert_eq!(machine.switch_of(0), machine.switch_of(1));
     let (mut net, map) = NetMap::build(&machine).expect("valid topology");
-    let a = net.add_flow(1e12, map.host_to_gpu(&machine, 0));
-    let b = net.add_flow(1e12, map.host_to_gpu(&machine, 1));
+    let a = net.add_flow(1e12, &map.host_path(&machine, 0));
+    let b = net.add_flow(1e12, &map.host_path(&machine, 1));
     let (ra, rb) = (net.flow_rate(a).unwrap(), net.flow_rate(b).unwrap());
     assert!((ra - rb).abs() < 1e-3, "fair split expected: {ra} vs {rb}");
     let frac = ra / solo;
@@ -146,8 +146,8 @@ fn table2_anchor_same_switch_gpus_halve_host_bandwidth() {
     // Different switches: no shared uplink, full solo bandwidth each.
     assert_ne!(machine.switch_of(0), machine.switch_of(2));
     let (mut net, map) = NetMap::build(&machine).expect("valid topology");
-    let a = net.add_flow(1e12, map.host_to_gpu(&machine, 0));
-    let c = net.add_flow(1e12, map.host_to_gpu(&machine, 2));
+    let a = net.add_flow(1e12, &map.host_path(&machine, 0));
+    let c = net.add_flow(1e12, &map.host_path(&machine, 2));
     for f in [a, c] {
         let r = net.flow_rate(f).unwrap();
         assert!(
