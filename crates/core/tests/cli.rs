@@ -149,3 +149,20 @@ fn a_small_valid_serve_exits_0() {
     );
     assert!(stdout.contains("completed 20"), "{stdout}");
 }
+
+/// A queue cap of zero sheds every request, and a shed request misses
+/// the SLO: nothing completes, so goodput is zero, not the 100% of an
+/// empty latency sample.
+#[test]
+fn shedding_every_request_reports_zero_goodput() {
+    let out = cli(&["serve", "bert-base", "--requests", "5", "--queue-cap", "0"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("completed 0,"), "{stdout}");
+    assert!(stdout.contains("goodput 0.0%"), "{stdout}");
+}

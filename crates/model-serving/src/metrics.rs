@@ -22,6 +22,9 @@ pub struct ServingReport {
     pub host_pinned_bytes: u64,
     /// Requests shed without service (deadline, pressure, capacity loss).
     pub shed: u64,
+    /// The shed requests that arrived in the measurement window: each
+    /// counts against [`ServingReport::goodput`].
+    pub shed_measured: u64,
     /// Retry attempts performed after lost runs or GPU failures.
     pub retries: u64,
     /// GPU failure events applied during the run.
@@ -118,6 +121,7 @@ impl ServingReport {
             queue_wait: Samples::new(),
             host_pinned_bytes: 0,
             shed: 0,
+            shed_measured: 0,
             retries: 0,
             gpu_failures: 0,
             aborted_runs: 0,
@@ -182,9 +186,17 @@ impl ServingReport {
         self.latencies.p99()
     }
 
-    /// Goodput: fraction of requests within the SLO.
+    /// Goodput: the fraction of the measurement window's requests that
+    /// completed within the SLO. A shed request counts as missing it.
+    /// 1.0 when the window holds no request.
     pub fn goodput(&self) -> f64 {
-        self.latencies.fraction_at_most(self.slo.as_ms_f64())
+        let slo = self.slo.as_ms_f64();
+        let within = self.latencies.raw().iter().filter(|&&ms| ms <= slo).count();
+        let sent = self.latencies.len() as u64 + self.shed_measured;
+        if sent == 0 {
+            return 1.0;
+        }
+        within as f64 / sent as f64
     }
 
     /// 99th-percentile queue wait in ms.
@@ -249,6 +261,18 @@ mod tests {
         assert_eq!(r.goodput(), 0.5);
         assert_eq!(r.cold_rate(), 0.5);
         assert_eq!(r.p99_ms(), 150.0);
+    }
+
+    #[test]
+    fn shed_requests_count_against_goodput() {
+        let mut r = ServingReport::new(SimDur::from_millis(100), SimDur::from_secs(60));
+        r.shed_measured = 1;
+        assert_eq!(r.goodput(), 0.0, "a shed request misses the SLO");
+        r.record(SimTime::from_nanos(1), SimDur::from_millis(10), false);
+        r.record(SimTime::from_nanos(2), SimDur::from_millis(150), true);
+        r.shed_measured = 2;
+        assert_eq!(r.goodput(), 0.25);
+        assert_eq!(r.p99_ms(), 150.0, "p99 stays over completions");
     }
 
     #[test]

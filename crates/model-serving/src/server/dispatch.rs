@@ -34,37 +34,37 @@ pub(super) fn schedule_next_arrival(s: &mut ServerState, ctx: &mut Ctx<ServerSta
 /// cannot take it (no healthy GPU, its host copy reclaimed, or priority
 /// below the degradation floor).
 fn route(s: &mut ServerState, ctx: &mut Ctx<ServerState>, req: Request) {
-    let req_id = s.next_req;
-    s.next_req += 1;
-    if s.unpinned[req.instance] {
-        s.shed(ctx.now(), req_id, req.instance, ShedCause::Pressure);
-        return;
-    }
-    if req.priority < s.cfg.faults.shed_priority_floor && s.degraded() {
-        s.shed(ctx.now(), req_id, req.instance, ShedCause::Priority);
-        return;
-    }
-    let Some(g) = s.home_gpu(req.instance) else {
-        s.shed(ctx.now(), req_id, req.instance, ShedCause::NoCapacity);
-        return;
-    };
-    if !admit(s, ctx, req_id, &req, g) {
-        return;
-    }
-    s.queues[g].push_back(Queued {
-        req: req_id,
+    let q = Queued {
+        req: s.next_req,
         instance: req.instance,
         arrival: ctx.now(),
         attempt: 0,
         priority: req.priority,
         prompt_tokens: req.prompt_tokens,
         output_tokens: req.output_tokens,
-    });
+    };
+    s.next_req += 1;
+    if s.unpinned[q.instance] {
+        s.shed(ctx.now(), &q, ShedCause::Pressure);
+        return;
+    }
+    if q.priority < s.cfg.faults.shed_priority_floor && s.degraded() {
+        s.shed(ctx.now(), &q, ShedCause::Priority);
+        return;
+    }
+    let Some(g) = s.home_gpu(q.instance) else {
+        s.shed(ctx.now(), &q, ShedCause::NoCapacity);
+        return;
+    };
+    if !admit(s, ctx, &q, g) {
+        return;
+    }
+    s.queues[g].push_back(q);
     s.probe.emit(
         ctx.now(),
         ProbeEvent::RequestEnqueued {
-            req: req_id,
-            instance: req.instance,
+            req: q.req,
+            instance: q.instance,
             gpu: g,
         },
     );
@@ -78,17 +78,11 @@ fn route(s: &mut ServerState, ctx: &mut Ctx<ServerState>, req: Request) {
 /// the request may enqueue on GPU `g`; a rejected request is shed here.
 /// All checks are inert under the default
 /// [`crate::config::AdmissionPolicy`] with resilience off.
-fn admit(
-    s: &mut ServerState,
-    ctx: &mut Ctx<ServerState>,
-    req_id: u64,
-    req: &Request,
-    g: usize,
-) -> bool {
+fn admit(s: &mut ServerState, ctx: &mut Ctx<ServerState>, q: &Queued, g: usize) -> bool {
     let depth = s.queues[g].len() + usize::from(s.busy[g]);
     if let Some(cap) = s.cfg.admission.queue_cap {
         if depth >= cap {
-            s.shed(ctx.now(), req_id, req.instance, ShedCause::QueueFull);
+            s.shed(ctx.now(), q, ShedCause::QueueFull);
             return false;
         }
         // Shedding escalation: past half the cap, the minimum admitted
@@ -99,8 +93,8 @@ fn admit(
         if esc > 0 && depth >= cap / 2 && half > 0 {
             let over = (depth - cap / 2) as u64;
             let floor = esc * over / half as u64;
-            if u64::from(req.priority) < floor {
-                s.shed(ctx.now(), req_id, req.instance, ShedCause::QueueFull);
+            if u64::from(q.priority) < floor {
+                s.shed(ctx.now(), q, ShedCause::QueueFull);
                 return false;
             }
         }
@@ -109,7 +103,7 @@ fn admit(
     // already blows `factor × SLO`, or the TTFT budget of the request's
     // tier, serving it late only wastes capacity — reject it now.
     let est_wait = |s: &ServerState| {
-        let kind = s.instances[req.instance].kind;
+        let kind = s.instances[q.instance].kind;
         s.kinds[kind].profile.exec_inmem_total().as_nanos() as f64 * depth as f64
     };
     let budgets = [
@@ -117,11 +111,11 @@ fn admit(
             .admission
             .slo_reject_factor
             .map(|factor| factor * s.cfg.slo.as_nanos() as f64),
-        resilience::ttft_budget(s, req.priority).map(|b| b.as_nanos() as f64),
+        resilience::ttft_budget(s, q.priority).map(|b| b.as_nanos() as f64),
     ];
     for budget in budgets.into_iter().flatten() {
         if est_wait(s) > budget {
-            s.shed(ctx.now(), req_id, req.instance, ShedCause::SloReject);
+            s.shed(ctx.now(), q, ShedCause::SloReject);
             return false;
         }
     }
@@ -167,7 +161,7 @@ pub(super) fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: u
         // its deadline is shed rather than served late.
         if let Some(deadline) = s.cfg.faults.deadline {
             if ctx.now() - q.arrival > deadline {
-                s.shed(ctx.now(), q.req, q.instance, ShedCause::Deadline);
+                s.shed(ctx.now(), &q, ShedCause::Deadline);
                 s.emit_queue_depth(ctx.now(), g);
                 continue;
             }
@@ -375,11 +369,11 @@ pub(super) fn note_retry(s: &mut ServerState, now: SimTime, q: &Queued, g: usize
 /// when the retry budget is spent or no GPU is up.
 pub(super) fn requeue(s: &mut ServerState, ctx: &mut Ctx<ServerState>, q: Queued) {
     if q.attempt > s.cfg.faults.max_retries {
-        s.shed(ctx.now(), q.req, q.instance, ShedCause::RetriesExhausted);
+        s.shed(ctx.now(), &q, ShedCause::RetriesExhausted);
         return;
     }
     let Some(g) = s.home_gpu(q.instance) else {
-        s.shed(ctx.now(), q.req, q.instance, ShedCause::NoCapacity);
+        s.shed(ctx.now(), &q, ShedCause::NoCapacity);
         return;
     };
     note_retry(s, ctx.now(), &q, g);

@@ -367,17 +367,20 @@ impl ServerState {
     }
 
     /// Sheds a request: counted, never served.
-    fn shed(&mut self, at: SimTime, req: u64, instance: usize, cause: ShedCause) {
+    fn shed(&mut self, at: SimTime, q: &Queued, cause: ShedCause) {
         if let Some(r) = &mut self.resilience {
             // A shed session will never resume or restore.
-            r.forget(req);
+            r.forget(q.req);
         }
         self.report.shed += 1;
+        if q.arrival >= self.measure_from {
+            self.report.shed_measured += 1;
+        }
         self.probe.emit(
             at,
             ProbeEvent::RequestShed {
-                req,
-                instance,
+                req: q.req,
+                instance: q.instance,
                 cause,
             },
         );

@@ -424,13 +424,13 @@ pub(super) fn recover_session(
 fn start_restore(s: &mut ServerState, ctx: &mut Ctx<ServerState>, e: DecodeEntry, ckpt: CkptState) {
     let now = ctx.now();
     if e.q.attempt > s.cfg.faults.max_retries {
-        s.shed(now, e.q.req, e.q.instance, ShedCause::RetriesExhausted);
+        s.shed(now, &e.q, ShedCause::RetriesExhausted);
         return;
     }
     // Decode must run where the weights are: follow the instance if it
     // came back resident elsewhere during the backoff.
     let Some(g2) = s.home_gpu(e.q.instance) else {
-        s.shed(now, e.q.req, e.q.instance, ShedCause::NoCapacity);
+        s.shed(now, &e.q, ShedCause::NoCapacity);
         return;
     };
     let mut stream_bytes = ckpt.bytes;
