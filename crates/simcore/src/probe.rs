@@ -36,10 +36,10 @@
 //! sample line in `tests/data/golden_every_event.jsonl`.
 //!
 //! Neither exporter allocates per event: each appends to one output
-//! `String`, writing numbers with a small digit writer, and the reader
-//! borrows keys and values from its input.
+//! `String`, writing numbers with a small digit writer. The reader reads
+//! each line in the exact layout [`to_jsonl`] writes, in one pass, and
+//! hands any other line to a general tokenizer.
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt::{self, Write as _};
@@ -52,7 +52,11 @@ trait JsonlField: Sized {
     /// Appends the value as JSON.
     fn write_json(&self, out: &mut String);
     /// Reads field `key` of a parsed line.
-    fn read_json(f: &Fields<'_>, key: &str) -> Result<Self, String>;
+    fn read_json(f: &Fields, key: &str) -> Result<Self, String>;
+    /// Reads the value at the cursor, giving what the general reader
+    /// gives for it; `None` for a form it does not take, which hands
+    /// the line to the general reader.
+    fn read_next(r: &mut Cursor<'_>) -> Option<Self>;
 }
 
 macro_rules! int_fields {
@@ -62,12 +66,16 @@ macro_rules! int_fields {
                 push_digits(out, *self as u64, 1);
             }
 
-            fn read_json(f: &Fields<'_>, key: &str) -> Result<Self, String> {
+            fn read_json(f: &Fields, key: &str) -> Result<Self, String> {
                 match f.get(key) {
                     Some(&JsonVal::U(v)) => <$t>::try_from(v)
                         .map_err(|_| format!("out-of-range integer field '{key}'")),
                     _ => Err(format!("missing or non-integer field '{key}'")),
                 }
+            }
+
+            fn read_next(r: &mut Cursor<'_>) -> Option<Self> {
+                <$t>::try_from(r.number()?.parse::<u64>().ok()?).ok()
             }
         }
     )*};
@@ -79,10 +87,18 @@ impl JsonlField for bool {
         out.push_str(if *self { "true" } else { "false" });
     }
 
-    fn read_json(f: &Fields<'_>, key: &str) -> Result<Self, String> {
+    fn read_json(f: &Fields, key: &str) -> Result<Self, String> {
         match f.get(key) {
             Some(&JsonVal::B(v)) => Ok(v),
             _ => Err(format!("missing or non-boolean field '{key}'")),
+        }
+    }
+
+    fn read_next(r: &mut Cursor<'_>) -> Option<Self> {
+        if r.eat("true") {
+            Some(true)
+        } else {
+            r.eat("false").then_some(false)
         }
     }
 }
@@ -93,11 +109,19 @@ impl JsonlField for f64 {
         push_f64(out, *self);
     }
 
-    fn read_json(f: &Fields<'_>, key: &str) -> Result<Self, String> {
+    fn read_json(f: &Fields, key: &str) -> Result<Self, String> {
         match f.get(key) {
             Some(&JsonVal::F(v)) => Ok(v),
             Some(&JsonVal::U(v)) => Ok(v as f64),
             _ => Err(format!("missing or non-numeric field '{key}'")),
+        }
+    }
+
+    fn read_next(r: &mut Cursor<'_>) -> Option<Self> {
+        match number_value(r.number()?) {
+            Ok(JsonVal::U(v)) => Some(v as f64),
+            Ok(JsonVal::F(v)) => Some(v),
+            _ => None,
         }
     }
 }
@@ -142,9 +166,13 @@ macro_rules! label_enum {
                 out.push('"');
             }
 
-            fn read_json(f: &Fields<'_>, key: &str) -> Result<Self, String> {
+            fn read_json(f: &Fields, key: &str) -> Result<Self, String> {
                 let s = f.str(key)?;
                 $ty::parse(s).ok_or_else(|| format!(concat!("unknown ", $what, " '{}'"), s))
+            }
+
+            fn read_next(r: &mut Cursor<'_>) -> Option<Self> {
+                $ty::parse(r.plain_string()?)
             }
         }
     };
@@ -218,7 +246,8 @@ label_enum! {
 
 /// Declares [`ProbeEvent`] from one table of rows
 /// `Variant = "jsonl_name" { field: Type, ... }` and generates its name
-/// table, JSONL writer and JSONL reader. Fields are written in row order.
+/// table, JSONL writer and both JSONL readers. Fields are written in row
+/// order.
 macro_rules! probe_events {
     (
         $(#[$meta:meta])*
@@ -265,8 +294,21 @@ macro_rules! probe_events {
                 }
             }
 
+            /// Reads `,"key":value` for every field of the event named
+            /// `name`, in row order: the inverse of `write_fields`. `None`
+            /// when the text differs from that layout or a value is not
+            /// in a form `read_next` takes.
+            fn read_in_order(name: &str, r: &mut Cursor<'_>) -> Option<Self> {
+                Some(match name {
+                    $( $name => ProbeEvent::$variant {
+                        $( $field: r.field(concat!(",\"", stringify!($field), "\":"))?, )*
+                    }, )*
+                    _ => return None,
+                })
+            }
+
             /// Reads the event named by a parsed line's `"ev"` field.
-            fn read_fields(f: &Fields<'_>) -> Result<Self, String> {
+            fn read_fields(f: &Fields) -> Result<Self, String> {
                 Ok(match f.str("ev")? {
                     $( $name => ProbeEvent::$variant {
                         $( $field: JsonlField::read_json(f, stringify!($field))?, )*
@@ -887,7 +929,7 @@ fn push_digits(out: &mut String, mut v: u64, width: usize) {
         }
     }
     let start = i.min(buf.len() - width);
-    out.push_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"));
+    out.extend(buf[start..].iter().map(|&b| char::from(b)));
 }
 
 /// Appends `{:?}` of `v`: Rust's shortest text that reads back exactly.
@@ -1769,27 +1811,110 @@ fn escape(s: &str) -> String {
 // JSONL parser
 // ---------------------------------------------------------------------------
 
+/// A position in JSONL text, read by the in-order reader.
+struct Cursor<'a> {
+    text: &'a str,
+    i: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.i..]
+    }
+
+    /// Steps over `literal` when the text continues with it.
+    fn eat(&mut self, literal: &str) -> bool {
+        let found = self.rest().starts_with(literal.as_bytes());
+        if found {
+            self.i += literal.len();
+        }
+        found
+    }
+
+    /// Steps over `key` (`,"name":`), then reads its value.
+    fn field<T: JsonlField>(&mut self, key: &str) -> Option<T> {
+        if self.eat(key) {
+            T::read_next(self)
+        } else {
+            None
+        }
+    }
+
+    /// The number at the cursor, cut where the general reader cuts it.
+    fn number(&mut self) -> Option<&'a str> {
+        let rest = self.rest();
+        if !rest
+            .first()
+            .is_some_and(|&c| c.is_ascii_digit() || c == b'-')
+        {
+            return None;
+        }
+        let n = rest.iter().take_while(|&&c| is_number_byte(c)).count();
+        let num = &self.text[self.i..self.i + n];
+        self.i += n;
+        Some(num)
+    }
+
+    /// A string without escapes or newlines: the general reader's value
+    /// is its text.
+    fn plain_string(&mut self) -> Option<&'a str> {
+        let rest = self.rest();
+        if rest.first() != Some(&b'"') {
+            return None;
+        }
+        let n = rest[1..]
+            .iter()
+            .position(|&c| matches!(c, b'"' | b'\\' | b'\n'))?;
+        if rest[1 + n] != b'"' {
+            return None;
+        }
+        let start = self.i + 1;
+        self.i = start + n + 1;
+        Some(&self.text[start..start + n])
+    }
+}
+
+/// The bytes a number may hold, for both readers.
+fn is_number_byte(c: u8) -> bool {
+    c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
+}
+
+/// Reads a line laid out exactly as [`to_jsonl`] writes it, from the
+/// start of `text`: `{"at":<u64>,"ev":"<name>"`, then `,"<field>":<value>`
+/// for each field in row order, then `}`. Returns the event and the
+/// bytes read, which never hold a newline. Text after the `}` is
+/// ignored, as the general reader ignores it. Every line it reads, the
+/// general reader reads as the same event; `None` hands any other line
+/// to that reader.
+fn read_in_order(text: &str) -> Option<(Event, usize)> {
+    let r = &mut Cursor { text, i: 0 };
+    let at = SimTime::from_nanos(r.field("{\"at\":")?);
+    if !r.eat(",\"ev\":") {
+        return None;
+    }
+    let what = ProbeEvent::read_in_order(r.plain_string()?, r)?;
+    r.eat("}").then_some((Event { at, what }, r.i))
+}
+
 /// A value in one parsed event line. Event lines are flat objects whose
 /// values are only integers, floats, booleans and short strings.
 #[derive(Debug, Clone, PartialEq)]
-enum JsonVal<'a> {
+enum JsonVal {
     U(u64),
     F(f64),
     B(bool),
-    /// Borrowed from the line unless the string holds an escape.
-    S(Cow<'a, str>),
+    S(String),
 }
 
-/// Key → value pairs of one flat JSON object, in source order. Keys and
-/// string values borrow from the line; [`parse_jsonl`] reuses one
-/// `Fields` for every line.
+/// Key → value pairs of one flat JSON object, in source order: the
+/// general reader's tokens, for lines the in-order reader does not take.
 #[derive(Debug, Default)]
-struct Fields<'a> {
-    pairs: Vec<(Cow<'a, str>, JsonVal<'a>)>,
+struct Fields {
+    pairs: Vec<(String, JsonVal)>,
 }
 
-impl<'a> Fields<'a> {
-    fn get(&self, key: &str) -> Option<&JsonVal<'a>> {
+impl Fields {
+    fn get(&self, key: &str) -> Option<&JsonVal> {
         self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
@@ -1802,7 +1927,7 @@ impl<'a> Fields<'a> {
 
     /// Replaces the pairs with those of the object `line` holds. Text
     /// after the closing `}` is ignored.
-    fn parse(&mut self, line: &'a str) -> Result<(), String> {
+    fn parse(&mut self, line: &str) -> Result<(), String> {
         self.pairs.clear();
         let b = line.as_bytes();
         let mut i = 0usize;
@@ -1834,6 +1959,15 @@ impl<'a> Fields<'a> {
             }
         }
     }
+
+    /// Reads the event `line` holds, through its parsed pairs.
+    fn read_event(&mut self, line: &str) -> Result<Event, String> {
+        self.parse(line)?;
+        Ok(Event {
+            at: SimTime::from_nanos(u64::read_json(self, "at")?),
+            what: ProbeEvent::read_fields(self)?,
+        })
+    }
 }
 
 fn skip_ws(b: &[u8], i: &mut usize) {
@@ -1849,29 +1983,19 @@ fn plain_run(b: &[u8], i: usize) -> Option<usize> {
     b[i..].iter().position(|&c| c == b'"' || c == b'\\')
 }
 
-/// Reads the string starting at the `"` at `s[*i]`. The result borrows
-/// from `s` unless the string holds an escape.
-fn parse_string<'a>(s: &'a str, i: &mut usize) -> Result<Cow<'a, str>, String> {
+/// Reads the string starting at the `"` at `s[*i]`, decoding escapes.
+fn parse_string(s: &str, i: &mut usize) -> Result<String, String> {
     let b = s.as_bytes();
     if *i >= b.len() || b[*i] != b'"' {
         return Err("expected '\"'".to_string());
     }
     *i += 1;
-    let start = *i;
-    let Some(n) = plain_run(b, start) else {
-        return Err("unterminated string".to_string());
-    };
-    *i += n;
-    if b[*i] == b'"' {
-        *i += 1;
-        return Ok(Cow::Borrowed(&s[start..start + n]));
-    }
-    let mut out = String::from(&s[start..*i]);
+    let mut out = String::new();
     while *i < b.len() {
         match b[*i] {
             b'"' => {
                 *i += 1;
-                return Ok(Cow::Owned(out));
+                return Ok(out);
             }
             b'\\' => {
                 *i += 1;
@@ -1904,7 +2028,7 @@ fn parse_string<'a>(s: &'a str, i: &mut usize) -> Result<Cow<'a, str>, String> {
     Err("unterminated string".to_string())
 }
 
-fn parse_value<'a>(s: &'a str, i: &mut usize) -> Result<JsonVal<'a>, String> {
+fn parse_value(s: &str, i: &mut usize) -> Result<JsonVal, String> {
     let b = s.as_bytes();
     match b.get(*i) {
         Some(b'"') => parse_string(s, i).map(JsonVal::S),
@@ -1918,27 +2042,29 @@ fn parse_value<'a>(s: &'a str, i: &mut usize) -> Result<JsonVal<'a>, String> {
         }
         Some(c) if c.is_ascii_digit() || *c == b'-' => {
             let start = *i;
-            while *i < b.len()
-                && (b[*i].is_ascii_digit() || matches!(b[*i], b'-' | b'+' | b'.' | b'e' | b'E'))
-            {
+            while *i < b.len() && is_number_byte(b[*i]) {
                 *i += 1;
             }
             // Every byte of the number is ASCII, so both cuts are
             // character boundaries.
-            let num = &s[start..*i];
-            if let Ok(v) = num.parse::<u64>() {
-                Ok(JsonVal::U(v))
-            } else {
-                // Overflowing literals such as `1e999` parse as infinity,
-                // which no exporter could write back: reject them.
-                num.parse::<f64>()
-                    .ok()
-                    .filter(|v| v.is_finite())
-                    .map(JsonVal::F)
-                    .ok_or_else(|| format!("invalid number '{num}'"))
-            }
+            number_value(&s[start..*i])
         }
         _ => Err("unsupported value".to_string()),
+    }
+}
+
+/// An integer when `num` is one `u64` holds, else a finite float.
+fn number_value(num: &str) -> Result<JsonVal, String> {
+    if let Ok(v) = num.parse::<u64>() {
+        Ok(JsonVal::U(v))
+    } else {
+        // Overflowing literals such as `1e999` parse as infinity, which
+        // no exporter could write back: reject them.
+        num.parse::<f64>()
+            .ok()
+            .filter(|v| v.is_finite())
+            .map(JsonVal::F)
+            .ok_or_else(|| format!("invalid number '{num}'"))
     }
 }
 
@@ -1948,22 +2074,36 @@ fn parse_value<'a>(s: &'a str, i: &mut usize) -> Result<JsonVal<'a>, String> {
 /// an error naming the 1-based line. `parse_jsonl(to_jsonl(&events))`
 /// round-trips every event except float payloads, which round-trip
 /// exactly too because [`to_jsonl`] writes shortest-roundtrip floats.
+///
+/// Each line is read in one pass when it is laid out as [`to_jsonl`]
+/// writes it; any other line (hand-edited, reordered keys, whitespace,
+/// escapes) goes to a general tokenizer, which words every error. On any
+/// line both readers take, they give the same event.
 pub fn parse_jsonl(input: &str) -> Result<Vec<Event>, String> {
     let mut out = Vec::new();
     let mut f = Fields::default();
-    for (lineno, line) in input.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
+    let mut rest = input;
+    for lineno in 1usize.. {
+        if rest.is_empty() {
+            break;
+        }
+        // A line the in-order reader takes needs no cut of its own: the
+        // reader stops at its `}`, short of the newline.
+        if let Some((e, read)) = read_in_order(rest) {
+            out.push(e);
+            rest = rest[read..].split_once('\n').map_or("", |(_, next)| next);
             continue;
         }
-        let ctx = |e: String| format!("line {}: {e}", lineno + 1);
-        f.parse(line).map_err(ctx)?;
-        let at = u64::read_json(&f, "at").map_err(ctx)?;
-        let what = ProbeEvent::read_fields(&f).map_err(ctx)?;
-        out.push(Event {
-            at: SimTime::from_nanos(at),
-            what,
-        });
+        let (line, next) = rest.split_once('\n').unwrap_or((rest, ""));
+        rest = next;
+        // `trim` also drops the `\r` of a CRLF line end.
+        let line = line.trim();
+        if !line.is_empty() {
+            out.push(
+                f.read_event(line)
+                    .map_err(|e| format!("line {lineno}: {e}"))?,
+            );
+        }
     }
     Ok(out)
 }
@@ -1982,180 +2122,55 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
-    /// The owned tokenizer the borrowing one replaced: every key and
-    /// string value is built as a `String`. The borrowing reader must
-    /// return the same events, or the same error text, on any input.
-    mod reference {
-        use std::borrow::Cow;
-
-        use super::super::{Event, Fields, JsonVal, JsonlField, ProbeEvent};
-        use crate::time::SimTime;
-
-        pub fn parse_jsonl(input: &str) -> Result<Vec<Event>, String> {
-            let mut out = Vec::new();
-            for (lineno, line) in input.lines().enumerate() {
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                let ctx = |e: String| format!("line {}: {e}", lineno + 1);
-                let f = parse_object(line).map_err(ctx)?;
-                let at = u64::read_json(&f, "at").map_err(ctx)?;
-                let what = ProbeEvent::read_fields(&f).map_err(ctx)?;
-                out.push(Event {
-                    at: SimTime::from_nanos(at),
-                    what,
-                });
-            }
-            Ok(out)
-        }
-
-        fn parse_object(line: &str) -> Result<Fields<'static>, String> {
-            let b = line.as_bytes();
-            let mut i = 0usize;
-            let skip_ws = |b: &[u8], i: &mut usize| {
-                while *i < b.len() && b[*i].is_ascii_whitespace() {
-                    *i += 1;
-                }
-            };
-            skip_ws(b, &mut i);
-            if i >= b.len() || b[i] != b'{' {
-                return Err("expected '{'".to_string());
-            }
-            i += 1;
-            let mut fields = Fields::default();
-            skip_ws(b, &mut i);
-            if i < b.len() && b[i] == b'}' {
-                return Ok(fields);
-            }
-            loop {
-                skip_ws(b, &mut i);
-                let key = parse_string(b, &mut i)?;
-                skip_ws(b, &mut i);
-                if i >= b.len() || b[i] != b':' {
-                    return Err(format!("expected ':' after key '{key}'"));
-                }
-                i += 1;
-                skip_ws(b, &mut i);
-                let val = parse_value(b, &mut i)?;
-                fields.pairs.push((Cow::Owned(key), val));
-                skip_ws(b, &mut i);
-                match b.get(i) {
-                    Some(b',') => i += 1,
-                    Some(b'}') => break,
-                    _ => return Err("expected ',' or '}'".to_string()),
-                }
-            }
-            Ok(fields)
-        }
-
-        fn parse_string(b: &[u8], i: &mut usize) -> Result<String, String> {
-            if *i >= b.len() || b[*i] != b'"' {
-                return Err("expected '\"'".to_string());
-            }
-            *i += 1;
-            let mut out = String::new();
-            while *i < b.len() {
-                match b[*i] {
-                    b'"' => {
-                        *i += 1;
-                        return Ok(out);
-                    }
-                    b'\\' => {
-                        *i += 1;
-                        match b.get(*i) {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'u') => {
-                                let hex = b
-                                    .get(*i + 1..*i + 5)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .ok_or("truncated \\u escape")?;
-                                let code =
-                                    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                                out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                                *i += 4;
-                            }
-                            _ => return Err("unsupported escape".to_string()),
-                        }
-                        *i += 1;
-                    }
-                    _ => {
-                        // Multi-byte UTF-8 sequences pass through verbatim.
-                        let start = *i;
-                        let mut end = *i + 1;
-                        while end < b.len() && (b[end] & 0xc0) == 0x80 {
-                            end += 1;
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&b[start..end]).map_err(|_| "invalid UTF-8")?,
-                        );
-                        *i = end;
-                    }
-                }
-            }
-            Err("unterminated string".to_string())
-        }
-
-        fn parse_value(b: &[u8], i: &mut usize) -> Result<JsonVal<'static>, String> {
-            match b.get(*i) {
-                Some(b'"') => parse_string(b, i).map(|s| JsonVal::S(Cow::Owned(s))),
-                Some(b't') if b[*i..].starts_with(b"true") => {
-                    *i += 4;
-                    Ok(JsonVal::B(true))
-                }
-                Some(b'f') if b[*i..].starts_with(b"false") => {
-                    *i += 5;
-                    Ok(JsonVal::B(false))
-                }
-                Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                    let start = *i;
-                    while *i < b.len()
-                        && (b[*i].is_ascii_digit()
-                            || matches!(b[*i], b'-' | b'+' | b'.' | b'e' | b'E'))
-                    {
-                        *i += 1;
-                    }
-                    let s = std::str::from_utf8(&b[start..*i]).map_err(|_| "invalid number")?;
-                    if let Ok(v) = s.parse::<u64>() {
-                        Ok(JsonVal::U(v))
-                    } else {
-                        s.parse::<f64>()
-                            .ok()
-                            .filter(|v| v.is_finite())
-                            .map(JsonVal::F)
-                            .ok_or_else(|| format!("invalid number '{s}'"))
-                    }
-                }
-                _ => Err("unsupported value".to_string()),
-            }
-        }
+    /// `parse_jsonl` with every line read by the general reader alone.
+    fn parse_general(input: &str) -> Result<Vec<Event>, String> {
+        let mut f = Fields::default();
+        input
+            .lines()
+            .enumerate()
+            .filter(|(_, line)| !line.trim().is_empty())
+            .map(|(lineno, line)| {
+                f.read_event(line.trim())
+                    .map_err(|e| format!("line {}: {e}", lineno + 1))
+            })
+            .collect()
     }
 
+    /// Every line `to_jsonl` writes for the golden logs: one per event
+    /// variant and the four serving runs.
     #[test]
-    fn borrowing_reader_matches_the_reference_on_every_event() {
-        let events = parse_jsonl(EVERY_EVENT).expect("golden lines parse");
-        assert_eq!(events.len(), ProbeEvent::NAMES.len());
-        assert_eq!(Ok(events), reference::parse_jsonl(EVERY_EVENT));
+    fn in_order_reader_reads_every_written_line_as_the_general_reader() {
+        let goldens = [
+            EVERY_EVENT,
+            include_str!("../../../tests/data/golden_trace.jsonl"),
+            include_str!("../../../tests/data/golden_faulted.jsonl"),
+            include_str!("../../../tests/data/golden_detection.jsonl"),
+            include_str!("../../../tests/data/golden_decode.jsonl"),
+        ];
+        let mut f = Fields::default();
+        for golden in goldens {
+            let events = parse_general(golden).expect("golden lines parse");
+            for line in to_jsonl(&events).lines() {
+                let general = f.read_event(line).expect("written lines parse");
+                assert_eq!(read_in_order(line), Some((general, line.len())), "{line}");
+            }
+        }
     }
 
     proptest! {
         #[test]
-        fn borrowing_reader_matches_the_reference_on_mutated_lines(
+        fn parse_jsonl_matches_the_general_reader_on_mutated_lines(
             mutations in prop::collection::vec(arb_mutation(), 1..5)
         ) {
             let mut corpus = Vec::new();
             for golden in EVERY_EVENT.lines() {
                 let line = mutations.iter().fold(golden.to_string(), |l, m| mutate(&l, m));
-                prop_assert_eq!(parse_jsonl(&line), reference::parse_jsonl(&line), "{}", line);
+                prop_assert_eq!(parse_jsonl(&line), parse_general(&line), "{}", line);
                 corpus.push(line);
             }
             // Across lines too: the first bad line is the one named.
             let corpus = corpus.join("\n");
-            prop_assert_eq!(parse_jsonl(&corpus), reference::parse_jsonl(&corpus));
+            prop_assert_eq!(parse_jsonl(&corpus), parse_general(&corpus));
         }
     }
 

@@ -1,13 +1,15 @@
 //! Mutations of JSONL event lines for the reader's property tests: the
 //! no-panic test in `prop_probe.rs` and, through a `#[path]` module, the
-//! differential test of the borrowing tokenizer in `src/probe.rs`.
+//! differential test in `src/probe.rs` of `parse_jsonl` against its
+//! general reader alone.
 
 use proptest::prelude::*;
 
 /// One sample line per event variant.
 pub const EVERY_EVENT: &str = include_str!("../../../../tests/data/golden_every_event.jsonl");
 
-/// Values that stress the reader's integer and float handling.
+/// Values that stress the reader's integer and float handling, including
+/// the edges of the in-order reader's number forms.
 const NASTY_VALUES: &[&str] = &[
     "4294967296",
     "18446744073709551615",
@@ -21,6 +23,14 @@ const NASTY_VALUES: &[&str] = &[
     "-4294967296",
     "0.5",
     "1e3",
+    "999999999999999.0",
+    "1000000000000000.0",
+    "9007199254740993.0",
+    "00.0",
+    "-0.0",
+    "1.50",
+    "1e0",
+    "1234567890123456789",
     "\"\"",
     "true",
     "null",

@@ -11,8 +11,10 @@
 //!
 //! Before its hash is compared, every case checks the run's books: each
 //! sent request completed or was shed, no KV page outlived the run, and
-//! every allocated page was freed from the device or the host pool. A
-//! failure names the case.
+//! every allocated page was freed from the device or the host pool. It
+//! also checks that `parse_jsonl` reads the run's JSONL back as its event
+//! log, and that the same case run with the probe off executes the same
+//! number of simulation events. A failure names the case.
 
 use dnn_models::zoo::{build, catalog, ModelId};
 use exec_planner::generate::PlanMode;
@@ -26,7 +28,7 @@ use model_serving::{
 use rand::rngs::StdRng;
 use rand::RngExt;
 use simcore::fault::FaultSpec;
-use simcore::probe::{to_jsonl, Probe};
+use simcore::probe::{parse_jsonl, to_jsonl, Probe};
 use simcore::rng::{derive_seed, seeded};
 use simcore::time::{SimDur, SimTime};
 
@@ -65,6 +67,7 @@ const FAULT_KINDS: [&str; 16] = [
 ];
 
 /// One drawn scenario.
+#[derive(Clone)]
 struct Case {
     label: String,
     cfg: ServerConfig,
@@ -295,9 +298,8 @@ fn draw(i: u64) -> Case {
     }
 }
 
-/// Runs `case` with a logging probe; returns the report and the hash of
-/// its JSONL event log.
-fn run(case: Case) -> (ServingReport, u64) {
+/// Runs `case` with `probe` attached.
+fn run(case: Case, probe: Probe) -> ServingReport {
     let mut trace = poisson::generate(
         case.rate,
         case.instance_kinds.len(),
@@ -318,8 +320,7 @@ fn run(case: Case) -> (ServingReport, u64) {
         r.priority = p;
     }
     let faults = FaultSpec::parse(&case.faults, case.seed).expect("drawn faults parse");
-    let (probe, log) = Probe::logging();
-    let report = run_server_faulted(
+    run_server_faulted(
         case.cfg,
         case.kinds,
         &case.instance_kinds,
@@ -327,9 +328,7 @@ fn run(case: Case) -> (ServingReport, u64) {
         SimTime::ZERO,
         probe,
         &faults,
-    );
-    let hash = fnv1a64(to_jsonl(&log.borrow().events).as_bytes());
-    (report, hash)
+    )
 }
 
 /// The books every run must balance, whatever its configuration.
@@ -360,10 +359,25 @@ fn drawn_scenarios_balance_their_books_and_keep_their_recorded_hashes() {
         let case = draw(i);
         let label = case.label.clone();
         let sent = case.requests;
-        let (report, hash) = run(case);
+        let bare = run(case.clone(), Probe::disabled());
+        let (probe, log) = Probe::logging();
+        let report = run(case, probe);
+        let events = &log.borrow().events;
+        let jsonl = to_jsonl(events);
+        let mut fail = |e: String| broken.push(format!("  case {i:02} ({label}): {e}"));
         if let Err(e) = check(&report, sent) {
-            broken.push(format!("  case {i:02} ({label}): {e}"));
+            fail(e);
         }
+        if parse_jsonl(&jsonl).as_ref() != Ok(events) {
+            fail("parse_jsonl(to_jsonl(log)) is not the log".into());
+        }
+        if bare.sim_events != report.sim_events {
+            fail(format!(
+                "probe-off run executed {} events, probe-on run {}",
+                bare.sim_events, report.sim_events
+            ));
+        }
+        let hash = fnv1a64(jsonl.as_bytes());
         rows.push(format!("case {i:02} | {hash:#018x} | {label}"));
     }
     assert!(
