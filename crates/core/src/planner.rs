@@ -10,6 +10,9 @@ use layer_profiler::profiler::Profiler;
 use crate::bundle::PlanBundle;
 use std::sync::Arc;
 
+/// Maximum GPUs per parallel transmission (paper: 2 on p3.8xlarge).
+const MAX_PT_GPUS: usize = 2;
+
 /// Automatic inference-execution planner for a target machine.
 ///
 /// Owns the one-time pipeline of Figure 10: profile the model's layers on
@@ -19,7 +22,6 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct DeepPlan {
     machine: Machine,
-    max_pt_gpus: usize,
     profiler_iterations: u32,
     exact_profile: bool,
 }
@@ -30,16 +32,9 @@ impl DeepPlan {
     pub fn new(machine: Machine) -> Self {
         DeepPlan {
             machine,
-            max_pt_gpus: 2,
             profiler_iterations: 10,
             exact_profile: false,
         }
-    }
-
-    /// Caps the number of GPUs per parallel transmission.
-    pub fn with_max_pt_gpus(mut self, n: usize) -> Self {
-        self.max_pt_gpus = n.max(1);
-        self
     }
 
     /// Sets the profiling iteration count.
@@ -119,7 +114,7 @@ impl DeepPlan {
             Profiler::new(gpu.clone()).with_iterations(self.profiler_iterations)
         };
         let (profile, profiling_cost) = profiler.profile(model, batch);
-        let plan = generate(&profile, &self.machine, mode, self.max_pt_gpus);
+        let plan = generate(&profile, &self.machine, mode, MAX_PT_GPUS);
         let runtime = ModelRuntime::new(model, &gpu, batch);
         PlanBundle {
             machine: self.machine.clone(),

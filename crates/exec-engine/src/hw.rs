@@ -97,6 +97,13 @@ impl<S: HasHw> HwState<S> {
     }
 }
 
+/// Multiple of a hedged block's expected wire time to wait before
+/// racing a duplicate.
+const HEDGE_FACTOR: f64 = 4.0;
+
+/// Minimum hedge timeout: keeps tiny blocks from hedging on noise.
+const HEDGE_FLOOR: SimDur = SimDur::from_millis(10);
+
 /// Streams `bytes` from pinned host memory to `gpu` over its host path
 /// (switch uplink, then PCIe lane) as one flow: weight blocks, DHA reads,
 /// KV recalls and streams, detector canaries.
@@ -104,8 +111,9 @@ impl<S: HasHw> HwState<S> {
 /// The flow counts in the per-link host-flow table for its lifetime, and
 /// `on_done` receives its share count at issue: the most such flows on
 /// any one of its links, itself included. Under `hedge`, a flow that
-/// overruns `factor` times its contention-scaled wire time (at least
-/// `floor`) is raced by a duplicate. Launch overheads are the caller's.
+/// overruns `HEDGE_FACTOR` (4) times its contention-scaled wire time (at
+/// least `HEDGE_FLOOR`, 10 ms) is raced by a duplicate. Launch overheads
+/// are the caller's.
 ///
 /// Must be called from inside an event handler.
 pub fn start_host_flow<S: HasHw>(
@@ -135,7 +143,7 @@ pub fn start_host_flow<S: HasHw>(
             // The timeout scales with the host flows sharing the path at
             // issue so healthy contention does not trip the watchdog.
             let expected = bytes * f64::from(n_shared) / h.rate_bps;
-            let timeout = SimDur::from_secs_f64(expected * h.factor).max(h.floor);
+            let timeout = SimDur::from_secs_f64(expected * HEDGE_FACTOR).max(HEDGE_FLOOR);
             start_flow_hedged(state, ctx, bytes, &path, timeout, done);
         }
         _ => {

@@ -110,15 +110,12 @@ pub struct LaunchSpec {
 
 /// Hedged-transfer policy for a run's weight loads (set by a serving
 /// host when a failure detector suspects a link on the run's path).
+/// [`crate::hw::start_host_flow`] sets each block's hedge timeout.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgeSpec {
     /// Believed healthy transfer rate over the run's host path (B/s);
     /// the hedge timeout for a block is derived from it.
     pub rate_bps: f64,
-    /// Multiple of the expected wire time to wait before hedging.
-    pub factor: f64,
-    /// Minimum hedge timeout (keeps tiny blocks from hedging on noise).
-    pub floor: SimDur,
 }
 
 /// Scales a duration by `k`, preserving `k == 1.0` as the exact

@@ -43,14 +43,6 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Returns the plan with transmission blocks of up to `bytes`.
-    pub fn with_block_bytes(mut self, bytes: u64) -> Self {
-        self.block_bytes = Some(bytes);
-        self
-    }
-}
-
-impl ExecutionPlan {
     /// Number of GPUs the plan wants for transmission (≥ 1).
     pub fn gpu_slots(&self) -> usize {
         self.partitions.len().max(1)

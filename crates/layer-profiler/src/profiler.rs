@@ -57,18 +57,6 @@ impl Profiler {
         self
     }
 
-    /// Overrides the measurement-jitter sigma.
-    pub fn with_jitter(mut self, sigma: f64) -> Self {
-        self.jitter_sigma = sigma;
-        self
-    }
-
-    /// Overrides the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// The underlying cost model.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost

@@ -26,8 +26,8 @@
 //! Hysteresis is built in at both ends: a baseline must see
 //! `min_samples` observations before it may raise suspicion, a single
 //! over-threshold ratio only records a *strike* (the target stays
-//! healthy until `strikes` land consecutively), and a quarantined
-//! target must earn `canaries` clean probe transfers to come back.
+//! healthy until `STRIKES` (2) land consecutively), and a quarantined
+//! target must earn `CANARIES` (3) clean probe transfers to come back.
 //! Baselines only learn from non-suspicious observations while healthy,
 //! so a fault cannot teach the detector that slow is normal.
 
@@ -36,6 +36,18 @@ use simcore::metrics::Welford;
 use simcore::probe::DetectState;
 
 use crate::config::DetectionPolicy;
+
+/// Suspicion score (phi-accrual style, ≈ -log10 of the probability that
+/// the observation is healthy noise) at which a strike is recorded
+/// against a link or GPU.
+const SUSPECT_THRESHOLD: f64 = 8.0;
+
+/// Consecutive over-threshold strikes required to quarantine, so one
+/// slow transfer (queueing noise, contention burst) never trips it.
+const STRIKES: u32 = 2;
+
+/// Clean canary transfers required to reinstate a probing link.
+const CANARIES: u32 = 3;
 
 /// Running baseline of healthy observation ratios, built on the shared
 /// [`simcore::metrics::Welford`] accumulator.
@@ -151,7 +163,7 @@ pub enum Transition {
     GpuQuarantined(usize),
     /// A quarantined GPU is optimistically reinstated after probation
     /// (compute has no cheap canary; a still-slow GPU re-quarantines
-    /// after `strikes` more bad observations).
+    /// after `STRIKES` more bad observations).
     GpuReinstated(usize),
 }
 
@@ -234,9 +246,9 @@ impl Detector {
     /// Feeds one transfer observation ratio (observed wire time over
     /// model-expected wire time) for a link on the transfer's path.
     pub fn observe_link(&mut self, l: LinkId, ratio: f64) -> Option<Transition> {
-        let policy = self.policy.clone();
+        let min_samples = self.policy.min_samples;
         let t = self.links.get_mut(l.0)?;
-        observe(t, &policy, ratio).then(|| {
+        observe(t, min_samples, ratio).then(|| {
             t.set_inferred(ratio);
             quarantine(t);
             Transition::LinkQuarantined(l)
@@ -246,9 +258,9 @@ impl Detector {
     /// Feeds one execution observation ratio (observed exec-busy time
     /// over cost-model expectation) for a GPU.
     pub fn observe_gpu(&mut self, g: usize, ratio: f64) -> Option<Transition> {
-        let policy = self.policy.clone();
+        let min_samples = self.policy.min_samples;
         let t = self.gpus.get_mut(g)?;
-        observe(t, &policy, ratio).then(|| {
+        observe(t, min_samples, ratio).then(|| {
             t.set_inferred(ratio);
             quarantine(t);
             Transition::GpuQuarantined(g)
@@ -260,20 +272,19 @@ impl Detector {
     /// reinstatement; a dirty one sends the link straight back to
     /// quarantine.
     pub fn observe_canary(&mut self, l: LinkId, ratio: f64) -> Option<Transition> {
-        let policy = self.policy.clone();
         let t = self.links.get_mut(l.0)?;
         if t.state != DetectState::Probation {
             return None;
         }
         let score = t.base.suspicion(ratio);
         t.last_score_milli = (score * 1000.0) as u64;
-        if score >= policy.suspect_threshold / 2.0 {
+        if score >= SUSPECT_THRESHOLD / 2.0 {
             t.set_inferred(ratio);
             quarantine(t);
             return Some(Transition::LinkQuarantined(l));
         }
         t.clean += 1;
-        if t.clean >= policy.canaries {
+        if t.clean >= CANARIES {
             reinstate(t);
             return Some(Transition::LinkReinstated(l));
         }
@@ -308,23 +319,23 @@ impl Detector {
 /// Shared healthy-path scoring: learns the baseline from non-suspicious
 /// ratios and returns whether this observation completes a quarantine
 /// (the caller fills in the target-specific transition).
-fn observe(t: &mut Track, policy: &DetectionPolicy, ratio: f64) -> bool {
+fn observe(t: &mut Track, min_samples: u32, ratio: f64) -> bool {
     if t.state != DetectState::Healthy || !ratio.is_finite() || ratio <= 0.0 {
         return false;
     }
-    let score = if t.base.n() >= policy.min_samples {
+    let score = if t.base.n() >= min_samples {
         t.base.suspicion(ratio)
     } else {
         0.0
     };
     t.last_score_milli = (score * 1000.0) as u64;
-    if score < policy.suspect_threshold {
+    if score < SUSPECT_THRESHOLD {
         t.strikes = 0;
         t.base.push(ratio);
         return false;
     }
     t.strikes += 1;
-    t.strikes >= policy.strikes
+    t.strikes >= STRIKES
 }
 
 fn quarantine(t: &mut Track) {

@@ -3,12 +3,22 @@
 use simcore::stats::{Samples, TimeSeries};
 use simcore::time::{SimDur, SimTime};
 
+/// The serving SLO (paper §5.3: 100 ms): goodput counts completions
+/// within it, admission's early rejection scales it, and
+/// [`metrics_spec`]'s burn monitor alerts on it.
+pub(crate) const SLO: SimDur = SimDur::from_millis(100);
+
+/// Width of [`ServingReport::over_time`]'s buckets (Figure 15 reports
+/// one-minute buckets).
+const BUCKET: SimDur = SimDur::from_secs(60);
+
 /// Aggregate report of one serving experiment.
 #[derive(Debug, Clone)]
 pub struct ServingReport {
     /// End-to-end latencies (ms), measurement window only.
     pub latencies: Samples,
-    /// Latencies bucketed over time (ms), for Figure 15-style series.
+    /// Latencies bucketed over time (ms) in one-minute buckets, for
+    /// Figure 15-style series.
     pub over_time: TimeSeries,
     /// Completed requests in the measurement window.
     pub completed: u64,
@@ -105,16 +115,20 @@ pub struct ServingReport {
     /// Discrete events the simulation kernel executed for this run
     /// (perf-trajectory metric; independent of any policy).
     pub sim_events: u64,
-    /// SLO used for goodput.
-    pub slo: SimDur,
+}
+
+impl Default for ServingReport {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ServingReport {
     /// Creates an empty report.
-    pub fn new(slo: SimDur, bucket: SimDur) -> Self {
+    pub fn new() -> Self {
         ServingReport {
             latencies: Samples::new(),
-            over_time: TimeSeries::new(bucket),
+            over_time: TimeSeries::new(BUCKET),
             completed: 0,
             cold_starts: 0,
             evictions: 0,
@@ -156,7 +170,6 @@ impl ServingReport {
             recovery_restore_ttft: Samples::new(),
             recovery_reprefill_ttft: Samples::new(),
             sim_events: 0,
-            slo,
         }
     }
 
@@ -187,10 +200,10 @@ impl ServingReport {
     }
 
     /// Goodput: the fraction of the measurement window's requests that
-    /// completed within the SLO. A shed request counts as missing it.
+    /// completed within the 100 ms SLO. A shed request counts as missing it.
     /// 1.0 when the window holds no request.
     pub fn goodput(&self) -> f64 {
-        let slo = self.slo.as_ms_f64();
+        let slo = SLO.as_ms_f64();
         let within = self.latencies.raw().iter().filter(|&&ms| ms <= slo).count();
         let sent = self.latencies.len() as u64 + self.shed_measured;
         if sent == 0 {
@@ -215,7 +228,7 @@ impl ServingReport {
 
 /// Builds a [`simcore::metrics::MetricsSpec`] describing one serving
 /// deployment: model-kind labels come from the deployed profiles, the
-/// SLO threshold from the server config, and gauge tracks span the
+/// SLO threshold is the serving SLO (100 ms), and gauge tracks span the
 /// machine's GPUs. Hand the result to
 /// [`simcore::metrics::MetricsSink::probe`] and run the server with the
 /// returned probe to collect streaming metrics and SLO burn alerts.
@@ -229,7 +242,7 @@ pub fn metrics_spec(
         instance_kinds.to_vec(),
         cfg.machine.gpu_count(),
     );
-    spec.slo.slo_ns = cfg.slo.as_nanos();
+    spec.slo.slo_ns = SLO.as_nanos();
     // With SLO tiers active, the burn monitor watches the tightest
     // tier's TTFT budget — a burn alert on the premium class is the one
     // an operator must see first.
@@ -253,7 +266,7 @@ mod tests {
 
     #[test]
     fn recording_and_rates() {
-        let mut r = ServingReport::new(SimDur::from_millis(100), SimDur::from_secs(60));
+        let mut r = ServingReport::new();
         r.record(SimTime::from_nanos(1), SimDur::from_millis(10), false);
         r.record(SimTime::from_nanos(2), SimDur::from_millis(150), true);
         assert_eq!(r.completed, 2);
@@ -265,7 +278,7 @@ mod tests {
 
     #[test]
     fn shed_requests_count_against_goodput() {
-        let mut r = ServingReport::new(SimDur::from_millis(100), SimDur::from_secs(60));
+        let mut r = ServingReport::new();
         r.shed_measured = 1;
         assert_eq!(r.goodput(), 0.0, "a shed request misses the SLO");
         r.record(SimTime::from_nanos(1), SimDur::from_millis(10), false);
@@ -277,7 +290,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_safe() {
-        let r = ServingReport::new(SimDur::from_millis(100), SimDur::from_secs(60));
+        let r = ServingReport::new();
         assert_eq!(r.goodput(), 1.0);
         assert_eq!(r.cold_rate(), 0.0);
         assert_eq!(r.p99_ms(), 0.0);

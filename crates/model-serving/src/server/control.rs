@@ -15,13 +15,25 @@ use simcore::fault::{FaultKind, LinkRef};
 use simcore::flow::LinkId;
 use simcore::probe::{DetectState, ProbeEvent, SilentFaultKind};
 use simcore::sim::Ctx;
-use simcore::time::SimTime;
+use simcore::time::{SimDur, SimTime};
 
 use super::dispatch::{requeue, retry_after_crash, try_dispatch};
 use super::{decode, Queued, ServerState};
 use crate::detect::{Detector, Transition};
 use crate::instance::Residency;
 use crate::memory::make_room_with;
+
+/// Re-plan hysteresis: a health transition arms a re-plan that only
+/// fires if no further transition lands within this window, so a
+/// flapping link produces one re-plan, not one per flap edge.
+const SETTLE: SimDur = SimDur::from_millis(100);
+
+/// Time a quarantined target waits before entering probation and
+/// receiving canary traffic.
+const PROBATION: SimDur = SimDur::from_millis(200);
+
+/// Size of each canary transfer over a probing link.
+const CANARY_BYTES: u64 = 32 << 20;
 
 /// Recovery state; exists only when the recovery policy is on.
 #[derive(Default)]
@@ -372,7 +384,7 @@ fn quarantined(
     s.report.quarantines += 1;
     if s.serving_active() {
         ctx.schedule_in(
-            s.cfg.detection.probation,
+            PROBATION,
             Box::new(move |s: &mut ServerState, ctx| {
                 if let Some(t) = s.detector.as_mut().and_then(probation) {
                     handle_transition(s, ctx, t);
@@ -397,9 +409,9 @@ fn send_canary(s: &mut ServerState, ctx: &mut Ctx<ServerState>, l: LinkId) {
         // never reach probation; nothing to probe.
         return;
     };
-    let bytes = s.cfg.detection.canary_bytes as f64;
+    let bytes = CANARY_BYTES as f64;
     let believed = s.believed_path_rate(g0);
-    if believed <= 0.0 || !believed.is_finite() || bytes <= 0.0 {
+    if believed <= 0.0 || !believed.is_finite() {
         return;
     }
     s.report.canaries += 1;
@@ -407,7 +419,7 @@ fn send_canary(s: &mut ServerState, ctx: &mut Ctx<ServerState>, l: LinkId) {
         ctx.now(),
         ProbeEvent::CanarySent {
             link: l.0,
-            bytes: s.cfg.detection.canary_bytes,
+            bytes: CANARY_BYTES,
         },
     );
     let sent = ctx.now();
@@ -442,7 +454,7 @@ fn note_topology_change(s: &mut ServerState, ctx: &mut Ctx<ServerState>) {
     rec.epoch += 1;
     let epoch = rec.epoch;
     ctx.schedule_in(
-        s.cfg.recovery.settle,
+        SETTLE,
         Box::new(move |s: &mut ServerState, ctx| {
             if s.recovery.as_ref().is_some_and(|r| r.epoch == epoch) {
                 replan(s, ctx);
@@ -459,9 +471,8 @@ fn note_topology_change(s: &mut ServerState, ctx: &mut Ctx<ServerState>) {
 ///   the stall analysis re-balances Load vs DHA for the slower wires;
 /// * a fully healthy signature rolls every kind back to its original
 ///   plan (the same `Arc` it booted with);
-/// * with `recovery.migrate`, already-resident instances whose new plan
-///   needs more GPU bytes are grown in place over the host link while
-///   they keep serving.
+/// * already-resident instances whose new plan needs more GPU bytes are
+///   grown in place over the host link while they keep serving.
 ///
 /// Inferred health folds into the same planner inputs as announced
 /// health: a quarantined GPU plans as down, a quarantined or probing
@@ -527,9 +538,7 @@ fn replan(s: &mut ServerState, ctx: &mut Ctx<ServerState>) {
         );
         s.active_plans[k] = new_plan;
         s.sizes[k] = new_bytes;
-        if s.cfg.recovery.migrate {
-            migrate_kind(s, ctx, k, new_bytes);
-        }
+        migrate_kind(s, ctx, k, new_bytes);
     }
 }
 

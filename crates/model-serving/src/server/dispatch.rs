@@ -7,13 +7,14 @@ use exec_engine::launch::{start_inference, DoneFn, HedgeSpec, LaunchSpec};
 use gpu_topology::select::pt_group;
 use simcore::probe::{ProbeEvent, ShedCause};
 use simcore::sim::Ctx;
-use simcore::time::{SimDur, SimTime};
+use simcore::time::SimTime;
 
 use super::control::note_observation;
 use super::decode::{self, DecodeEntry};
-use super::{resilience, Queued, RunningReq, ServerState};
+use super::{resilience, Queued, RunningReq, ServerState, MAX_RETRIES};
 use crate::instance::Residency;
 use crate::memory::make_room_with;
+use crate::metrics::SLO;
 use crate::workload::Request;
 
 /// Pulls the next trace arrival and schedules its routing event.
@@ -110,7 +111,7 @@ fn admit(s: &mut ServerState, ctx: &mut Ctx<ServerState>, q: &Queued, g: usize) 
         s.cfg
             .admission
             .slo_reject_factor
-            .map(|factor| factor * s.cfg.slo.as_nanos() as f64),
+            .map(|factor| factor * SLO.as_nanos() as f64),
         resilience::ttft_budget(s, q.priority).map(|b| b.as_nanos() as f64),
     ];
     for budget in budgets.into_iter().flatten() {
@@ -239,8 +240,6 @@ pub(super) fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: u
         .filter(|d| d.policy().hedge)
         .map(|_| HedgeSpec {
             rate_bps: s.believed_path_rate(g),
-            factor: 4.0,
-            floor: SimDur::from_millis(10),
         });
     let spec = |secondaries| LaunchSpec {
         rt: rt.clone(),
@@ -368,7 +367,7 @@ pub(super) fn note_retry(s: &mut ServerState, now: SimTime, q: &Queued, g: usize
 /// Re-queues a request on a healthy GPU, counting it as a retry. Sheds
 /// when the retry budget is spent or no GPU is up.
 pub(super) fn requeue(s: &mut ServerState, ctx: &mut Ctx<ServerState>, q: Queued) {
-    if q.attempt > s.cfg.faults.max_retries {
+    if q.attempt > MAX_RETRIES {
         s.shed(ctx.now(), &q, ShedCause::RetriesExhausted);
         return;
     }

@@ -48,6 +48,14 @@ use control::Recovery;
 use decode::DecodeState;
 use resilience::ResilienceState;
 
+/// Retry budget after a run is lost to a GPU failure; exhausting it
+/// sheds the request.
+const MAX_RETRIES: u32 = 3;
+
+/// Base crash-retry backoff: attempt `n` waits `n × RETRY_BACKOFF`
+/// before re-queueing on a healthy GPU.
+const RETRY_BACKOFF: SimDur = SimDur::from_millis(2);
+
 /// A request waiting in a GPU queue or for its retry.
 #[derive(Clone, Copy)]
 struct Queued {
@@ -164,7 +172,7 @@ impl ServerState {
             busy: vec![false; n_gpus],
             queues: (0..n_gpus).map(|_| VecDeque::new()).collect(),
             pending: trace.into(),
-            report: ServingReport::new(cfg.slo, cfg.bucket),
+            report: ServingReport::new(),
             measure_from,
             probe: Probe::disabled(),
             next_req: 0,
@@ -360,10 +368,10 @@ impl ServerState {
                 .is_some_and(|r| !r.swapped.is_empty())
     }
 
-    /// Crash-retry wait before attempt `attempt`: `attempt` times the
-    /// base retry backoff.
+    /// Crash-retry wait before attempt `attempt`: `attempt` times
+    /// [`RETRY_BACKOFF`].
     fn crash_backoff(&self, attempt: u32) -> SimDur {
-        SimDur::from_nanos(self.cfg.faults.retry_backoff.as_nanos() * u64::from(attempt))
+        SimDur::from_nanos(RETRY_BACKOFF.as_nanos() * u64::from(attempt))
     }
 
     /// Sheds a request: counted, never served.

@@ -13,9 +13,19 @@ use simcore::time::{SimDur, SimTime};
 
 use super::decode::{self, DecodeEntry, DecodeState, Kv};
 use super::dispatch::{note_retry, place_cold, requeue, retry_after_crash};
-use super::{Queued, ServerState};
+use super::{Queued, ServerState, MAX_RETRIES};
 use crate::instance::Residency;
 use crate::kvcache::PageHome;
+
+/// Burst cap of the checkpoint bandwidth token bucket, in bytes.
+const CHECKPOINT_BURST: u64 = 8 << 20;
+
+/// Device KV-pool occupancy fraction at which swap-out triggers.
+const SWAP_OUT_ABOVE: f64 = 0.9;
+
+/// Occupancy fraction below which frozen sessions resume, well under
+/// [`SWAP_OUT_ABOVE`] so the pool does not thrash sessions in and out.
+const RESUME_BELOW: f64 = 0.5;
 
 /// Host-side checkpoint record of one decode session: the token step the
 /// pinned-host mirror covers and the page-rounded bytes mirrored.
@@ -130,7 +140,7 @@ pub(super) fn truncate_overdue(s: &mut ServerState, now: SimTime, g: usize) {
 /// full batch (priority inversion) — batch-spilling its device pages to
 /// the pinned-host pool and parking the entry off-batch with its exact
 /// token step. Resume is the reverse, FIFO, once pressure clears
-/// (hysteresis: `resume_below < swap_out_above`) or the batch goes idle;
+/// (hysteresis: [`RESUME_BELOW`] < [`SWAP_OUT_ABOVE`]) or the batch goes idle;
 /// the session's pages flow back through the ordinary recall/DHA
 /// placement of its next step.
 pub(super) fn maybe_swap(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
@@ -138,8 +148,7 @@ pub(super) fn maybe_swap(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usi
     else {
         return;
     };
-    let policy = &s.cfg.decode_resilience;
-    if !policy.swap {
+    if !s.cfg.decode_resilience.swap {
         return;
     }
     let now = ctx.now();
@@ -152,7 +161,7 @@ pub(super) fn maybe_swap(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usi
         && s.queues[g]
             .front()
             .is_some_and(|q| entries.iter().any(|e| e.q.priority < q.priority));
-    if (occupancy >= policy.swap_out_above || inversion) && entries.len() > 1 {
+    if (occupancy >= SWAP_OUT_ABOVE || inversion) && entries.len() > 1 {
         // Victim: lowest priority; ties break to the youngest session
         // (largest request id) — it has the least KV to move.
         let vi = (0..entries.len())
@@ -186,7 +195,7 @@ pub(super) fn maybe_swap(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usi
         res.swapped.push_back(e);
         return;
     }
-    let calm = occupancy < policy.resume_below || entries.is_empty();
+    let calm = occupancy < RESUME_BELOW || entries.is_empty();
     if entries.len() >= max_batch || !calm {
         return;
     }
@@ -224,7 +233,7 @@ pub(super) fn maybe_checkpoint(s: &mut ServerState, ctx: &mut Ctx<ServerState>, 
         return;
     }
     let every = policy.checkpoint_every.max(1);
-    let burst = policy.checkpoint_burst as f64;
+    let burst = CHECKPOINT_BURST as f64;
     let now = ctx.now();
     // Lazy token-bucket refill from sim time — deterministic, no timers.
     let dt = (now - res.ckpt_refilled).as_secs_f64();
@@ -423,7 +432,7 @@ pub(super) fn recover_session(
 /// host→device stream.
 fn start_restore(s: &mut ServerState, ctx: &mut Ctx<ServerState>, e: DecodeEntry, ckpt: CkptState) {
     let now = ctx.now();
-    if e.q.attempt > s.cfg.faults.max_retries {
+    if e.q.attempt > MAX_RETRIES {
         s.shed(now, &e.q, ShedCause::RetriesExhausted);
         return;
     }

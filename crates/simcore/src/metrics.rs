@@ -535,6 +535,10 @@ impl SloMonitor {
 // MetricsSink: the probe-fed streaming engine
 // ---------------------------------------------------------------------------
 
+/// Snapshot and window-rotation cadence of a [`MetricsSink`], in
+/// milliseconds of sim time.
+const RESOLUTION_MS: u64 = 1_000;
+
 /// Static description of a serving run the metrics engine labels by.
 #[derive(Debug, Clone)]
 pub struct MetricsSpec {
@@ -546,19 +550,16 @@ pub struct MetricsSpec {
     pub gpus: usize,
     /// SLO/alerting policy applied per model kind.
     pub slo: SloPolicy,
-    /// Snapshot and window-rotation cadence in milliseconds.
-    pub resolution_ms: u64,
 }
 
 impl MetricsSpec {
-    /// A spec with the default SLO policy and 1 s resolution.
+    /// A spec with the default SLO policy.
     pub fn new(kind_names: Vec<String>, instance_kinds: Vec<usize>, gpus: usize) -> Self {
         MetricsSpec {
             kind_names,
             instance_kinds,
             gpus,
             slo: SloPolicy::default(),
-            resolution_ms: 1_000,
         }
     }
 }
@@ -722,7 +723,6 @@ impl MetricsSink {
             "Spilled KV pages recalled to device memory.",
             vec![],
         );
-        let resolution_ns = spec.resolution_ms * 1_000_000;
         MetricsSink {
             log: EventLog::new(),
             registry,
@@ -740,7 +740,7 @@ impl MetricsSink {
             kv_spills,
             kv_recalls,
             monitors,
-            next_rotate_ns: resolution_ns,
+            next_rotate_ns: RESOLUTION_MS * 1_000_000,
             columns,
             rows: Vec::new(),
             last_event_ns: 0,
@@ -781,7 +781,7 @@ impl MetricsSink {
         while at_ns >= self.next_rotate_ns {
             let boundary = self.next_rotate_ns;
             self.snapshot(boundary);
-            self.next_rotate_ns += self.spec.resolution_ms * 1_000_000;
+            self.next_rotate_ns += RESOLUTION_MS * 1_000_000;
         }
     }
 
@@ -870,12 +870,12 @@ impl MetricsSink {
 
     /// The JSON time series of every snapshot row: one column set per
     /// model kind (`completed`, `shed`, windowed `p50_ms`/`p99_ms`,
-    /// `burn_milli`), sampled each `resolution_ms` of sim time.
+    /// `burn_milli`), sampled each second of sim time.
     pub fn to_json_series(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"resolution_ms\": {},", self.spec.resolution_ms);
+        let _ = writeln!(out, "  \"resolution_ms\": {RESOLUTION_MS},");
         let cols: Vec<String> = self.columns.iter().map(|c| format!("\"{c}\"")).collect();
         let _ = writeln!(out, "  \"columns\": [\"t_ms\", {}],", cols.join(", "));
         out.push_str("  \"rows\": [\n");
@@ -1041,7 +1041,6 @@ mod tests {
                 long_ms: 10_000,
                 min_count: 3,
             },
-            resolution_ms: 1_000,
         };
         let mut sink = MetricsSink::new(spec);
         for i in 0..5u64 {

@@ -158,7 +158,6 @@ fn plan_migration_streams_bytes_on_rollback() {
     let mode = PlanMode::PtDha;
     let mut cfg = ServerConfig::paper_default(machine.clone(), mode);
     cfg.recovery.enabled = true;
-    cfg.recovery.migrate = true;
     let kinds = vec![DeployedModel::prepare(
         &build(ModelId::ResNet50),
         &machine,

@@ -221,8 +221,12 @@ fn draw(i: u64) -> Case {
     }
     if coin(rng) {
         cfg.recovery.enabled = true;
-        cfg.recovery.migrate = coin(rng);
-        label += &format!(" recovery(migrate {})", cfg.recovery.migrate);
+        // This coin drew the retired `migrate` switch; a re-plan now
+        // always migrates. It is still drawn and named so that every later
+        // draw and every recorded row stay as they were: each case that
+        // drew `false` keeps its recorded hash with migration on.
+        let migrate = coin(rng);
+        label += &format!(" recovery(migrate {migrate})");
     }
     if coin(rng) {
         let d = &mut cfg.detection;
