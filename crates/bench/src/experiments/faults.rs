@@ -55,14 +55,13 @@ pub fn run_scenario(spec: &str, concurrency: usize, rate: f64, n: usize) -> Serv
     let instance_kinds = vec![0usize; concurrency];
     let trace = poisson::generate(rate, concurrency, n, SimTime::ZERO, SEED);
     let faults = FaultSpec::parse(spec, SEED).expect("valid fault spec");
-    let (probe, _log) = Probe::logging();
     run_server_faulted(
         cfg,
         vec![kind],
         &instance_kinds,
         trace,
         SimTime::ZERO,
-        probe,
+        Probe::disabled(),
         &faults,
     )
 }

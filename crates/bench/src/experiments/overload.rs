@@ -55,14 +55,13 @@ pub fn run_policy(
     let kind = DeployedModel::prepare(&build(ModelId::BertBase), &machine, mode, cfg.max_pt_gpus);
     let instance_kinds = vec![0usize; concurrency];
     let trace = poisson::generate(rate, concurrency, n, SimTime::ZERO, SEED);
-    let (probe, _log) = Probe::logging();
     run_server_faulted(
         cfg,
         vec![kind],
         &instance_kinds,
         trace,
         SimTime::ZERO,
-        probe,
+        Probe::disabled(),
         &FaultSpec::none(),
     )
 }

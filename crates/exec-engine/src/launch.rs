@@ -886,15 +886,6 @@ fn complete<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
     let Some(run) = hw.runs.remove(r.0) else {
         return;
     };
-    let resident_bytes: u64 = run
-        .spec
-        .rt
-        .layers
-        .iter()
-        .zip(&run.spec.plan.decisions)
-        .filter(|(_, d)| **d == LayerExec::Load)
-        .map(|(l, _)| l.param_bytes)
-        .sum();
     hw.probe.emit(
         now,
         ProbeEvent::RunCompleted {
@@ -920,7 +911,6 @@ fn complete<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
         finished: now,
         stall: run.stall,
         exec_busy: run.exec_busy,
-        resident_bytes,
         slot_loads,
     };
     if let Some(cb) = run.on_done {

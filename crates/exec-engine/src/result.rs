@@ -34,8 +34,6 @@ pub struct InferenceResult {
     pub stall: SimDur,
     /// Busy time of the execution stream (includes DHA executions).
     pub exec_busy: SimDur,
-    /// Bytes resident in the primary GPU's memory afterwards.
-    pub resident_bytes: u64,
     /// Per-slot load observations (empty for warm runs — nothing was
     /// loaded). Bookkeeping only; populating it never changes timing.
     pub slot_loads: Vec<SlotLoadObs>,
@@ -68,7 +66,6 @@ mod tests {
             finished: SimTime::from_nanos(11_000),
             stall: SimDur::from_nanos(4_000),
             exec_busy: SimDur::from_nanos(6_000),
-            resident_bytes: 42,
             slot_loads: Vec::new(),
         };
         assert_eq!(r.latency(), SimDur::from_nanos(10_000));
@@ -82,7 +79,6 @@ mod tests {
             finished: SimTime::ZERO,
             stall: SimDur::ZERO,
             exec_busy: SimDur::ZERO,
-            resident_bytes: 0,
             slot_loads: Vec::new(),
         };
         assert_eq!(r.stall_fraction(), 0.0);

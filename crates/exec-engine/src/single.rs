@@ -296,7 +296,6 @@ mod tests {
         let total = rt.total_bytes;
         let (res, net) = run_transfer_only(m, rt, plan, 0, vec![]);
         assert_eq!(res.exec_busy.as_nanos(), 0);
-        assert_eq!(res.resident_bytes, total);
         // All bytes crossed the GPU's PCIe link.
         let carried = net.link_carried_bytes(simcore::flow::LinkId(1));
         assert!((carried - total as f64).abs() < 1.0);

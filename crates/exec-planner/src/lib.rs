@@ -12,7 +12,7 @@
 //!    transmission.
 //! 4. [`transmission`] — topology-aware PT planning: pick NVLink-connected
 //!    GPUs on distinct PCIe switches, override later partitions to Load.
-//! 5. [`generate`] — one entry point for the five evaluated modes
+//! 5. [`generate`](mod@generate) — one entry point for the five evaluated modes
 //!    (Baseline, PipeSwitch, DHA, PT, PT+DHA).
 //! 6. [`budget`] — memory-budget planning (paper §7): pin extra layers
 //!    host-side until the resident set fits a byte budget.

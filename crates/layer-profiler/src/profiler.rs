@@ -57,11 +57,6 @@ impl Profiler {
         self
     }
 
-    /// The underlying cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Profiles `model` at `batch`, returning the table and the simulated
     /// wall-clock cost of taking it (Table 5).
     pub fn profile(&self, model: &Model, batch: u32) -> (ModelProfile, ProfilingCost) {

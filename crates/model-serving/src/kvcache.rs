@@ -505,11 +505,6 @@ impl KvPager {
         self.gpu_used[gpu] * self.page_bytes
     }
 
-    /// Bytes used in the pinned-host pool.
-    pub fn host_used_bytes(&self) -> u64 {
-        self.host_used * self.page_bytes
-    }
-
     /// Total live pages across all pools.
     pub fn live_pages(&self) -> usize {
         self.live

@@ -1,6 +1,6 @@
 //! Synthetic Microsoft-Azure-Functions-like trace (paper §5.3.2).
 //!
-//! The paper replays 3 hours of the MAF trace [30], scaled down to a
+//! The paper replays 3 hours of the MAF trace \[30\], scaled down to a
 //! four-GPU server, noting it contains "heavy sustained requests,
 //! fluctuations in request rates, and spikes". The raw trace is not
 //! redistributable, so this generator synthesises an arrival process with

@@ -7,9 +7,9 @@
 //! correct when new flows join mid-transfer (e.g. a DHA read starting while
 //! a load is in flight).
 //!
-//! Callbacks live in a [`Slab`] whose key travels with the flow as its
-//! tag, so completion delivery is an indexed load instead of a hash
-//! lookup; hedged-transfer races live in a [`GenSlab`] referenced by
+//! Callbacks live in a [`GenSlab`] whose key's bits travel with the flow
+//! as its tag, so completion delivery is an indexed load instead of a
+//! hash lookup; hedged-transfer races live in another, referenced by
 //! `Copy` keys from the scheduled events, replacing the old
 //! `Rc<RefCell<Race>>`-clone-per-event pattern. The tick, a race's
 //! finish line and a stuck flow's unfreeze each carry one word (the
@@ -19,7 +19,7 @@
 use crate::flow::{FlowId, FlowNet, FlowPath, LinkId};
 use crate::probe::{Probe, ProbeEvent};
 use crate::sim::{Ctx, EventFn};
-use crate::slab::{GenKey, GenSlab, Slab};
+use crate::slab::{GenKey, GenSlab};
 use crate::time::{SimDur, SimTime};
 
 /// The sample of a link that carries no flow: the value every counter
@@ -58,8 +58,8 @@ pub struct FlowDriver<S> {
     /// bookkeeping, surfaced in serving reports).
     pub hedged: u64,
     gen: u64,
-    /// Per-flow completion actions, keyed by the tag carried on the flow.
-    callbacks: Slab<Callback<S>>,
+    /// Per-flow completion actions; the flow's tag is its key's bits.
+    callbacks: GenSlab<Callback<S>>,
     /// In-flight hedged races, referenced by generational key from the
     /// finish-line and watchdog events.
     races: GenSlab<Race<S>>,
@@ -85,7 +85,7 @@ impl<S> Default for FlowDriver<S> {
             probe: Probe::disabled(),
             hedged: 0,
             gen: 0,
-            callbacks: Slab::new(),
+            callbacks: GenSlab::new(),
             races: GenSlab::new(),
             link_samples: Vec::new(),
             loads_scratch: Vec::new(),
@@ -220,7 +220,7 @@ fn start_flow_cb<S: HasFlowDriver>(
     let d = state.flow_driver();
     d.net.advance(now);
     let arm = d.stuck_arms.iter().position(|(l, _)| path.contains(l));
-    let tag = d.callbacks.insert(on_done) as u64;
+    let tag = d.callbacks.insert(on_done).to_bits();
     let id = d.net.add_flow_tagged(bytes, path, tag);
     // Consume a stuck arm only if the flow actually froze (zero-byte
     // flows complete immediately and cannot stall).
@@ -384,7 +384,7 @@ pub fn cancel_flow<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>, id: FlowId
         d.emit_link_shares(now);
         return false;
     };
-    match d.callbacks.remove(tag as usize) {
+    match d.callbacks.remove(GenKey::from_bits(tag)) {
         Some(Callback::Race(key)) => {
             // Drop the contestant from its race; if that leaves a race
             // nobody can ever settle or inspect again, free it.
@@ -420,7 +420,7 @@ fn fire_completions<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>) {
     done.clear();
     d.net.drain_completed_into(&mut done);
     for (_, tag) in done.drain(..) {
-        match d.callbacks.remove(tag as usize) {
+        match d.callbacks.remove(GenKey::from_bits(tag)) {
             // Deliver through the event queue so that callback effects
             // observe a consistent driver state.
             Some(Callback::Plain(cb)) => ctx.schedule_in(SimDur::ZERO, cb),

@@ -14,8 +14,8 @@
 //!   every failure scenario replays bit-for-bit.
 //! * [`driver`] — glue that schedules flow-completion events into the
 //!   simulator ([`FlowDriver`], [`HasFlowDriver`]).
-//! * [`slab`] — free-list slabs, plain and generational, for state that
-//!   scheduled events refer to by key.
+//! * [`slab`] — a generational free-list slab for state that scheduled
+//!   events refer to by key.
 //! * [`rng`] — seeded random-variate helpers (exponential, Poisson process).
 //! * [`stats`] — summary statistics, percentiles and time-series bucketing.
 //! * [`probe`] — the observability event bus ([`Probe`], [`probe::EventLog`])
@@ -46,5 +46,5 @@ pub use fault::{FaultEvent, FaultKind, FaultSpec, GpuCrash, LinkFlap, LinkRef};
 pub use flow::{FlowId, FlowNet, LinkId};
 pub use probe::{Probe, ProbeEvent, ShedCause, StallCause};
 pub use sim::{Ctx, EventFn, Sim};
-pub use slab::{GenKey, GenSlab, Slab};
+pub use slab::{GenKey, GenSlab};
 pub use time::{SimDur, SimTime};

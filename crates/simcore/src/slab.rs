@@ -1,116 +1,10 @@
-//! Minimal slab allocators for state touched from many events.
+//! A minimal slab allocator for state touched from many events.
 //!
-//! [`Slab`] keys are plain `usize` indices; freed slots are recycled.
-//! [`GenSlab`] adds a per-slot generation, so a key held by a scheduled
-//! event goes stale when its value is removed: the engine's in-flight
-//! runs and decode processes, and the driver's hedged races, live there.
-//! Both avoid an external dependency.
-
-/// A vector-backed slab with free-list recycling.
-///
-/// # Examples
-///
-/// ```
-/// use simcore::Slab;
-///
-/// let mut slab = Slab::new();
-/// let a = slab.insert("alpha");
-/// let b = slab.insert("beta");
-/// assert_eq!(slab[a], "alpha");
-/// assert_eq!(slab.remove(b), Some("beta"));
-/// let c = slab.insert("gamma");
-/// assert_eq!(b, c); // Slot recycled.
-/// ```
-#[derive(Debug, Clone)]
-pub struct Slab<T> {
-    slots: Vec<Option<T>>,
-    free: Vec<usize>,
-    len: usize,
-}
-
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            len: 0,
-        }
-    }
-}
-
-impl<T> Slab<T> {
-    /// Creates an empty slab.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts a value, returning its key.
-    pub fn insert(&mut self, value: T) -> usize {
-        self.len += 1;
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(value);
-                i
-            }
-            None => {
-                self.slots.push(Some(value));
-                self.slots.len() - 1
-            }
-        }
-    }
-
-    /// Removes and returns the value at `key`, if occupied.
-    pub fn remove(&mut self, key: usize) -> Option<T> {
-        let v = self.slots.get_mut(key)?.take();
-        if v.is_some() {
-            self.free.push(key);
-            self.len -= 1;
-        }
-        v
-    }
-
-    /// Shared access to the value at `key`.
-    pub fn get(&self, key: usize) -> Option<&T> {
-        self.slots.get(key)?.as_ref()
-    }
-
-    /// Exclusive access to the value at `key`.
-    pub fn get_mut(&mut self, key: usize) -> Option<&mut T> {
-        self.slots.get_mut(key)?.as_mut()
-    }
-
-    /// Number of occupied slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the slab holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterates over `(key, &value)` pairs of occupied slots.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.as_ref().map(|v| (i, v)))
-    }
-}
-
-impl<T> std::ops::Index<usize> for Slab<T> {
-    type Output = T;
-
-    fn index(&self, key: usize) -> &T {
-        self.get(key).expect("vacant slab slot")
-    }
-}
-
-impl<T> std::ops::IndexMut<usize> for Slab<T> {
-    fn index_mut(&mut self, key: usize) -> &mut T {
-        self.get_mut(key).expect("vacant slab slot")
-    }
-}
+//! [`GenSlab`] recycles freed slots and keeps a per-slot generation, so
+//! a key held by a scheduled event goes stale when its value is removed:
+//! the engine's in-flight runs and decode processes, and the driver's
+//! flow callbacks and hedged races, live there. It avoids an external
+//! dependency.
 
 /// A key into a [`GenSlab`]: slot index plus the generation it was
 /// issued under. A key goes stale the moment its slot is removed, so
@@ -143,8 +37,9 @@ impl GenKey {
     }
 }
 
-/// A generational slab: like [`Slab`], but removal bumps the slot's
-/// generation so stale keys can never observe a later occupant.
+/// A generational slab: a vector of slots with free-list recycling,
+/// where removal bumps the slot's generation so stale keys can never
+/// observe a later occupant.
 ///
 /// This is what long-lived cross-event handles (e.g. hedged-transfer
 /// races referenced from several scheduled closures) use instead of
@@ -270,49 +165,6 @@ impl<T> GenSlab<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn insert_get_remove() {
-        let mut s = Slab::new();
-        let a = s.insert(10);
-        let b = s.insert(20);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.get(a), Some(&10));
-        assert_eq!(s.remove(a), Some(10));
-        assert_eq!(s.remove(a), None);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[b], 20);
-    }
-
-    #[test]
-    fn slots_recycle_in_lifo_order() {
-        let mut s = Slab::new();
-        let a = s.insert(1);
-        let b = s.insert(2);
-        s.remove(a);
-        s.remove(b);
-        assert_eq!(s.insert(3), b);
-        assert_eq!(s.insert(4), a);
-    }
-
-    #[test]
-    fn iter_skips_vacant() {
-        let mut s = Slab::new();
-        let a = s.insert("a");
-        let _b = s.insert("b");
-        s.remove(a);
-        let items: Vec<_> = s.iter().map(|(_, v)| *v).collect();
-        assert_eq!(items, vec!["b"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "vacant")]
-    fn index_panics_on_vacant() {
-        let mut s = Slab::new();
-        let a = s.insert(1);
-        s.remove(a);
-        let _ = s[a];
-    }
 
     #[test]
     fn gen_slab_basic_lifecycle() {

@@ -25,11 +25,6 @@ impl Samples {
         self.values.push(v);
     }
 
-    /// Adds a duration observation in milliseconds.
-    pub fn push_dur_ms(&mut self, d: SimDur) {
-        self.push(d.as_ms_f64());
-    }
-
     /// Number of observations.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -170,11 +165,6 @@ impl TimeSeries {
     /// Whether no bucket exists yet.
     pub fn is_empty(&self) -> bool {
         self.buckets.is_empty()
-    }
-
-    /// Exclusive access to bucket `idx` (present buckets only).
-    pub fn bucket_mut(&mut self, idx: usize) -> Option<&mut Samples> {
-        self.buckets.get_mut(idx)
     }
 
     /// Iterates `(bucket_start, samples)` pairs.

@@ -107,11 +107,6 @@ impl SimDur {
         Self::from_secs_f64(us / 1e6)
     }
 
-    /// Builds a duration from float milliseconds (rounding up).
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0

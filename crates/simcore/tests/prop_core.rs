@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use simcore::stats::Samples;
 use simcore::time::SimTime;
-use simcore::{Sim, Slab};
+use simcore::{GenKey, GenSlab, Sim};
 
 proptest! {
     #[test]
@@ -28,9 +28,10 @@ proptest! {
 
     #[test]
     fn slab_behaves_like_a_map(ops in prop::collection::vec((0u8..3, 0usize..16, 0i64..100), 1..200)) {
-        let mut slab = Slab::new();
-        let mut model: std::collections::HashMap<usize, i64> = Default::default();
-        let mut live: Vec<usize> = Vec::new();
+        let mut slab = GenSlab::new();
+        let mut model: std::collections::HashMap<GenKey, i64> = Default::default();
+        let mut live: Vec<GenKey> = Vec::new();
+        let mut dead: Vec<GenKey> = Vec::new();
         for (op, sel, val) in ops {
             match op {
                 0 => {
@@ -45,10 +46,15 @@ proptest! {
                 _ if !live.is_empty() => {
                     let k = live.swap_remove(sel % live.len());
                     prop_assert_eq!(slab.remove(k), model.remove(&k));
+                    dead.push(k);
                 }
                 _ => {}
             }
             prop_assert_eq!(slab.len(), model.len());
+            // A removed key stays dead, also once an insert reused its slot.
+            for &k in &dead {
+                prop_assert_eq!(slab.get(k), None);
+            }
         }
     }
 

@@ -86,9 +86,6 @@ fn dha_layers_save_exactly_their_bytes_of_gpu_memory() {
             dha.runtime.total_bytes
         );
         assert!(dha.host_bytes() > 0, "{id}: no layers left host-side");
-        // The engine's reported residency matches the plan's accounting.
-        let res = dha.simulate_cold(0);
-        assert_eq!(res.resident_bytes, dha.resident_bytes(), "{id}");
     }
 }
 
