@@ -226,6 +226,14 @@ fn parse_model(s: &str) -> Option<ModelId> {
         })
 }
 
+/// The value after a flag, parsed as `T`; a missing or unparsable one
+/// prints the usage line and exits 2.
+fn value<'a, T: std::str::FromStr>(it: &mut impl Iterator<Item = &'a String>) -> T {
+    it.next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
 fn parse() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else { usage() };
@@ -258,125 +266,57 @@ fn parse() -> Args {
         slo_tiers: false,
         input: None,
     };
-    let mut it = argv.iter().skip(1).peekable();
+    let mut it = argv.iter().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--mode" => {
-                args.mode = match it.next().map(|s| s.to_lowercase()) {
-                    Some(m) => match m.as_str() {
-                        "baseline" => PlanMode::Baseline,
-                        "pipeswitch" | "ps" => PlanMode::PipeSwitch,
-                        "dha" => PlanMode::Dha,
-                        "pt" => PlanMode::Pt,
-                        "pt+dha" | "ptdha" => PlanMode::PtDha,
-                        _ => usage(),
-                    },
-                    None => usage(),
+                args.mode = match value::<String>(&mut it).to_lowercase().as_str() {
+                    "baseline" => PlanMode::Baseline,
+                    "pipeswitch" | "ps" => PlanMode::PipeSwitch,
+                    "dha" => PlanMode::Dha,
+                    "pt" => PlanMode::Pt,
+                    "pt+dha" | "ptdha" => PlanMode::PtDha,
+                    _ => usage(),
                 }
             }
             "--machine" => {
-                args.machine = match it.next().map(|s| s.to_lowercase()) {
-                    Some(m) => match m.as_str() {
-                        "p3" | "p3.8xlarge" => p3_8xlarge(),
-                        "single" | "v100" => single_v100(),
-                        "a5000" => a5000_dual(),
-                        "dgx1" => dgx1_like(),
-                        _ => usage(),
-                    },
-                    None => usage(),
+                args.machine = match value::<String>(&mut it).to_lowercase().as_str() {
+                    "p3" | "p3.8xlarge" => p3_8xlarge(),
+                    "single" | "v100" => single_v100(),
+                    "a5000" => a5000_dual(),
+                    "dgx1" => dgx1_like(),
+                    _ => usage(),
                 }
             }
-            "--batch" => {
-                args.batch = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--budget-mib" => {
-                args.budget_mib = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--batch" => args.batch = value(&mut it),
+            "--budget-mib" => args.budget_mib = Some(value(&mut it)),
             "--json" => args.json = true,
-            "--concurrency" => {
-                args.concurrency = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--requests" => {
-                args.requests = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--rate" => {
-                args.rate = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--trace-out" => args.trace_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--events-out" => args.events_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--faults" => args.faults = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--deadline-ms" => {
-                args.deadline_ms = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--metrics-out" => {
-                args.metrics_out = Some(it.next().cloned().unwrap_or_else(|| usage()))
-            }
-            "--metrics-json" => {
-                args.metrics_json = Some(it.next().cloned().unwrap_or_else(|| usage()))
-            }
+            "--concurrency" => args.concurrency = value(&mut it),
+            "--requests" => args.requests = value(&mut it),
+            "--rate" => args.rate = value(&mut it),
+            "--seed" => args.seed = value(&mut it),
+            "--trace-out" => args.trace_out = Some(value(&mut it)),
+            "--events-out" => args.events_out = Some(value(&mut it)),
+            "--faults" => args.faults = Some(value(&mut it)),
+            "--deadline-ms" => args.deadline_ms = Some(value(&mut it)),
+            "--metrics-out" => args.metrics_out = Some(value(&mut it)),
+            "--metrics-json" => args.metrics_json = Some(value(&mut it)),
             "--recovery" => args.recovery = true,
             "--detection" => args.detection = true,
             "--decode" => args.decode = true,
             "--resilience" => args.resilience = true,
             "--slo-tiers" => args.slo_tiers = true,
-            "--kv-pool-mib" => {
-                args.kv_pool_mib = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--page-kib" => {
-                args.page_kib = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--kv-pool-mib" => args.kv_pool_mib = Some(value(&mut it)),
+            "--page-kib" => args.page_kib = Some(value(&mut it)),
             "--kv-mode" => {
-                args.kv_mode = match it.next().map(|s| s.to_lowercase()) {
-                    Some(m) => match m.as_str() {
-                        "auto" => Some(KvMode::Auto),
-                        "dha" => Some(KvMode::Dha),
-                        "recall" => Some(KvMode::Recall),
-                        _ => usage(),
-                    },
-                    None => usage(),
+                args.kv_mode = match value::<String>(&mut it).to_lowercase().as_str() {
+                    "auto" => Some(KvMode::Auto),
+                    "dha" => Some(KvMode::Dha),
+                    "recall" => Some(KvMode::Recall),
+                    _ => usage(),
                 }
             }
-            "--queue-cap" => {
-                args.queue_cap = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--queue-cap" => args.queue_cap = Some(value(&mut it)),
             other => match parse_model(other) {
                 Some(m) => args.model = Some(m),
                 None if args.cmd == "analyze" && args.input.is_none() => {

@@ -22,7 +22,6 @@ const MAX_PT_GPUS: usize = 2;
 #[derive(Clone)]
 pub struct DeepPlan {
     machine: Machine,
-    profiler_iterations: u32,
     exact_profile: bool,
 }
 
@@ -32,15 +31,8 @@ impl DeepPlan {
     pub fn new(machine: Machine) -> Self {
         DeepPlan {
             machine,
-            profiler_iterations: 10,
             exact_profile: false,
         }
-    }
-
-    /// Sets the profiling iteration count.
-    pub fn with_profiler_iterations(mut self, n: u32) -> Self {
-        self.profiler_iterations = n.max(1);
-        self
     }
 
     /// Uses noise-free analytic profiles (deterministic planning).
@@ -76,7 +68,7 @@ impl DeepPlan {
         let profiler = if self.exact_profile {
             Profiler::exact(gpu.clone())
         } else {
-            Profiler::new(gpu.clone()).with_iterations(self.profiler_iterations)
+            Profiler::new(gpu.clone())
         };
         let (profile, profiling_cost) = profiler.profile(&model, batch);
         let bp = exec_planner::budget::plan_for_memory_budget(&profile, budget_bytes);
@@ -111,7 +103,7 @@ impl DeepPlan {
         let profiler = if self.exact_profile {
             Profiler::exact(gpu.clone())
         } else {
-            Profiler::new(gpu.clone()).with_iterations(self.profiler_iterations)
+            Profiler::new(gpu.clone())
         };
         let (profile, profiling_cost) = profiler.profile(model, batch);
         let plan = generate(&profile, &self.machine, mode, MAX_PT_GPUS);
@@ -153,7 +145,7 @@ mod tests {
 
     #[test]
     fn noisy_profiles_still_yield_valid_plans() {
-        let dp = DeepPlan::new(p3_8xlarge()).with_profiler_iterations(3);
+        let dp = DeepPlan::new(p3_8xlarge());
         let b = dp.plan(ModelId::Gpt2, 1);
         validate(&b.plan, &b.profile).unwrap();
     }

@@ -1,6 +1,7 @@
 //! `deepplan-cli` input validation: every out-of-range value exits 1
 //! with an `error:` line before any simulation state is built, never a
-//! panic or a silently wrapped size.
+//! panic or a silently wrapped size; a flag whose value is missing or
+//! does not parse exits 2 with the usage line.
 
 use std::process::{Command, Output};
 
@@ -94,6 +95,35 @@ fn out_of_range_values_exit_1_with_an_error_line() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains("error:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn missing_or_unparsable_flag_values_exit_2_with_the_usage_line() {
+    let cases: &[&[&str]] = &[
+        &["serve", "bert", "--requests", "many"],
+        &["serve", "bert", "--concurrency", "-1"],
+        &["serve", "bert", "--seed", "18446744073709551616"],
+        &["serve", "bert", "--rate", "fast"],
+        &["plan", "bert", "--budget-mib", "1.5"],
+        &["serve", "bert", "--mode", "turbo"],
+        &["serve", "bert", "--machine", "tpu"],
+        &["serve", "gpt2", "--decode", "--kv-mode", "maybe"],
+        // The flag is the last argument: no value follows it.
+        &["serve", "bert", "--rate"],
+        &["serve", "bert", "--events-out"],
+        &["serve", "bert", "--mode"],
+        &["serve", "gpt2", "--decode", "--page-kib"],
+    ];
+    for args in cases {
+        let out = cli(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("usage: deepplan-cli"),
+            "{args:?}: {stderr}"
+        );
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }

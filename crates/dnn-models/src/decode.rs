@@ -9,8 +9,6 @@
 //! moved — the same modelling style as the one-shot cost model, applied
 //! per token instead of per sequence.
 
-use gpu_topology::device::GpuSpec;
-
 use crate::layer::LayerKind;
 use crate::model::{Model, ModelFamily};
 
@@ -58,22 +56,12 @@ impl DecodeProfile {
     pub fn kv_bytes(&self, tokens: u64) -> u64 {
         tokens * self.kv_bytes_per_token
     }
-
-    /// Device-side compute time of one token step, in seconds: weights
-    /// read once for the whole batch plus every request's GPU-resident
-    /// KV, all at HBM bandwidth. Host-resident KV is *not* included —
-    /// its wire time is modelled by the engine as a PCIe flow (DHA) or a
-    /// recall transfer, whichever the plan picked.
-    pub fn step_compute_secs(&self, gpu: &GpuSpec, resident_kv_bytes: u64) -> f64 {
-        (self.weight_bytes + resident_kv_bytes) as f64 / gpu.mem_bw
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::zoo::{build, ModelId};
-    use gpu_topology::device::v100;
 
     #[test]
     fn gpt2_kv_footprint_matches_architecture() {
@@ -99,16 +87,5 @@ mod tests {
     fn encoders_and_cnns_have_no_decode_profile() {
         assert!(profile(&build(ModelId::BertBase)).is_none());
         assert!(profile(&build(ModelId::ResNet50)).is_none());
-    }
-
-    #[test]
-    fn step_time_is_bandwidth_bound_and_grows_with_kv() {
-        let p = profile(&build(ModelId::Gpt2)).unwrap();
-        let g = v100();
-        let empty = p.step_compute_secs(&g, 0);
-        // ~500 MB of weights at 830 GB/s ≈ 0.6 ms.
-        assert!(empty > 1e-4 && empty < 2e-3, "step {empty}");
-        let loaded = p.step_compute_secs(&g, 512 << 20);
-        assert!(loaded > empty);
     }
 }

@@ -419,7 +419,7 @@ fn issue_block<S: HasHw>(
     // consumed either way; whether anyone *notices* depends on
     // `verify_loads`.
     let path = hw.map.host_path(&hw.machine, gpu);
-    let corrupt = state.flow_driver().take_corrupt(&path);
+    let corrupt = hw.take_corrupt(&path);
     let done = move |state: &mut S, ctx: &mut Ctx<S>, n_shared: u32| {
         let now = ctx.now();
         let Some(run) = state.hw().run_mut(r) else {

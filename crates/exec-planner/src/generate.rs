@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::algorithm::plan_dha;
 use crate::plan::{ExecutionPlan, LayerExec};
-use crate::transmission::{plan_transmission_with_slots, pt_slots};
+use crate::transmission::{plan_transmission, pt_slots};
 
 /// The five execution options of the evaluation (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -94,7 +94,7 @@ pub(crate) fn build_plan(profile: &ModelProfile, mode: PlanMode, pt_slots: usize
         PlanMode::PtDha => (plan_dha(profile), true, true),
     };
 
-    let t = plan_transmission_with_slots(&param_bytes, &decisions, if pt { pt_slots } else { 1 });
+    let t = plan_transmission(&param_bytes, &decisions, if pt { pt_slots } else { 1 });
     ExecutionPlan {
         model: profile.model.clone(),
         batch: profile.batch,

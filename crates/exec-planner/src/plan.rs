@@ -48,15 +48,6 @@ impl ExecutionPlan {
         self.partitions.len().max(1)
     }
 
-    /// Indices of layers executed via DHA (parameter-bearing only).
-    pub fn dha_layers<'a>(&'a self, param_bytes: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
-        self.decisions
-            .iter()
-            .enumerate()
-            .filter(move |(i, d)| **d == LayerExec::Dha && param_bytes[*i] > 0)
-            .map(|(i, _)| i)
-    }
-
     /// GPU-resident bytes after a cold start under this plan.
     pub fn resident_bytes(&self, param_bytes: &[u64]) -> u64 {
         self.decisions
@@ -104,19 +95,7 @@ mod tests {
         let bytes = [100, 200, 300];
         assert_eq!(p.resident_bytes(&bytes), 500);
         assert_eq!(p.host_bytes(&bytes), 100);
-        assert_eq!(p.dha_layers(&bytes).collect::<Vec<_>>(), vec![0]);
         assert_eq!(p.gpu_slots(), 2);
-    }
-
-    #[test]
-    fn paramfree_dha_layers_not_counted() {
-        let p = ExecutionPlan {
-            decisions: vec![LayerExec::Dha, LayerExec::Dha],
-            partitions: vec![vec![]],
-            ..toy_plan()
-        };
-        let bytes = [0, 50];
-        assert_eq!(p.dha_layers(&bytes).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

@@ -23,23 +23,6 @@ pub struct Transmission {
     pub gpu_slots: usize,
 }
 
-/// Plans the transmission for a model with per-layer `param_bytes` and
-/// tentative `decisions` (from Algorithm 1 or all-`Load`).
-///
-/// `max_gpus` caps the transmission group (the paper caps it at the
-/// number of PCIe switches; pass `usize::MAX` to let the topology decide).
-/// When the machine cannot support PT from any primary (single GPU, no
-/// NVLink, or all GPUs on one switch), the result is a single partition
-/// and the decisions pass through unchanged.
-pub fn plan_transmission(
-    machine: &Machine,
-    param_bytes: &[u64],
-    decisions: &[LayerExec],
-    max_gpus: usize,
-) -> Transmission {
-    plan_transmission_with_slots(param_bytes, decisions, pt_slots(machine, max_gpus, &[]))
-}
-
 /// `true` if the mask marks GPU `g` as up (indices beyond the mask are
 /// treated as up, so an empty mask means a fully healthy machine).
 pub(crate) fn is_up(up: &[bool], g: usize) -> bool {
@@ -58,8 +41,13 @@ pub(crate) fn pt_slots(machine: &Machine, max_gpus: usize, up: &[bool]) -> usize
         .unwrap_or(1)
 }
 
-/// [`plan_transmission`] with the slot count already decided.
-pub fn plan_transmission_with_slots(
+/// Plans the transmission for a model with per-layer `param_bytes` and
+/// tentative `decisions` (from Algorithm 1 or all-`Load`) over a
+/// transmission group of `slots` GPUs, the size the planner probed from
+/// the topology. With one slot (single GPU, no NVLink, all GPUs on one
+/// switch, or a mode without PT) the result is a single partition and
+/// the decisions pass through unchanged.
+pub fn plan_transmission(
     param_bytes: &[u64],
     decisions: &[LayerExec],
     slots: usize,
@@ -113,7 +101,7 @@ mod tests {
     fn p3_plans_two_slots() {
         let bytes = vec![100u64; 10];
         let decisions = vec![LayerExec::Load; 10];
-        let t = plan_transmission(&p3_8xlarge(), &bytes, &decisions, usize::MAX);
+        let t = plan_transmission(&bytes, &decisions, pt_slots(&p3_8xlarge(), usize::MAX, &[]));
         assert_eq!(t.gpu_slots, 2);
         assert_eq!(t.partitions.len(), 2);
         assert_eq!(t.partitions[0].len() + t.partitions[1].len(), 10);
@@ -123,7 +111,11 @@ mod tests {
     fn single_gpu_passes_through() {
         let bytes = vec![100u64, 0, 100];
         let decisions = vec![LayerExec::Dha, LayerExec::Dha, LayerExec::Load];
-        let t = plan_transmission(&single_v100(), &bytes, &decisions, usize::MAX);
+        let t = plan_transmission(
+            &bytes,
+            &decisions,
+            pt_slots(&single_v100(), usize::MAX, &[]),
+        );
         assert_eq!(t.gpu_slots, 1);
         assert_eq!(t.decisions, decisions);
         assert_eq!(t.partitions, vec![vec![2]]);
@@ -134,7 +126,7 @@ mod tests {
         // All layers tentatively DHA; second-half ones must flip to Load.
         let bytes = vec![100u64; 8];
         let decisions = vec![LayerExec::Dha; 8];
-        let t = plan_transmission(&a5000_dual(), &bytes, &decisions, usize::MAX);
+        let t = plan_transmission(&bytes, &decisions, pt_slots(&a5000_dual(), usize::MAX, &[]));
         assert_eq!(t.gpu_slots, 2);
         // Partition 0 keeps DHA (so partition 0's load list is empty).
         assert!(t.partitions[0].is_empty());
@@ -149,7 +141,7 @@ mod tests {
         let bytes = vec![100u64; 8];
         let mut decisions = vec![LayerExec::Load; 8];
         decisions[0] = LayerExec::Dha;
-        let t = plan_transmission(&p3_8xlarge(), &bytes, &decisions, usize::MAX);
+        let t = plan_transmission(&bytes, &decisions, pt_slots(&p3_8xlarge(), usize::MAX, &[]));
         assert_eq!(t.decisions[0], LayerExec::Dha);
         assert!(!t.partitions[0].contains(&0));
     }
@@ -158,7 +150,7 @@ mod tests {
     fn max_gpus_caps_slots() {
         let bytes = vec![100u64; 8];
         let decisions = vec![LayerExec::Load; 8];
-        let t = plan_transmission(&p3_8xlarge(), &bytes, &decisions, 1);
+        let t = plan_transmission(&bytes, &decisions, pt_slots(&p3_8xlarge(), 1, &[]));
         assert_eq!(t.gpu_slots, 1);
     }
 }

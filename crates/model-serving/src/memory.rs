@@ -40,32 +40,13 @@ impl GpuCache {
     }
 }
 
-/// Attempts to make room for `bytes` on GPU `gpu` by LRU-evicting
-/// resident idle instances. Returns the evicted instance ids, or `None`
-/// if the space cannot be freed (instance larger than capacity, or
-/// everything busy).
+/// Attempts to make room for `bytes` on GPU `gpu` by evicting resident
+/// idle instances under `policy`. Returns the evicted instance ids, or
+/// `None` if the space cannot be freed (instance larger than capacity,
+/// or everything busy).
 ///
 /// On success the cache's `used` already reflects the evictions but NOT
 /// the new allocation — the caller charges it when committing.
-pub fn make_room(
-    cache: &mut GpuCache,
-    gpu: usize,
-    instances: &mut [Instance],
-    resident: &[u64],
-    bytes: u64,
-) -> Option<Vec<usize>> {
-    make_room_with(
-        cache,
-        gpu,
-        instances,
-        resident,
-        bytes,
-        EvictionPolicy::Lru,
-        0,
-    )
-}
-
-/// [`make_room`] with an explicit eviction policy.
 ///
 /// `resident` gives the bytes each *instance* currently occupies
 /// (instance-id indexed, not kind indexed): after a plan hot-swap,
@@ -74,7 +55,7 @@ pub fn make_room(
 ///
 /// `tick` seeds the random policy deterministically (pass any counter
 /// that advances between calls).
-pub fn make_room_with(
+pub fn make_room(
     cache: &mut GpuCache,
     gpu: usize,
     instances: &mut [Instance],
@@ -144,7 +125,8 @@ mod tests {
         let mut cache = GpuCache::new(100);
         cache.used = 80;
         let mut inst = vec![resident(0, 0, 10), resident(0, 0, 5)];
-        let evicted = make_room(&mut cache, 0, &mut inst, &sizes, 40).unwrap();
+        let evicted =
+            make_room(&mut cache, 0, &mut inst, &sizes, 40, EvictionPolicy::Lru, 0).unwrap();
         assert_eq!(evicted, vec![1]); // Older last_used goes first.
         assert_eq!(cache.used, 40);
         assert_eq!(inst[1].residency, Residency::NotResident);
@@ -157,7 +139,8 @@ mod tests {
         let mut cache = GpuCache::new(100);
         cache.used = 40;
         let mut inst = vec![resident(0, 0, 10)];
-        let evicted = make_room(&mut cache, 0, &mut inst, &sizes, 60).unwrap();
+        let evicted =
+            make_room(&mut cache, 0, &mut inst, &sizes, 60, EvictionPolicy::Lru, 0).unwrap();
         assert!(evicted.is_empty());
     }
 
@@ -168,7 +151,7 @@ mod tests {
         cache.used = 60;
         let mut inst = vec![resident(0, 0, 10)];
         inst[0].active = 1;
-        assert!(make_room(&mut cache, 0, &mut inst, &sizes, 60).is_none());
+        assert!(make_room(&mut cache, 0, &mut inst, &sizes, 60, EvictionPolicy::Lru, 0).is_none());
         // Rollback kept accounting intact.
         assert_eq!(cache.used, 60);
         assert_eq!(inst[0].residency, Residency::Resident(0));
@@ -180,7 +163,8 @@ mod tests {
         let mut cache = GpuCache::new(100);
         cache.used = 60;
         let mut inst = vec![resident(0, 1, 10), resident(0, 0, 5)];
-        let evicted = make_room(&mut cache, 0, &mut inst, &sizes, 80).unwrap();
+        let evicted =
+            make_room(&mut cache, 0, &mut inst, &sizes, 80, EvictionPolicy::Lru, 0).unwrap();
         assert_eq!(evicted, vec![1]);
         assert_eq!(inst[0].residency, Residency::Resident(1));
     }
@@ -190,6 +174,15 @@ mod tests {
         let sizes = vec![10u64];
         let mut cache = GpuCache::new(100);
         let mut inst = vec![resident(0, 0, 1)];
-        assert!(make_room(&mut cache, 0, &mut inst, &sizes, 200).is_none());
+        assert!(make_room(
+            &mut cache,
+            0,
+            &mut inst,
+            &sizes,
+            200,
+            EvictionPolicy::Lru,
+            0
+        )
+        .is_none());
     }
 }

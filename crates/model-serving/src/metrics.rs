@@ -242,7 +242,7 @@ pub fn metrics_spec(
         instance_kinds.to_vec(),
         cfg.machine.gpu_count(),
     );
-    spec.slo.slo_ns = SLO.as_nanos();
+    spec.slo_ns = SLO.as_nanos();
     // With SLO tiers active, the burn monitor watches the tightest
     // tier's TTFT budget — a burn alert on the premium class is the one
     // an operator must see first.
@@ -254,7 +254,7 @@ pub fn metrics_spec(
             .map(|t| t.ttft_slo.as_nanos())
             .min()
         {
-            spec.slo.slo_ns = tightest;
+            spec.slo_ns = tightest;
         }
     }
     spec

@@ -10,7 +10,7 @@ use exec_engine::launch::abort_run;
 use exec_engine::result::InferenceResult;
 use exec_planner::generate_degraded;
 use exec_planner::plan::ExecutionPlan;
-use simcore::driver::{set_link_capacity, start_flow};
+use simcore::driver::set_link_capacity;
 use simcore::fault::{FaultKind, LinkRef};
 use simcore::flow::LinkId;
 use simcore::probe::{DetectState, ProbeEvent, SilentFaultKind};
@@ -21,7 +21,7 @@ use super::dispatch::{requeue, retry_after_crash, try_dispatch};
 use super::{decode, Queued, ServerState};
 use crate::detect::{Detector, Transition};
 use crate::instance::Residency;
-use crate::memory::make_room_with;
+use crate::memory::make_room;
 
 /// Re-plan hysteresis: a health transition arms a re-plan that only
 /// fires if no further transition lands within this window, so a
@@ -94,7 +94,7 @@ pub(super) fn apply_fault(s: &mut ServerState, ctx: &mut Ctx<ServerState>, kind:
         }
         FaultKind::CorruptTransfer { link } => {
             if let Some(l) = s.hw.map.resolve_link(&link) {
-                s.flows.arm_corrupt(l);
+                s.hw.arm_corrupt(l);
                 mark_silent(s, now, SilentFaultKind::CorruptTransfer, l.0);
             }
         }
@@ -576,7 +576,7 @@ fn migrate_kind(s: &mut ServerState, ctx: &mut Ctx<ServerState>, k: usize, new_b
         // Pin the instance so it cannot be chosen as its own eviction
         // victim while making room for its growth.
         s.instances[i].active += 1;
-        let room = make_room_with(
+        let room = make_room(
             &mut s.caches[g],
             g,
             &mut s.instances,
@@ -600,19 +600,12 @@ fn migrate_kind(s: &mut ServerState, ctx: &mut Ctx<ServerState>, k: usize, new_b
                         bytes: delta,
                     },
                 );
-                let path = s.hw.map.host_path(&s.cfg.machine, g);
-                start_flow(
-                    s,
-                    ctx,
-                    delta as f64,
-                    &path,
-                    Box::new(move |s: &mut ServerState, ctx| {
-                        s.probe.emit(
-                            ctx.now(),
-                            ProbeEvent::PlanMigrationFinished { kind: k, gpu: g },
-                        );
-                    }),
-                );
+                start_host_flow(s, ctx, g, delta as f64, None, move |s, ctx, _| {
+                    s.probe.emit(
+                        ctx.now(),
+                        ProbeEvent::PlanMigrationFinished { kind: k, gpu: g },
+                    );
+                });
             }
             None if s.instances[i].active == 0 => {
                 s.caches[g].used = s.caches[g].used.saturating_sub(old);
@@ -621,5 +614,48 @@ fn migrate_kind(s: &mut ServerState, ctx: &mut Ctx<ServerState>, k: usize, new_b
             None => {}
         }
         s.emit_cache(now, g);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    use dnn_models::zoo::{build, ModelId};
+    use exec_planner::generate::PlanMode;
+    use gpu_topology::presets::p3_8xlarge;
+    use simcore::sim::Sim;
+
+    use super::*;
+    use crate::catalog::DeployedModel;
+    use crate::config::ServerConfig;
+
+    #[test]
+    fn plan_migration_stream_shares_the_host_path() {
+        let machine = p3_8xlarge();
+        let cfg = ServerConfig::paper_default(machine.clone(), PlanMode::PtDha);
+        let kind = DeployedModel::prepare(&build(ModelId::BertBase), &machine, PlanMode::PtDha, 2);
+        let mut s = ServerState::new(cfg, vec![kind], &[0], Vec::new(), SimTime::ZERO);
+        // Instance 0 is resident on GPU 0 under its boot plan.
+        let (g, old) = (0, s.sizes[0]);
+        s.instances[0].residency = Residency::Resident(g);
+        s.caches[g].used = old;
+        let seen = Rc::new(Cell::new(0));
+        let n_shared = Rc::clone(&seen);
+        let mut sim = Sim::new(s);
+        sim.schedule_at(
+            SimTime::ZERO,
+            Box::new(move |s: &mut ServerState, ctx| {
+                // A plan swap grows the instance by 64 MiB: the delta
+                // streams over GPU 0's host path...
+                migrate_kind(s, ctx, 0, old + (64 << 20));
+                // ...so a transfer issued there now shares it.
+                start_host_flow(s, ctx, g, 1e6, None, move |_, _, n| n_shared.set(n));
+            }),
+        );
+        sim.run_until_idle();
+        assert_eq!(sim.state().report.plan_migrations, 1);
+        assert_eq!(seen.get(), 2);
     }
 }

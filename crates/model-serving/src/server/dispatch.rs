@@ -13,7 +13,7 @@ use super::control::note_observation;
 use super::decode::{self, DecodeEntry};
 use super::{resilience, Queued, RunningReq, ServerState, MAX_RETRIES};
 use crate::instance::Residency;
-use crate::memory::make_room_with;
+use crate::memory::make_room;
 use crate::metrics::SLO;
 use crate::workload::Request;
 
@@ -128,7 +128,7 @@ fn admit(s: &mut ServerState, ctx: &mut Ctx<ServerState>, q: &Queued, g: usize) 
 /// `None` when the cache is full of busy instances.
 pub(super) fn place_cold(s: &mut ServerState, now: SimTime, g: usize, i: usize) -> Option<u64> {
     let bytes = s.sizes[s.instances[i].kind];
-    let victims = make_room_with(
+    let victims = make_room(
         &mut s.caches[g],
         g,
         &mut s.instances,

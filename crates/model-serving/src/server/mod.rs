@@ -394,12 +394,12 @@ impl ServerState {
         );
     }
 
-    /// The report at the end of a run. The counters the kernel, the flow
-    /// network, the engine and the KV pager keep for themselves are
-    /// copied in here; every other counter was set as it happened.
+    /// The report at the end of a run. The counters the kernel, the
+    /// engine and the KV pager keep for themselves are copied in here;
+    /// every other counter was set as it happened.
     fn into_report(mut self, sim_events: u64) -> ServingReport {
         self.report.sim_events = sim_events;
-        self.report.hedged_transfers = self.flows.hedged;
+        self.report.hedged_transfers = self.hw.hedged;
         self.report.checksum_refetches = self.hw.refetches;
         if let Some(d) = &self.decode {
             d.close_books(&mut self.report);

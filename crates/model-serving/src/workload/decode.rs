@@ -73,7 +73,6 @@ mod tests {
         for r in &a {
             assert!((dist.prompt_min..=dist.prompt_max).contains(&r.prompt_tokens));
             assert!((2..=dist.output_max).contains(&r.output_tokens));
-            assert!(r.wants_decode());
         }
         // Arrivals untouched.
         assert!(a.iter().zip(&base).all(|(x, y)| x.at == y.at));

@@ -36,10 +36,4 @@ impl Request {
             output_tokens: 0,
         }
     }
-
-    /// Whether the request wants autoregressive decode (more than one
-    /// output token).
-    pub fn wants_decode(&self) -> bool {
-        self.output_tokens > 1
-    }
 }

@@ -2,7 +2,7 @@
 //! workload generators.
 
 use model_serving::instance::{Instance, Residency};
-use model_serving::memory::{make_room, GpuCache};
+use model_serving::memory::{make_room, EvictionPolicy, GpuCache};
 use model_serving::workload::{maf, poisson};
 use proptest::prelude::*;
 use simcore::time::{SimDur, SimTime};
@@ -38,7 +38,7 @@ proptest! {
         cache.used = used.min(600);
         let resident: Vec<u64> = instances.iter().map(|i| sizes[i.kind]).collect();
         let before = instances.clone();
-        match make_room(&mut cache, 0, &mut instances, &resident, want) {
+        match make_room(&mut cache, 0, &mut instances, &resident, want, EvictionPolicy::Lru, 0) {
             Some(evicted) => {
                 prop_assert!(cache.free() >= want);
                 for &id in &evicted {

@@ -9,14 +9,16 @@
 //!
 //! Callbacks live in a [`GenSlab`] whose key's bits travel with the flow
 //! as its tag, so completion delivery is an indexed load instead of a
-//! hash lookup; hedged-transfer races live in another, referenced by
-//! `Copy` keys from the scheduled events, replacing the old
-//! `Rc<RefCell<Race>>`-clone-per-event pattern. The tick, a race's
-//! finish line and a stuck flow's unfreeze each carry one word (the
-//! generation, the race key's bits, the flow id), so they are word
-//! events ([`Ctx::call_at`]) and schedule without allocating.
+//! hash lookup. The tick and a stuck flow's unfreeze each carry one word
+//! (the generation, the flow id), so they are word events
+//! ([`Ctx::call_at`]) and schedule without allocating.
+//!
+//! The driver is mechanism only: it starts, freezes and unfreezes,
+//! cancels, re-capacitates and completes flows. Transfer policy (hedged
+//! races, corrupt-transfer arms) belongs to the code that issues the
+//! transfers.
 
-use crate::flow::{FlowId, FlowNet, FlowPath, LinkId};
+use crate::flow::{FlowId, FlowNet, LinkId};
 use crate::probe::{Probe, ProbeEvent};
 use crate::sim::{Ctx, EventFn};
 use crate::slab::{GenKey, GenSlab};
@@ -26,27 +28,6 @@ use crate::time::{SimDur, SimTime};
 /// track starts from and returns to.
 const IDLE: (u64, usize) = (0, 0);
 
-/// What to do when a flow completes.
-enum Callback<S> {
-    /// Deliver this closure.
-    Plain(EventFn<S>),
-    /// The flow is a contestant in a hedged race: run the race's finish
-    /// line (first contestant home settles, the rest are no-ops).
-    Race(GenKey),
-}
-
-/// State of one hedged transfer (see [`start_flow_hedged`]).
-struct Race<S> {
-    /// Set by the first finish-line event; later ones return early.
-    settled: bool,
-    /// Whether the hedge-launch watchdog is still scheduled. The race
-    /// record can only be freed once the watchdog can no longer read it.
-    watchdog_pending: bool,
-    /// Contestant flows (primary, then hedge); all cancelled at settle.
-    ids: Vec<FlowId>,
-    on_done: Option<EventFn<S>>,
-}
-
 /// A [`FlowNet`] wired into the simulator with completion callbacks.
 pub struct FlowDriver<S> {
     /// The underlying network; exposed for setup and statistics.
@@ -54,15 +35,9 @@ pub struct FlowDriver<S> {
     /// Observability bus; emits a link's bandwidth-share counter when
     /// the share changes. Disabled (free) by default.
     pub probe: Probe,
-    /// Hedged duplicate transfers launched so far (gray-failure mitigation
-    /// bookkeeping, surfaced in serving reports).
-    pub hedged: u64,
     gen: u64,
-    /// Per-flow completion actions; the flow's tag is its key's bits.
-    callbacks: GenSlab<Callback<S>>,
-    /// In-flight hedged races, referenced by generational key from the
-    /// finish-line and watchdog events.
-    races: GenSlab<Race<S>>,
+    /// Per-flow completion callbacks; the flow's tag is its key's bits.
+    callbacks: GenSlab<EventFn<S>>,
     /// Each link's last published `(rate_bps bits, flows)`, `IDLE`
     /// before its first sample. A counter track holds its value until
     /// the next sample, so a link publishes only when this changes.
@@ -73,9 +48,6 @@ pub struct FlowDriver<S> {
     /// Gray-failure arms: the next flow crossing an armed link stalls for
     /// the given duration before resuming.
     stuck_arms: Vec<(LinkId, SimDur)>,
-    /// Gray-failure arms: the next checksum-verified payload crossing an
-    /// armed link arrives corrupted.
-    corrupt_arms: Vec<LinkId>,
 }
 
 impl<S> Default for FlowDriver<S> {
@@ -83,15 +55,12 @@ impl<S> Default for FlowDriver<S> {
         FlowDriver {
             net: FlowNet::new(),
             probe: Probe::disabled(),
-            hedged: 0,
             gen: 0,
             callbacks: GenSlab::new(),
-            races: GenSlab::new(),
             link_samples: Vec::new(),
             loads_scratch: Vec::new(),
             completed_scratch: Vec::new(),
             stuck_arms: Vec::new(),
-            corrupt_arms: Vec::new(),
         }
     }
 }
@@ -160,27 +129,6 @@ impl<S> FlowDriver<S> {
     pub fn arm_stuck(&mut self, link: LinkId, stall: SimDur) {
         self.stuck_arms.push((link, stall));
     }
-
-    /// Arms a corrupt-transfer gray failure: the next checksum-carrying
-    /// payload crossing `link` (as reported by [`FlowDriver::take_corrupt`])
-    /// arrives with a checksum mismatch.
-    pub fn arm_corrupt(&mut self, link: LinkId) {
-        self.corrupt_arms.push(link);
-    }
-
-    /// Consumes a pending corrupt-transfer arm matching any link in
-    /// `path`, returning whether the payload about to be streamed there
-    /// is corrupted. Callers that verify checksums invoke this once per
-    /// payload, right before starting its flow.
-    pub fn take_corrupt(&mut self, path: &[LinkId]) -> bool {
-        match self.corrupt_arms.iter().position(|l| path.contains(l)) {
-            Some(i) => {
-                self.corrupt_arms.remove(i);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// States that embed a [`FlowDriver`] keyed on themselves.
@@ -203,18 +151,6 @@ pub fn start_flow<S: HasFlowDriver>(
     bytes: f64,
     path: &[LinkId],
     on_done: EventFn<S>,
-) -> FlowId {
-    start_flow_cb(state, ctx, bytes, path, Callback::Plain(on_done))
-}
-
-/// [`start_flow`] over either completion action (plain callback or race
-/// finish line).
-fn start_flow_cb<S: HasFlowDriver>(
-    state: &mut S,
-    ctx: &mut Ctx<S>,
-    bytes: f64,
-    path: &[LinkId],
-    on_done: Callback<S>,
 ) -> FlowId {
     let now = ctx.now();
     let d = state.flow_driver();
@@ -255,101 +191,6 @@ pub fn unfreeze_flow<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>, id: Flow
     settle(state, ctx);
 }
 
-/// Starts a flow with a hedged duplicate: if the primary transfer has not
-/// completed within `timeout`, an identical duplicate is launched on the
-/// same path and whichever finishes first delivers `on_done` (the loser
-/// is cancelled). This is the tail-latency mitigation for *suspected*
-/// links — a transfer wedged by a gray failure is raced by a fresh copy
-/// instead of waiting out the stall.
-///
-/// Must be called from inside an event handler. Returns the primary
-/// flow's id.
-pub fn start_flow_hedged<S: HasFlowDriver>(
-    state: &mut S,
-    ctx: &mut Ctx<S>,
-    bytes: f64,
-    path: &[LinkId],
-    timeout: SimDur,
-    on_done: EventFn<S>,
-) -> FlowId {
-    let key = state.flow_driver().races.insert(Race {
-        settled: false,
-        watchdog_pending: true,
-        ids: Vec::new(),
-        on_done: Some(on_done),
-    });
-    let primary = start_flow_cb(state, ctx, bytes, path, Callback::Race(key));
-    if let Some(race) = state.flow_driver().races.get_mut(key) {
-        race.ids.push(primary);
-    }
-    let path = FlowPath::new(path);
-    ctx.schedule_in(
-        timeout,
-        Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
-            let d = state.flow_driver();
-            let Some(race) = d.races.get_mut(key) else {
-                return;
-            };
-            race.watchdog_pending = false;
-            if race.settled || race.ids.is_empty() {
-                // Already decided (or every contestant was cancelled):
-                // the watchdog was the last reference, so free the race.
-                d.races.remove(key);
-                return;
-            }
-            // Hedge only while the primary is genuinely still in flight;
-            // a completed primary has a finish line queued that will
-            // settle and free the race.
-            if d.net.flow_remaining(primary).is_none() {
-                return;
-            }
-            let hedge = start_flow_cb(state, ctx, bytes, path.links(), Callback::Race(key));
-            if let Some(race) = state.flow_driver().races.get_mut(key) {
-                race.ids.push(hedge);
-            }
-            let d = state.flow_driver();
-            d.hedged += 1;
-            d.probe.emit(
-                ctx.now(),
-                ProbeEvent::FlowHedged {
-                    primary: primary.0,
-                    hedge: hedge.0,
-                },
-            );
-        }),
-    );
-    primary
-}
-
-/// Finish line of a hedged race (`key` is its [`GenKey::to_bits`]): the
-/// first contestant home takes the callback, cancels every other
-/// contestant, and delivers. Scheduled as a zero-delay word event per
-/// completing contestant; later arrivals find the race settled (or
-/// already freed) and return.
-fn race_finish<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>, key: u64) {
-    let key = GenKey::from_bits(key);
-    let d = state.flow_driver();
-    let Some(race) = d.races.get_mut(key) else {
-        return;
-    };
-    if race.settled {
-        return;
-    }
-    race.settled = true;
-    let ids = std::mem::take(&mut race.ids);
-    let cb = race.on_done.take();
-    if !race.watchdog_pending {
-        d.races.remove(key);
-    }
-    for id in ids {
-        // Cancelling the winner itself is a harmless no-op.
-        cancel_flow(state, ctx, id);
-    }
-    if let Some(cb) = cb {
-        cb(state, ctx);
-    }
-}
-
 /// Changes a link's capacity mid-simulation (fault injection), keeping
 /// in-flight transfers exact: progress up to now is settled at the old
 /// rates, then all rates are recomputed and the completion tick is
@@ -384,19 +225,7 @@ pub fn cancel_flow<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>, id: FlowId
         d.emit_link_shares(now);
         return false;
     };
-    match d.callbacks.remove(GenKey::from_bits(tag)) {
-        Some(Callback::Race(key)) => {
-            // Drop the contestant from its race; if that leaves a race
-            // nobody can ever settle or inspect again, free it.
-            if let Some(race) = d.races.get_mut(key) {
-                race.ids.retain(|&f| f != id);
-                if !race.settled && race.ids.is_empty() && !race.watchdog_pending {
-                    d.races.remove(key);
-                }
-            }
-        }
-        Some(Callback::Plain(_)) | None => {}
-    }
+    d.callbacks.remove(GenKey::from_bits(tag));
     settle(state, ctx);
     true
 }
@@ -420,12 +249,10 @@ fn fire_completions<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>) {
     done.clear();
     d.net.drain_completed_into(&mut done);
     for (_, tag) in done.drain(..) {
-        match d.callbacks.remove(GenKey::from_bits(tag)) {
-            // Deliver through the event queue so that callback effects
-            // observe a consistent driver state.
-            Some(Callback::Plain(cb)) => ctx.schedule_in(SimDur::ZERO, cb),
-            Some(Callback::Race(key)) => ctx.call_in(SimDur::ZERO, race_finish, key.to_bits()),
-            None => {}
+        // Deliver through the event queue so that callback effects
+        // observe a consistent driver state.
+        if let Some(cb) = d.callbacks.remove(GenKey::from_bits(tag)) {
+            ctx.schedule_in(SimDur::ZERO, cb);
         }
     }
     state.flow_driver().completed_scratch = done;
@@ -693,73 +520,6 @@ mod tests {
         // The stalled flow resumes at t=10 and finishes at t=11.
         assert_eq!(log[2].0, 2);
         assert!((log[2].1.as_secs_f64() - 11.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn corrupt_arm_is_consumed_once_per_matching_path() {
-        let (mut world, l) = world_with_link(100.0);
-        world.flow_driver().arm_corrupt(l);
-        let d = world.flow_driver();
-        assert!(!d.take_corrupt(&[LinkId(999)]));
-        assert!(d.take_corrupt(&[l]));
-        assert!(!d.take_corrupt(&[l]), "arm must be consumed");
-    }
-
-    #[test]
-    fn hedged_flow_races_a_duplicate_past_a_stall() {
-        let (world, l) = world_with_link(100.0);
-        let mut sim = Sim::new(world);
-        sim.schedule_at(
-            SimTime::ZERO,
-            Box::new(move |w: &mut World, ctx| {
-                // The primary wedges for 10 s; the hedge launched at
-                // t=2 s finishes a clean 1 s transfer at t=3 s.
-                w.flow_driver()
-                    .arm_stuck(l, crate::time::SimDur::from_secs_f64(10.0));
-                start_flow_hedged(
-                    w,
-                    ctx,
-                    100.0,
-                    &[l],
-                    crate::time::SimDur::from_secs_f64(2.0),
-                    Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
-                );
-            }),
-        );
-        sim.run_until_idle();
-        let log = &sim.state().log;
-        assert_eq!(log.len(), 1, "hedge winner delivers exactly once");
-        assert!((log[0].1.as_secs_f64() - 3.0).abs() < 1e-6);
-        assert_eq!(sim.state_mut().flow_driver().hedged, 1);
-        assert_eq!(
-            sim.state_mut().flow_driver().net.active_flows(),
-            0,
-            "loser must be cancelled"
-        );
-    }
-
-    #[test]
-    fn hedged_flow_that_completes_in_time_never_duplicates() {
-        let (world, l) = world_with_link(100.0);
-        let mut sim = Sim::new(world);
-        sim.schedule_at(
-            SimTime::ZERO,
-            Box::new(move |w: &mut World, ctx| {
-                start_flow_hedged(
-                    w,
-                    ctx,
-                    100.0,
-                    &[l],
-                    crate::time::SimDur::from_secs_f64(5.0),
-                    Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
-                );
-            }),
-        );
-        sim.run_until_idle();
-        let log = &sim.state().log;
-        assert_eq!(log.len(), 1);
-        assert!((log[0].1.as_secs_f64() - 1.0).abs() < 1e-6);
-        assert_eq!(sim.state_mut().flow_driver().hedged, 0);
     }
 
     #[test]

@@ -179,11 +179,6 @@ impl LogHistogram {
         percentile_of(&self.win_counts, self.win_count, p)
     }
 
-    /// Observations in the current window.
-    pub fn window_count(&self) -> u64 {
-        self.win_count
-    }
-
     /// Clears the window view (the cumulative view is untouched).
     pub fn rotate(&mut self) {
         self.win_counts = [0; BUCKETS];
@@ -390,35 +385,20 @@ impl Registry {
 // Multi-window SLO burn-rate monitoring
 // ---------------------------------------------------------------------------
 
-/// SLO and alerting policy for one serving run.
-#[derive(Debug, Clone, Copy)]
-pub struct SloPolicy {
-    /// Latency threshold separating good from bad requests.
-    pub slo_ns: u64,
-    /// Availability target, e.g. 0.999 → a 0.1 % error budget.
-    pub target: f64,
-    /// Alert when the burn rate exceeds this on *both* windows.
-    pub burn_threshold: f64,
-    /// Short (fast-burn) window in milliseconds.
-    pub short_ms: u64,
-    /// Long (slow-burn) window in milliseconds.
-    pub long_ms: u64,
-    /// Completions a long window needs before it may alert.
-    pub min_count: u64,
-}
+/// Availability target of the SLO burn monitor: a 0.1 % error budget.
+const SLO_TARGET: f64 = 0.999;
 
-impl Default for SloPolicy {
-    fn default() -> Self {
-        SloPolicy {
-            slo_ns: 100_000_000, // 100 ms, the paper's serving SLO
-            target: 0.999,
-            burn_threshold: 2.0,
-            short_ms: 5_000,
-            long_ms: 60_000,
-            min_count: 20,
-        }
-    }
-}
+/// A kind alerts when its burn rate exceeds this on *both* windows.
+const BURN_THRESHOLD: f64 = 2.0;
+
+/// Short (fast-burn) window of the burn monitor, in milliseconds.
+const SHORT_WINDOW_MS: u64 = 5_000;
+
+/// Long (slow-burn) window of the burn monitor, in milliseconds.
+const LONG_WINDOW_MS: u64 = 60_000;
+
+/// Completions a long window needs before it may alert.
+const MIN_COUNT: u64 = 20;
 
 /// Good/bad counts over a rolling window, bucketed so expiry is exact
 /// in integer sim-time.
@@ -478,13 +458,13 @@ impl WindowCounts {
     }
 
     /// Burn rate: error fraction divided by the error budget.
-    fn burn(&self, target: f64) -> f64 {
+    fn burn(&self) -> f64 {
         let total = self.total();
         if total == 0 {
             return 0.0;
         }
         let err = self.bad as f64 / total as f64;
-        err / (1.0 - target).max(1e-12)
+        err / (1.0 - SLO_TARGET)
     }
 }
 
@@ -498,33 +478,33 @@ struct SloMonitor {
 }
 
 impl SloMonitor {
-    fn new(kind: usize, policy: &SloPolicy) -> Self {
+    fn new(kind: usize) -> Self {
         SloMonitor {
             kind,
-            short: WindowCounts::new(policy.short_ms),
-            long: WindowCounts::new(policy.long_ms),
+            short: WindowCounts::new(SHORT_WINDOW_MS),
+            long: WindowCounts::new(LONG_WINDOW_MS),
             alerting: false,
         }
     }
 
     /// Feeds one completion; returns a fired alert event, if any.
-    fn observe(&mut self, at_ms: u64, ok: bool, policy: &SloPolicy) -> Option<ProbeEvent> {
+    fn observe(&mut self, at_ms: u64, ok: bool) -> Option<ProbeEvent> {
         self.short.observe(at_ms, ok);
         self.long.observe(at_ms, ok);
-        let short_burn = self.short.burn(policy.target);
-        let long_burn = self.long.burn(policy.target);
-        let firing = short_burn > policy.burn_threshold
-            && long_burn > policy.burn_threshold
-            && self.long.total() >= policy.min_count;
+        let short_burn = self.short.burn();
+        let long_burn = self.long.burn();
+        let firing = short_burn > BURN_THRESHOLD
+            && long_burn > BURN_THRESHOLD
+            && self.long.total() >= MIN_COUNT;
         if firing && !self.alerting {
             self.alerting = true;
             return Some(ProbeEvent::SloBurnAlert {
                 kind: self.kind,
-                window_ms: policy.long_ms,
+                window_ms: LONG_WINDOW_MS,
                 burn_milli: (long_burn * 1000.0) as u64,
             });
         }
-        if !firing && self.alerting && long_burn <= policy.burn_threshold {
+        if !firing && self.alerting && long_burn <= BURN_THRESHOLD {
             self.alerting = false; // budget recovered; re-arm
         }
         None
@@ -548,18 +528,19 @@ pub struct MetricsSpec {
     pub instance_kinds: Vec<usize>,
     /// GPU count (per-GPU gauge tracks).
     pub gpus: usize,
-    /// SLO/alerting policy applied per model kind.
-    pub slo: SloPolicy,
+    /// Latency threshold separating good from bad completions for each
+    /// kind's burn monitor.
+    pub slo_ns: u64,
 }
 
 impl MetricsSpec {
-    /// A spec with the default SLO policy.
+    /// A spec with the paper's 100 ms serving SLO.
     pub fn new(kind_names: Vec<String>, instance_kinds: Vec<usize>, gpus: usize) -> Self {
         MetricsSpec {
             kind_names,
             instance_kinds,
             gpus,
-            slo: SloPolicy::default(),
+            slo_ns: 100_000_000,
         }
     }
 }
@@ -647,7 +628,7 @@ impl MetricsSink {
                     label(),
                 ),
             });
-            monitors.push(SloMonitor::new(k, &spec.slo));
+            monitors.push(SloMonitor::new(k));
             for col in ["completed", "shed", "p50_ms", "p99_ms", "burn_milli"] {
                 columns.push(format!("{name}.{col}"));
             }
@@ -767,7 +748,7 @@ impl MetricsSink {
             let hist = self.registry.hist(h.latency);
             row.push(hist.window_percentile(50.0) / 1e6);
             row.push(hist.window_percentile(99.0) / 1e6);
-            row.push((self.monitors[k].long.burn(self.spec.slo.target) * 1000.0).round());
+            row.push((self.monitors[k].long.burn() * 1000.0).round());
         }
         self.rows.push((at_ns, row));
         for h in &self.kinds {
@@ -811,9 +792,8 @@ impl MetricsSink {
                 self.registry.observe(self.kinds[k].latency, latency_ns);
                 self.registry
                     .observe(self.kinds[k].queue_wait, queue_wait_ns);
-                let ok = latency_ns <= self.spec.slo.slo_ns;
-                if let Some(alert) = self.monitors[k].observe(at_ns / 1_000_000, ok, &self.spec.slo)
-                {
+                let ok = latency_ns <= self.spec.slo_ns;
+                if let Some(alert) = self.monitors[k].observe(at_ns / 1_000_000, ok) {
                     self.registry.inc(self.alerts, 1);
                     self.log.record(at, alert);
                 }
@@ -930,7 +910,6 @@ mod tests {
         assert_eq!(h.percentile(50.0), 3.0);
         assert_eq!(h.percentile(100.0), 1023.0);
         h.rotate();
-        assert_eq!(h.window_count(), 0);
         assert_eq!(h.window_percentile(99.0), 0.0);
         assert_eq!(h.percentile(100.0), 1023.0, "cumulative view survives");
     }
@@ -959,34 +938,38 @@ mod tests {
 
     #[test]
     fn burn_monitor_fires_once_and_rearms() {
-        let policy = SloPolicy {
-            slo_ns: 100,
-            target: 0.9, // 10 % budget
-            burn_threshold: 2.0,
-            short_ms: 1_000,
-            long_ms: 10_000,
-            min_count: 5,
-        };
-        let mut m = SloMonitor::new(0, &policy);
-        // All bad: burn = 1.0 / 0.1 = 10 > 2 on both windows.
-        let mut alerts = 0;
-        for i in 0..10u64 {
-            if m.observe(i * 100, false, &policy).is_some() {
-                alerts += 1;
+        let mut m = SloMonitor::new(0);
+        // All bad, 10 per second: burn = 1.0 / 0.001 = 1000 > 2 on both
+        // windows, so the alert fires as the long window reaches
+        // MIN_COUNT completions and then latches.
+        let mut fired = Vec::new();
+        for i in 0..100u64 {
+            if m.observe(i * 100, false).is_some() {
+                fired.push(i + 1);
             }
         }
-        assert_eq!(alerts, 1, "alert latches, no re-fire while burning");
-        // A long stretch of good traffic drains both windows, re-arms.
-        for i in 0..400u64 {
-            assert!(m.observe(1_000 + i * 100, true, &policy).is_none());
+        assert_eq!(
+            fired,
+            vec![MIN_COUNT],
+            "alert latches, no re-fire while burning"
+        );
+        // Good traffic past the long window drains every bad completion
+        // from both windows and re-arms the monitor.
+        for i in 0..(LONG_WINDOW_MS / 100 + 12) {
+            assert!(m.observe(10_000 + i * 100, true).is_none());
         }
         assert!(!m.alerting);
-        for i in 0..600u64 {
-            if m.observe(60_000 + i * 10, false, &policy).is_some() {
-                alerts += 1;
+        assert_eq!(m.long.bad, 0);
+        // A fresh burst over the full window of good completions burns
+        // the budget again: one alert, once two bad completions lift
+        // the long window past the threshold.
+        let start = 10_000 + LONG_WINDOW_MS + 1_200;
+        for i in 0..20u64 {
+            if m.observe(start + i * 10, false).is_some() {
+                fired.push(i + 1);
             }
         }
-        assert_eq!(alerts, 2, "fires again after recovery");
+        assert_eq!(fired, vec![MIN_COUNT, 2], "fires again after recovery");
     }
 
     #[test]
@@ -1029,21 +1012,11 @@ mod tests {
 
     #[test]
     fn slo_alert_lands_in_event_log() {
-        let spec = MetricsSpec {
-            kind_names: vec!["m".into()],
-            instance_kinds: vec![0],
-            gpus: 1,
-            slo: SloPolicy {
-                slo_ns: 1,
-                target: 0.9,
-                burn_threshold: 2.0,
-                short_ms: 1_000,
-                long_ms: 10_000,
-                min_count: 3,
-            },
-        };
+        let mut spec = MetricsSpec::new(vec!["m".into()], vec![0], 1);
+        spec.slo_ns = 1;
         let mut sink = MetricsSink::new(spec);
-        for i in 0..5u64 {
+        let n = MIN_COUNT + 5;
+        for i in 0..n {
             sink.record(
                 SimTime::from_nanos(i * 1_000_000),
                 ProbeEvent::RequestCompleted {
@@ -1062,6 +1035,20 @@ mod tests {
             .filter(|e| matches!(e.what, ProbeEvent::SloBurnAlert { .. }))
             .collect();
         assert_eq!(alerts.len(), 1);
+        // It fires on the completion that fills the long window to
+        // MIN_COUNT, with the all-bad burn rate of 1 / (1 - target).
+        assert_eq!(
+            alerts[0].at,
+            SimTime::from_nanos((MIN_COUNT - 1) * 1_000_000)
+        );
+        assert_eq!(
+            alerts[0].what,
+            ProbeEvent::SloBurnAlert {
+                kind: 0,
+                window_ms: LONG_WINDOW_MS,
+                burn_milli: 999_999,
+            }
+        );
         assert!(sink.registry.counter_value(sink.alerts) == 1);
         // Stripping alert lines recovers the raw event stream.
         let raw: Vec<_> = sink
@@ -1069,6 +1056,6 @@ mod tests {
             .iter()
             .filter(|e| !matches!(e.what, ProbeEvent::SloBurnAlert { .. }))
             .collect();
-        assert_eq!(raw.len(), 5);
+        assert_eq!(raw.len() as u64, n);
     }
 }

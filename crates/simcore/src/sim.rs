@@ -8,8 +8,8 @@
 //!
 //! An event is either a boxed closure ([`Ctx::schedule_at`]) or a *word
 //! event* ([`Ctx::call_at`]): a plain function and one `u64` argument,
-//! scheduled without allocating. The hot timers (flow ticks, hedged-race
-//! finish lines, compute and token-step timers) capture a single word,
+//! scheduled without allocating. The hot timers (flow ticks, compute
+//! and token-step timers, hedged-race watchdogs) capture a single word,
 //! so they are word events.
 //!
 //! The queue is a binary min-heap over `(timestamp, sequence number)`

@@ -180,22 +180,6 @@ impl TimeSeries {
     pub fn p99_series(&self) -> Vec<f64> {
         self.buckets.iter().map(|s| s.p99()).collect()
     }
-
-    /// Per-bucket goodput (`fraction <= threshold`).
-    pub fn goodput_series(&self, threshold: f64) -> Vec<f64> {
-        self.buckets
-            .iter()
-            .map(|s| s.fraction_at_most(threshold))
-            .collect()
-    }
-}
-
-/// Formats a ratio as a `1.94x`-style speedup string.
-pub fn speedup_str(base: f64, other: f64) -> String {
-    if other <= 0.0 {
-        return "inf".to_string();
-    }
-    format!("{:.2}x", base / other)
 }
 
 #[cfg(test)]
@@ -268,7 +252,6 @@ mod tests {
         assert_eq!(ts.len(), 2);
         let p99 = ts.p99_series();
         assert_eq!(p99, vec![2.0, 3.0]);
-        assert_eq!(ts.goodput_series(1.5), vec![0.5, 0.0]);
     }
 
     #[test]
@@ -279,11 +262,5 @@ mod tests {
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 8.0);
         assert_eq!(s.mean(), 5.0);
-    }
-
-    #[test]
-    fn speedup_formatting() {
-        assert_eq!(speedup_str(2.0, 1.0), "2.00x");
-        assert_eq!(speedup_str(1.0, 0.0), "inf");
     }
 }

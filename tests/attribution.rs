@@ -196,7 +196,8 @@ fn metrics_sink_only_adds_alert_events() {
 #[test]
 fn sustained_slo_violations_fire_a_burn_alert() {
     // Drive a sink directly with latencies far above the SLO: the
-    // multi-window monitor must fire exactly one latched alert.
+    // multi-window monitor must fire exactly one latched alert, at the
+    // 20th completion (the long window's minimum count).
     let machine = p3_8xlarge();
     let cfg = ServerConfig::paper_default(machine.clone(), PlanMode::PtDha);
     let kinds = vec![DeployedModel::prepare(
@@ -205,8 +206,7 @@ fn sustained_slo_violations_fire_a_burn_alert() {
         PlanMode::PtDha,
         cfg.max_pt_gpus,
     )];
-    let mut spec = metrics_spec(&cfg, &kinds, &[0, 0]);
-    spec.slo.min_count = 5;
+    let spec = metrics_spec(&cfg, &kinds, &[0, 0]);
     let (probe, sink) = MetricsSink::probe(spec);
     for i in 0..20u64 {
         probe.emit(
@@ -221,13 +221,18 @@ fn sustained_slo_violations_fire_a_burn_alert() {
             },
         );
     }
-    let alerts = sink
+    let alerts: Vec<SimTime> = sink
         .borrow()
         .events()
         .iter()
         .filter(|e| matches!(e.what, ProbeEvent::SloBurnAlert { .. }))
-        .count();
-    assert_eq!(alerts, 1, "sustained burn fires one latched alert");
+        .map(|e| e.at)
+        .collect();
+    assert_eq!(
+        alerts,
+        vec![SimTime::from_nanos(19 * 10_000_000)],
+        "sustained burn fires one latched alert, at the 20th completion"
+    );
     let analysis = analyze(sink.borrow().events());
     assert_eq!(analysis.slo_alerts, 1, "analyze counts the alert");
 }
