@@ -15,7 +15,7 @@ pub fn run() -> Table {
     );
     for id in four_models() {
         let model = build(id);
-        let (_, cost) = Profiler::new(v100()).with_iterations(10).profile(&model, 1);
+        let (_, cost) = Profiler::new(v100()).profile(&model, 1);
         t.push(vec![
             id.display_name().to_string(),
             fmt(cost.dha.as_secs_f64(), 2),

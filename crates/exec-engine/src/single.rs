@@ -52,15 +52,17 @@ pub fn run_at(
     run_probed(machine, specs, Probe::disabled())
 }
 
-/// [`run_at`] with `probe` installed on the hardware state.
+/// [`run_at`] with `probe` installed on the hardware state and the flow
+/// driver, as a probed serving run installs it.
 fn run_probed(
     machine: gpu_topology::machine::Machine,
     specs: Vec<(SimTime, LaunchSpec)>,
     probe: Probe,
 ) -> (Vec<InferenceResult>, FlowNet) {
     let n = specs.len();
-    let (mut hw, flows) = HwState::new(machine);
-    hw.probe = probe;
+    let (mut hw, mut flows) = HwState::new(machine);
+    hw.probe = probe.clone();
+    flows.probe = probe;
     let world = SingleRun {
         hw,
         flows,

@@ -47,17 +47,6 @@ impl Profiler {
         }
     }
 
-    /// Overrides the number of measurement iterations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn with_iterations(mut self, n: u32) -> Self {
-        assert!(n > 0, "at least one iteration required");
-        self.iterations = n;
-        self
-    }
-
     /// Profiles `model` at `batch`, returning the table and the simulated
     /// wall-clock cost of taking it (Table 5).
     pub fn profile(&self, model: &Model, batch: u32) -> (ModelProfile, ProfilingCost) {
@@ -148,10 +137,7 @@ mod tests {
     fn jittered_average_is_close_to_exact() {
         let model = build(ModelId::ResNet50);
         let exact = Profiler::exact(v100()).profile(&model, 1).0;
-        let noisy = Profiler::new(v100())
-            .with_iterations(20)
-            .profile(&model, 1)
-            .0;
+        let noisy = Profiler::new(v100()).profile(&model, 1).0;
         for (e, n) in exact.layers.iter().zip(&noisy.layers) {
             let re = e.exec_inmem.as_secs_f64();
             let rn = n.exec_inmem.as_secs_f64();

@@ -15,18 +15,32 @@
 //! double-freed page across arbitrary histories, counters always equal
 //! ground truth, LRU victims never touched in the current token step).
 //!
-//! Every operation keeps the state a decode step reads up to date, so no
-//! query scans the slab. Device-resident pages form one doubly-linked
-//! LRU list per GPU, threaded through the slab with `u32` links: an
-//! allocation, a recall or a touch moves the page to the tail, a spill or
-//! a free unlinks it. Every stamp comes from one monotonic clock, so each
-//! list is ordered by last touch. Each request has a record of its pages
-//! in allocation order and of how many of them are host-resident, which
-//! every spill and recall adjusts in O(1); a hash index over request ids
-//! finds it. Freed slots form a stack threaded through the same links.
+//! Pages are kept in *runs*. A run is a span of one request's pages that
+//! are consecutive in its allocation order, share one home (a GPU or the
+//! host) and one touch step, and carry consecutive touch stamps. Every
+//! stamp comes from one monotonic clock and every move that restamps a
+//! page puts it at the tail of its GPU's LRU order, so the pages of a
+//! run are also consecutive in that order: each GPU's LRU list links
+//! runs, not pages. Each request keeps its runs in page order in a list
+//! of its own. Neighbouring runs that could be one always are, so the
+//! layout is a function of the pages' homes, steps and stamps alone.
+//!
+//! The decode path moves pages in bulk: an entry's growth, the `k` least
+//! recently touched pages of a GPU ([`KvPager::spill_lru`]), one
+//! request's pages on one GPU ([`KvPager::spill_request`]), a request's
+//! first host pages ([`KvPager::recall_first`], [`KvPager::recall_spans`])
+//! and a whole request on free. Each is a walk over runs that splits at
+//! most the runs at its two ends, and its counters move once per run.
+//! The page-at-a-time calls ([`KvPager::try_alloc`], [`KvPager::spill`],
+//! [`KvPager::recall`], [`KvPager::touch`]) are the one-page case of the
+//! same moves. A slot records only its owner's record and its index in
+//! the owner's allocation order; freed slots form a stack, reused last
+//! freed first, so every page id is the one the page-at-a-time pager
+//! hands out.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// Index of a page in the pager's slab. Stable for the page's lifetime.
 pub type PageId = usize;
@@ -63,35 +77,81 @@ pub struct FreedPages {
     pub host: u64,
 }
 
-/// Link value meaning "no slot".
+/// Link value meaning "no run", and [`Slot::req`] of a free slot.
 const NIL: u32 = u32::MAX;
-/// [`Slot::home`] of a host-resident page.
-const HOST: u32 = u32::MAX - 1;
-/// [`Slot::home`] of a free slot.
-const FREE: u32 = u32::MAX;
+/// [`Run::home`] of a host-resident run.
+const HOST: u32 = u32::MAX;
 
-/// One slab slot: a live page, or a free slot when `home == FREE`.
+/// One slab slot: a live page, or a free slot when `req == NIL`, whose
+/// `idx` is then the next free slot.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    owner: u64,
-    last_touch: u64,
-    touch_step: u64,
-    /// GPU index, [`HOST`] or [`FREE`].
-    home: u32,
-    /// Neighbours in the home GPU's LRU list; host-resident pages are in
-    /// no list, and a free slot's `next` is the next free slot.
-    prev: u32,
-    next: u32,
     /// Index of the owner's record in [`KvPager::reqs`].
     req: u32,
+    /// The page's index in its owner's allocation order.
+    idx: u32,
 }
 
-/// One request's pages in allocation order (tail = newest) and how many
-/// of them are host-resident.
-#[derive(Debug, Clone, Default)]
+/// A span of one request's pages: consecutive in its allocation order,
+/// one home, one touch step, consecutive touch stamps.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// Stamp of the first page; page `start + i` carries `stamp + i`.
+    stamp: u64,
+    /// Token step of the pages' last touch.
+    step: u64,
+    /// Index of the owner's record in [`KvPager::reqs`].
+    req: u32,
+    /// Index of the first page in the owner's allocation order.
+    start: u32,
+    len: u32,
+    /// GPU index, or [`HOST`].
+    home: u32,
+    /// Neighbours in the home GPU's LRU list; host runs are in no list,
+    /// and a free record's `next` is the next free record.
+    prev: u32,
+    next: u32,
+    /// Neighbours in the owner's page order.
+    left: u32,
+    right: u32,
+}
+
+impl Run {
+    /// One past the index of the last page.
+    fn end(&self) -> u32 {
+        self.start + self.len
+    }
+
+    /// Whether `next`, the run after this one in page order, could be
+    /// one run with it.
+    fn joins(&self, next: &Run) -> bool {
+        self.home == next.home
+            && self.step == next.step
+            && self.stamp + u64::from(self.len) == next.stamp
+    }
+}
+
+/// One request's pages in allocation order (tail = newest), how many of
+/// them are host-resident, and the ends of its run list.
+#[derive(Debug, Clone)]
 struct ReqPages {
+    id: u64,
     pages: Vec<PageId>,
     host: u64,
+    first: u32,
+    last: u32,
+}
+
+impl Default for ReqPages {
+    fn default() -> Self {
+        ReqPages {
+            id: 0,
+            pages: Vec::new(),
+            host: 0,
+            first: NIL,
+            last: NIL,
+        }
+    }
 }
 
 /// Hashes a request id with one 64×64→128-bit multiply by a fixed odd
@@ -117,7 +177,8 @@ impl Hasher for ReqHasher {
     }
 }
 
-/// Ends of one GPU's LRU list: `head` is the least recently touched.
+/// Ends of one GPU's LRU list of runs: `head` is the least recently
+/// touched.
 #[derive(Debug, Clone, Copy)]
 struct Lru {
     head: u32,
@@ -136,8 +197,11 @@ pub struct KvPager {
     /// Page slab; freed slots are reused last-freed first.
     slots: Vec<Slot>,
     /// Top of the free-slot stack.
-    free_top: u32,
-    /// Per-GPU LRU lists of device-resident pages.
+    free_slot: u32,
+    /// Run records; freed records form a stack through `next`.
+    runs: Vec<Run>,
+    free_run: u32,
+    /// Per-GPU LRU lists of device-resident runs.
     lru: Vec<Lru>,
     /// Live pages across all pools.
     live: usize,
@@ -176,7 +240,7 @@ impl KvPager {
     /// Panics if `page_bytes == 0` or `gpus` does not fit a `u32` home.
     pub fn new(page_bytes: u64, gpus: usize, gpu_pool_bytes: u64, host_pool_bytes: u64) -> Self {
         assert!(page_bytes > 0, "page size must be positive");
-        assert!(gpus < HOST as usize, "GPU index must fit a slot's home");
+        assert!(gpus < HOST as usize, "GPU index must fit a run's home");
         KvPager {
             page_bytes,
             gpu_cap: vec![gpu_pool_bytes / page_bytes; gpus],
@@ -184,7 +248,9 @@ impl KvPager {
             host_cap: host_pool_bytes / page_bytes,
             host_used: 0,
             slots: Vec::new(),
-            free_top: NIL,
+            free_slot: NIL,
+            runs: Vec::new(),
+            free_run: NIL,
             lru: vec![
                 Lru {
                     head: NIL,
@@ -221,43 +287,219 @@ impl KvPager {
         self.touch_clock
     }
 
-    /// Appends slot `id` to the tail of `gpu`'s LRU list.
+    /// Stores `run` in a free record (or a new one) and returns its index.
+    fn new_run(&mut self, run: Run) -> u32 {
+        match self.free_run {
+            NIL => {
+                let id = u32::try_from(self.runs.len())
+                    .ok()
+                    .filter(|&id| id < NIL)
+                    .expect("KV runs fit u32 ids");
+                self.runs.push(run);
+                id
+            }
+            id => {
+                self.free_run = self.runs[id as usize].next;
+                self.runs[id as usize] = run;
+                id
+            }
+        }
+    }
+
+    fn drop_run(&mut self, id: u32) {
+        self.runs[id as usize].next = self.free_run;
+        self.free_run = id;
+    }
+
+    /// Appends run `id` to the tail of `gpu`'s LRU list.
     fn link_tail(&mut self, id: u32, gpu: usize) {
         let tail = self.lru[gpu].tail;
-        let slot = &mut self.slots[id as usize];
-        slot.prev = tail;
-        slot.next = NIL;
+        let run = &mut self.runs[id as usize];
+        run.prev = tail;
+        run.next = NIL;
         match tail {
             NIL => self.lru[gpu].head = id,
-            t => self.slots[t as usize].next = id,
+            t => self.runs[t as usize].next = id,
         }
         self.lru[gpu].tail = id;
     }
 
-    /// Removes slot `id` from `gpu`'s LRU list.
+    /// Removes run `id` from `gpu`'s LRU list.
     fn unlink(&mut self, id: u32, gpu: usize) {
-        let Slot { prev, next, .. } = self.slots[id as usize];
+        let Run { prev, next, .. } = self.runs[id as usize];
         match prev {
             NIL => self.lru[gpu].head = next,
-            p => self.slots[p as usize].next = next,
+            p => self.runs[p as usize].next = next,
         }
         match next {
             NIL => self.lru[gpu].tail = prev,
-            n => self.slots[n as usize].prev = prev,
+            n => self.runs[n as usize].prev = prev,
         }
     }
 
+    /// Splits run `id` before page index `at`, strictly inside it, and
+    /// returns the new run holding `at..`. It follows `id` in the owner's
+    /// page order and, on a GPU, in the LRU list.
+    fn split(&mut self, id: u32, at: u32) -> u32 {
+        let run = self.runs[id as usize];
+        let head = at - run.start;
+        debug_assert!(0 < head && head < run.len, "split inside the run");
+        let on_gpu = run.home != HOST;
+        let tail = self.new_run(Run {
+            stamp: run.stamp + u64::from(head),
+            start: at,
+            len: run.len - head,
+            prev: if on_gpu { id } else { NIL },
+            next: if on_gpu { run.next } else { NIL },
+            left: id,
+            right: run.right,
+            ..run
+        });
+        let first = &mut self.runs[id as usize];
+        first.len = head;
+        first.right = tail;
+        match run.right {
+            NIL => self.reqs[run.req as usize].last = tail,
+            r => self.runs[r as usize].left = tail,
+        }
+        if on_gpu {
+            self.runs[id as usize].next = tail;
+            match run.next {
+                NIL => self.lru[run.home as usize].tail = tail,
+                n => self.runs[n as usize].prev = tail,
+            }
+        }
+        tail
+    }
+
+    /// Narrows run `id` to the pages `a..b` inside it, splitting off the
+    /// rest, and returns the run holding exactly `a..b`.
+    fn isolate(&mut self, id: u32, a: u32, b: u32) -> u32 {
+        let run = self.runs[id as usize];
+        let id = if a > run.start { self.split(id, a) } else { id };
+        if b < run.end() {
+            self.split(id, b);
+        }
+        id
+    }
+
+    /// Merges run `id` with its neighbours in page order where they could
+    /// be one run, returning the run that now holds its pages.
+    fn merge_around(&mut self, mut id: u32) -> u32 {
+        let left = self.runs[id as usize].left;
+        if left != NIL && self.runs[left as usize].joins(&self.runs[id as usize]) {
+            self.absorb(left, id);
+            id = left;
+        }
+        let right = self.runs[id as usize].right;
+        if right != NIL && self.runs[id as usize].joins(&self.runs[right as usize]) {
+            self.absorb(id, right);
+        }
+        id
+    }
+
+    /// Appends run `b` to run `a`, which it follows in page order and, on
+    /// a GPU, in the LRU list (consecutive stamps leave no page between).
+    fn absorb(&mut self, a: u32, b: u32) {
+        let run = self.runs[b as usize];
+        self.runs[a as usize].len += run.len;
+        self.runs[a as usize].right = run.right;
+        match run.right {
+            NIL => self.reqs[run.req as usize].last = a,
+            r => self.runs[r as usize].left = a,
+        }
+        if run.home != HOST {
+            self.unlink(b, run.home as usize);
+        }
+        self.drop_run(b);
+    }
+
+    /// The run of record `rec` holding page index `idx`, searched from
+    /// the nearer end of its page order.
+    fn run_of(&self, rec: u32, idx: u32) -> u32 {
+        let r = &self.reqs[rec as usize];
+        if (idx as usize) < r.pages.len() / 2 {
+            let mut id = r.first;
+            while self.runs[id as usize].end() <= idx {
+                id = self.runs[id as usize].right;
+            }
+            id
+        } else {
+            let mut id = r.last;
+            while self.runs[id as usize].start > idx {
+                id = self.runs[id as usize].left;
+            }
+            id
+        }
+    }
+
+    /// Moves the first `take` pages of GPU run `id` to the host pool,
+    /// hands them to `each` with their owner, and returns the run that
+    /// now holds them.
+    fn spill_head(&mut self, id: u32, take: u32, each: &mut impl FnMut(u64, &[PageId])) -> u32 {
+        let run = self.runs[id as usize];
+        if take < run.len {
+            self.split(id, run.start + take);
+        }
+        self.unlink(id, run.home as usize);
+        self.runs[id as usize].home = HOST;
+        let n = u64::from(take);
+        self.gpu_used[run.home as usize] -= n;
+        self.host_used += n;
+        self.reqs[run.req as usize].host += n;
+        self.spills += n;
+        let r = &self.reqs[run.req as usize];
+        each(
+            r.id,
+            &r.pages[run.start as usize..(run.start + take) as usize],
+        );
+        self.merge_around(id)
+    }
+
+    /// Moves the first `take` pages of host run `id` to `gpu`, restamped
+    /// in page order and touched in `step`, hands them to `each` with
+    /// their owner, and returns the run that now holds them.
+    fn recall_head(
+        &mut self,
+        id: u32,
+        take: u32,
+        gpu: usize,
+        step: u64,
+        each: &mut impl FnMut(u64, &[PageId]),
+    ) -> u32 {
+        let run = self.runs[id as usize];
+        if take < run.len {
+            self.split(id, run.start + take);
+        }
+        let moved = &mut self.runs[id as usize];
+        moved.home = gpu as u32;
+        moved.stamp = self.touch_clock + 1;
+        moved.step = step;
+        let n = u64::from(take);
+        self.touch_clock += n;
+        self.link_tail(id, gpu);
+        self.host_used -= n;
+        self.gpu_used[gpu] += n;
+        self.reqs[run.req as usize].host -= n;
+        self.recalls += n;
+        let r = &self.reqs[run.req as usize];
+        each(
+            r.id,
+            &r.pages[run.start as usize..(run.start + take) as usize],
+        );
+        self.merge_around(id)
+    }
+
     /// The live slot behind `page`, if any.
-    fn live_slot(&self, page: PageId) -> Option<&Slot> {
-        self.slots.get(page).filter(|s| s.home != FREE)
+    fn live_slot(&self, page: PageId) -> Option<Slot> {
+        self.slots.get(page).copied().filter(|s| s.req != NIL)
     }
 
     /// Allocates a fresh GPU-resident page for `req` on `gpu`, touched in
     /// `step`. Fails (returns `None`) when the device pool is full — the
     /// caller must spill a victim first.
     pub fn try_alloc(&mut self, req: u64, gpu: usize, step: u64) -> Option<PageId> {
-        // A new page joins the tail of its GPU's LRU list.
-        (self.alloc_pages(req, gpu, step, 1) == 1).then(|| self.lru[gpu].tail as PageId)
+        self.alloc(req, gpu, step, 1).first().copied()
     }
 
     /// Allocates up to `n` fresh GPU-resident pages for `req` on `gpu`,
@@ -266,28 +508,37 @@ impl KvPager {
     /// Equivalent to `n` [`KvPager::try_alloc`] calls that stop at the
     /// first failure, with one index lookup.
     pub fn alloc_pages(&mut self, req: u64, gpu: usize, step: u64, n: u64) -> u64 {
+        self.alloc(req, gpu, step, n).len() as u64
+    }
+
+    /// [`KvPager::alloc_pages`], returning the new pages.
+    fn alloc(&mut self, req: u64, gpu: usize, step: u64, n: u64) -> &[PageId] {
         let n = n.min(self.gpu_free_pages(gpu));
         if n == 0 {
-            return 0;
+            return &[];
         }
         let rec = *self.by_req.entry(req).or_insert_with(|| {
-            self.free_reqs.pop().unwrap_or_else(|| {
-                self.reqs.push(ReqPages::default());
-                u32::try_from(self.reqs.len() - 1).expect("request records fit u32 ids")
-            })
-        });
-        for _ in 0..n {
-            let last_touch = self.stamp();
-            let slot = Slot {
-                owner: req,
-                last_touch,
-                touch_step: step,
-                home: gpu as u32,
-                prev: NIL,
-                next: NIL,
-                req: rec,
+            let fresh = ReqPages {
+                id: req,
+                ..ReqPages::default()
             };
-            let id = match self.free_top {
+            match self.free_reqs.pop() {
+                Some(rec) => {
+                    self.reqs[rec as usize] = fresh;
+                    rec
+                }
+                None => {
+                    self.reqs.push(fresh);
+                    u32::try_from(self.reqs.len() - 1).expect("request records fit u32 ids")
+                }
+            }
+        });
+        let first = self.reqs[rec as usize].pages.len();
+        let end = u32::try_from(first as u64 + n).expect("a request's pages fit u32 indices");
+        let start = end - n as u32;
+        for idx in start..end {
+            let slot = Slot { req: rec, idx };
+            let id = match self.free_slot {
                 NIL => {
                     let id = u32::try_from(self.slots.len())
                         .ok()
@@ -297,33 +548,80 @@ impl KvPager {
                     id
                 }
                 id => {
-                    self.free_top = self.slots[id as usize].next;
+                    self.free_slot = self.slots[id as usize].idx;
                     self.slots[id as usize] = slot;
                     id
                 }
             };
-            self.link_tail(id, gpu);
             self.reqs[rec as usize].pages.push(id as PageId);
+        }
+        let run = Run {
+            stamp: self.touch_clock + 1,
+            step,
+            req: rec,
+            start,
+            len: n as u32,
+            home: gpu as u32,
+            prev: NIL,
+            next: NIL,
+            left: self.reqs[rec as usize].last,
+            right: NIL,
+        };
+        self.touch_clock += n;
+        // The newest run holds the newest stamps, so a run the new pages
+        // extend is already at the tail of the GPU's LRU list.
+        match run.left {
+            l if l != NIL && self.runs[l as usize].joins(&run) => {
+                self.runs[l as usize].len += run.len
+            }
+            l => {
+                let id = self.new_run(run);
+                match l {
+                    NIL => self.reqs[rec as usize].first = id,
+                    l => self.runs[l as usize].right = id,
+                }
+                self.reqs[rec as usize].last = id;
+                self.link_tail(id, gpu);
+            }
         }
         self.gpu_used[gpu] += n;
         self.live += n as usize;
         self.allocs += n;
-        n
+        // Every entry allocates every step, so a whole-layout check here
+        // would dominate a debug run; check the run the pages joined.
+        let r = &self.reqs[rec as usize];
+        debug_assert!(
+            self.runs[r.last as usize].end() as usize == r.pages.len()
+                && self.lru[gpu].tail == r.last,
+            "new pages end their request's last run, at their GPU's LRU tail"
+        );
+        &r.pages[first..]
     }
 
-    /// Marks `page` as touched in `step` (its owner appended to it).
+    /// Marks `page` as touched in `step` (its owner appended to it). A
+    /// page that already holds the newest stamp, from `step`, is left as
+    /// it is: restamping it would move no page in any LRU order, and the
+    /// page allocated last keeps its place in its run.
     pub fn touch(&mut self, page: PageId, step: u64) {
-        let clock = self.stamp();
-        let Some(&Slot { home, .. }) = self.live_slot(page) else {
+        let Some(Slot { req, idx }) = self.live_slot(page) else {
             return;
         };
-        let slot = &mut self.slots[page];
-        slot.last_touch = clock;
-        slot.touch_step = step;
-        if home != HOST {
-            self.unlink(page as u32, home as usize);
-            self.link_tail(page as u32, home as usize);
+        let id = self.run_of(req, idx);
+        let run = &self.runs[id as usize];
+        if run.step == step && run.stamp + u64::from(idx - run.start) == self.touch_clock {
+            return;
         }
+        let clock = self.stamp();
+        let id = self.isolate(id, idx, idx + 1);
+        let run = &mut self.runs[id as usize];
+        run.stamp = clock;
+        run.step = step;
+        if run.home != HOST {
+            let gpu = run.home as usize;
+            self.unlink(id, gpu);
+            self.link_tail(id, gpu);
+        }
+        self.merge_around(id);
     }
 
     /// The LRU spill candidate on `gpu`: the GPU-resident page with the
@@ -337,22 +635,189 @@ impl KvPager {
     /// Up to `k` LRU spill candidates on `gpu`, the batched form of
     /// [`KvPager::spill_victim`]. Returns the `k` GPU-resident pages with
     /// the oldest touches that were not touched in `step`, in eviction
-    /// order (oldest first), capped by the host pool's remaining room.
-    /// Calling [`KvPager::spill`] on each returned page in order is
-    /// equivalent to `k` alternating `spill_victim`/`spill` rounds.
+    /// order (oldest first), capped by the host pool's remaining room:
+    /// the pages [`KvPager::spill_lru`] would spill, in its order.
     ///
     /// Walks `gpu`'s LRU list from the head, so the cost is the pages
-    /// returned plus the pages touched in `step` that it skips.
+    /// returned plus the runs touched in `step` that it skips.
     pub fn spill_victims(&self, gpu: usize, step: u64, k: usize) -> Vec<PageId> {
-        let room = usize::try_from(self.host_cap.saturating_sub(self.host_used)).unwrap_or(0);
-        let head = Some(self.lru[gpu].head).filter(|&id| id != NIL);
-        std::iter::successors(head, |&id| {
-            Some(self.slots[id as usize].next).filter(|&n| n != NIL)
-        })
-        .filter(|&id| self.slots[id as usize].touch_step != step)
-        .take(k.min(room))
-        .map(|id| id as PageId)
-        .collect()
+        let room = usize::try_from(self.host_cap - self.host_used).unwrap_or(usize::MAX);
+        let mut left = k.min(room);
+        let mut victims = Vec::new();
+        let mut id = self.lru[gpu].head;
+        while left > 0 && id != NIL {
+            let run = &self.runs[id as usize];
+            if run.step != step {
+                let take = left.min(run.len as usize);
+                let start = run.start as usize;
+                victims.extend_from_slice(&self.reqs[run.req as usize].pages[start..start + take]);
+                left -= take;
+            }
+            id = run.next;
+        }
+        victims
+    }
+
+    /// Spills the `k` least recently touched pages on `gpu` that were not
+    /// touched in `step` (fewer when the host pool fills or fewer are
+    /// eligible) and returns how many it spilled. Calls `each` with the
+    /// owner and the pages of every run it moves, in eviction order.
+    /// Equivalent to [`KvPager::spill`] on each page
+    /// [`KvPager::spill_victims`] returns, in order.
+    ///
+    /// Costs the runs it moves plus the runs touched in `step` it skips.
+    pub fn spill_lru(
+        &mut self,
+        gpu: usize,
+        step: u64,
+        k: u64,
+        mut each: impl FnMut(u64, &[PageId]),
+    ) -> u64 {
+        let want = k.min(self.host_cap - self.host_used);
+        let mut left = want;
+        let mut id = self.lru[gpu].head;
+        while left > 0 && id != NIL {
+            let run = self.runs[id as usize];
+            if run.step != step {
+                // Only the last run taken can be cut: its tail stays
+                // resident. Host runs are in no LRU list, so `run.next`
+                // survives whatever the move merges.
+                let take = left.min(u64::from(run.len)) as u32;
+                self.spill_head(id, take, &mut each);
+                left -= u64::from(take);
+            }
+            id = run.next;
+        }
+        if want > 0 {
+            self.check_runs();
+        }
+        want - left
+    }
+
+    /// Spills `req`'s pages on `gpu` to the host pool in allocation order,
+    /// stopping when the host pool fills, and returns how many it spilled
+    /// (a session swap-out). Calls `each` with the owner and the pages of
+    /// every run it moves. Equivalent to [`KvPager::spill`] on each of
+    /// `req`'s pages on `gpu`, in allocation order.
+    pub fn spill_request(
+        &mut self,
+        req: u64,
+        gpu: usize,
+        mut each: impl FnMut(u64, &[PageId]),
+    ) -> u64 {
+        let Some(&rec) = self.by_req.get(&req) else {
+            return 0;
+        };
+        let mut spilled = 0;
+        let mut id = self.reqs[rec as usize].first;
+        while id != NIL && self.host_used < self.host_cap {
+            let run = self.runs[id as usize];
+            if run.home != gpu as u32 {
+                id = run.right;
+                continue;
+            }
+            let take = (self.host_cap - self.host_used).min(u64::from(run.len)) as u32;
+            let moved = self.spill_head(id, take, &mut each);
+            spilled += u64::from(take);
+            id = self.runs[moved as usize].right;
+        }
+        if spilled > 0 {
+            self.check_runs();
+        }
+        spilled
+    }
+
+    /// Recalls the first `n` host-resident pages of `req`, in allocation
+    /// order, to `gpu` for step `step` (fewer when `req` has fewer or the
+    /// device pool fills) and returns how many it recalled. Calls `each`
+    /// with the owner and the pages of every run it moves. Equivalent to
+    /// [`KvPager::recall`] on each of those pages in order: they take
+    /// consecutive stamps, so they join into as few runs as their
+    /// positions allow.
+    pub fn recall_first(
+        &mut self,
+        req: u64,
+        gpu: usize,
+        step: u64,
+        n: u64,
+        each: impl FnMut(u64, &[PageId]),
+    ) -> u64 {
+        let all = 0..usize::MAX;
+        self.recall_spans(req, gpu, step, std::slice::from_ref(&all), n, each)
+    }
+
+    /// `req`'s host-resident pages as ranges of indices in its allocation
+    /// order (the positions [`KvPager::pages_of`] lists), first to last,
+    /// with adjacent ranges joined.
+    pub fn host_spans(&self, req: u64) -> Vec<Range<usize>> {
+        let mut spans: Vec<Range<usize>> = Vec::new();
+        let mut id = self
+            .by_req
+            .get(&req)
+            .map_or(NIL, |&rec| self.reqs[rec as usize].first);
+        while id != NIL {
+            let run = &self.runs[id as usize];
+            if run.home == HOST {
+                let (a, b) = (run.start as usize, run.end() as usize);
+                match spans.last_mut() {
+                    Some(last) if last.end == a => last.end = b,
+                    _ => spans.push(a..b),
+                }
+            }
+            id = run.right;
+        }
+        spans
+    }
+
+    /// [`KvPager::recall_first`] over the pages at the allocation-order
+    /// indices in `spans` only, first to last. Forced recall passes the
+    /// spans [`KvPager::host_spans`] read before its own evictions, so
+    /// the pages those evictions spill stay on the host.
+    pub fn recall_spans(
+        &mut self,
+        req: u64,
+        gpu: usize,
+        step: u64,
+        spans: &[Range<usize>],
+        n: u64,
+        mut each: impl FnMut(u64, &[PageId]),
+    ) -> u64 {
+        let Some(&rec) = self.by_req.get(&req) else {
+            return 0;
+        };
+        let len = self.reqs[rec as usize].pages.len();
+        let want = n
+            .min(self.reqs[rec as usize].host)
+            .min(self.gpu_free_pages(gpu));
+        let mut left = want;
+        for span in spans {
+            // Both ends fit u32: `pages.len()` does.
+            let (mut a, b) = (span.start.min(len) as u32, span.end.min(len) as u32);
+            let mut id = if left > 0 && a < b {
+                self.run_of(rec, a)
+            } else {
+                NIL
+            };
+            while left > 0 && a < b {
+                let run = self.runs[id as usize];
+                if run.home != HOST {
+                    (a, id) = (run.end(), run.right);
+                    continue;
+                }
+                if a > run.start {
+                    id = self.split(id, a);
+                }
+                let take = (b.min(run.end()) - a).min(u32::try_from(left).unwrap_or(u32::MAX));
+                let moved = self.recall_head(id, take, gpu, step, &mut each);
+                id = self.runs[moved as usize].right;
+                a += take;
+                left -= u64::from(take);
+            }
+        }
+        if left < want {
+            self.check_runs();
+        }
+        want - left
     }
 
     /// Free pages remaining in `gpu`'s device pool.
@@ -367,18 +832,15 @@ impl KvPager {
         if self.host_used >= self.host_cap {
             return false;
         }
-        let Some(&Slot { home, req, .. }) = self.live_slot(page) else {
+        let Some(Slot { req, idx }) = self.live_slot(page) else {
             return false;
         };
-        if home == HOST {
+        let id = self.run_of(req, idx);
+        if self.runs[id as usize].home == HOST {
             return false;
         }
-        self.unlink(page as u32, home as usize);
-        self.slots[page].home = HOST;
-        self.gpu_used[home as usize] -= 1;
-        self.host_used += 1;
-        self.reqs[req as usize].host += 1;
-        self.spills += 1;
+        let id = self.isolate(id, idx, idx + 1);
+        self.spill_head(id, 1, &mut |_, _| {});
         true
     }
 
@@ -393,22 +855,15 @@ impl KvPager {
         if self.gpu_used[gpu] >= self.gpu_cap[gpu] {
             return false;
         }
-        let Some(&Slot {
-            home: HOST, req, ..
-        }) = self.live_slot(page)
-        else {
+        let Some(Slot { req, idx }) = self.live_slot(page) else {
             return false;
         };
-        let last_touch = self.stamp();
-        let slot = &mut self.slots[page];
-        slot.home = gpu as u32;
-        slot.last_touch = last_touch;
-        slot.touch_step = step;
-        self.link_tail(page as u32, gpu);
-        self.host_used -= 1;
-        self.gpu_used[gpu] += 1;
-        self.reqs[req as usize].host -= 1;
-        self.recalls += 1;
+        let id = self.run_of(req, idx);
+        if self.runs[id as usize].home != HOST {
+            return false;
+        }
+        let id = self.isolate(id, idx, idx + 1);
+        self.recall_head(id, 1, gpu, step, &mut |_, _| {});
         true
     }
 
@@ -419,42 +874,53 @@ impl KvPager {
         let Some(rec) = self.by_req.remove(&req) else {
             return freed;
         };
-        let ReqPages { pages, .. } = std::mem::take(&mut self.reqs[rec as usize]);
+        let ReqPages { pages, first, .. } = std::mem::take(&mut self.reqs[rec as usize]);
         self.free_reqs.push(rec);
-        for id in pages {
-            match self.slots[id].home {
+        let mut id = first;
+        while id != NIL {
+            let run = self.runs[id as usize];
+            let n = u64::from(run.len);
+            match run.home {
                 HOST => {
-                    self.host_used -= 1;
-                    freed.host += 1;
-                    self.frees_host += 1;
+                    self.host_used -= n;
+                    freed.host += n;
                 }
                 g => {
-                    self.unlink(id as u32, g as usize);
-                    self.gpu_used[g as usize] -= 1;
-                    freed.gpu += 1;
-                    self.frees_gpu += 1;
+                    self.unlink(id, g as usize);
+                    self.gpu_used[g as usize] -= n;
+                    freed.gpu += n;
                 }
             }
-            let slot = &mut self.slots[id];
-            slot.home = FREE;
-            slot.next = self.free_top;
-            self.free_top = id as u32;
-            self.live -= 1;
-            self.frees += 1;
+            self.drop_run(id);
+            id = run.right;
         }
+        for &page in &pages {
+            self.slots[page] = Slot {
+                req: NIL,
+                idx: self.free_slot,
+            };
+            self.free_slot = page as u32;
+        }
+        self.live -= pages.len();
+        self.frees += pages.len() as u64;
+        self.frees_gpu += freed.gpu;
+        self.frees_host += freed.host;
+        self.check_runs();
         freed
     }
 
     /// A copy of one live page.
     pub fn page(&self, id: PageId) -> Option<KvPage> {
-        self.live_slot(id).map(|s| KvPage {
-            owner: s.owner,
-            home: match s.home {
+        let Slot { req, idx } = self.live_slot(id)?;
+        let run = &self.runs[self.run_of(req, idx) as usize];
+        Some(KvPage {
+            owner: self.reqs[req as usize].id,
+            home: match run.home {
                 HOST => PageHome::Host,
                 g => PageHome::Gpu(g as usize),
             },
-            last_touch: s.last_touch,
-            touch_step: s.touch_step,
+            last_touch: run.stamp + u64::from(idx - run.start),
+            touch_step: run.step,
         })
     }
 
@@ -474,10 +940,19 @@ impl KvPager {
 
     /// Number of `req`'s pages currently on `gpu`.
     pub fn gpu_pages_of(&self, req: u64, gpu: usize) -> u64 {
-        self.pages_of(req)
-            .iter()
-            .filter(|&&id| self.slots[id].home == gpu as u32)
-            .count() as u64
+        let mut pages = 0;
+        let mut id = self
+            .by_req
+            .get(&req)
+            .map_or(NIL, |&rec| self.reqs[rec as usize].first);
+        while id != NIL {
+            let run = &self.runs[id as usize];
+            if run.home == gpu as u32 {
+                pages += u64::from(run.len);
+            }
+            id = run.right;
+        }
+        pages
     }
 
     /// Pages used in `gpu`'s device pool.
@@ -513,6 +988,72 @@ impl KvPager {
     /// Whether no page is live anywhere (all requests fully freed).
     pub fn is_empty(&self) -> bool {
         self.live_pages() == 0 && self.host_used == 0 && self.gpu_used.iter().all(|&u| u == 0)
+    }
+
+    /// In debug builds, checks the run layout after a bulk move: each
+    /// request's runs partition its pages in order, no two neighbours
+    /// could be one run, and the run lengths sum to every pool's used
+    /// count and to each request's host count; each GPU's LRU list holds
+    /// its runs in stamp order.
+    fn check_runs(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut gpu = vec![0u64; self.gpu_used.len()];
+        let mut host = 0;
+        let mut live = 0;
+        for &rec in self.by_req.values() {
+            let r = &self.reqs[rec as usize];
+            let (mut at, mut on_host, mut prev) = (0u32, 0u64, NIL);
+            let mut id = r.first;
+            while id != NIL {
+                let run = &self.runs[id as usize];
+                assert!(
+                    run.req == rec && run.start == at && run.len > 0 && run.left == prev,
+                    "request {} runs do not partition its pages at {at}",
+                    r.id
+                );
+                assert!(
+                    prev == NIL || !self.runs[prev as usize].joins(run),
+                    "request {} has two runs that could be one",
+                    r.id
+                );
+                match run.home {
+                    HOST => on_host += u64::from(run.len),
+                    g => gpu[g as usize] += u64::from(run.len),
+                }
+                (at, prev, id) = (run.end(), id, run.right);
+            }
+            assert_eq!(r.last, prev, "request {} run list end", r.id);
+            assert_eq!(
+                at as usize,
+                r.pages.len(),
+                "request {} runs cover its pages",
+                r.id
+            );
+            assert_eq!(on_host, r.host, "request {} host count", r.id);
+            host += on_host;
+            live += r.pages.len();
+        }
+        assert_eq!(gpu, self.gpu_used, "GPU runs sum to the GPU pools' use");
+        assert_eq!(host, self.host_used, "host runs sum to the host pool's use");
+        assert_eq!(live, self.live, "runs sum to the live pages");
+        for (g, lru) in self.lru.iter().enumerate() {
+            let (mut pages, mut prev, mut next_stamp) = (0u64, NIL, 0u64);
+            let mut id = lru.head;
+            while id != NIL {
+                let run = &self.runs[id as usize];
+                assert!(
+                    run.home == g as u32 && run.prev == prev && run.stamp >= next_stamp,
+                    "GPU {g} LRU list out of stamp order"
+                );
+                pages += u64::from(run.len);
+                next_stamp = run.stamp + u64::from(run.len);
+                (prev, id) = (id, run.next);
+            }
+            assert_eq!(lru.tail, prev, "GPU {g} LRU list end");
+            assert_eq!(pages, self.gpu_used[g], "GPU {g} LRU list holds its pages");
+        }
     }
 }
 
@@ -654,11 +1195,55 @@ mod tests {
     }
 
     #[test]
-    fn slab_slot_fits_in_40_bytes() {
-        // `decode-chaos` reaches ~80k slab slots, so every byte a slot
-        // gains costs ~80 KB of resident memory on the workload whose
-        // `peak_rss_mib` the benchmark bounds at 0.25 over the parent.
-        // A 56-byte slot raised that workload from 9.78 to 11.05 MiB.
-        assert!(std::mem::size_of::<Slot>() <= 40);
+    fn runs_split_on_touch_and_join_on_bulk_moves() {
+        let mut p = KvPager::new(1024, 1, 8 * 1024, 8 * 1024);
+        assert_eq!(p.alloc_pages(1, 0, 1, 4), 4);
+        assert_eq!(p.runs_of(1), 1, "one allocation is one run");
+        let tail = *p.pages_of(1).last().unwrap();
+        p.touch(tail, 1);
+        assert_eq!(p.runs_of(1), 1, "the newest page is touched already");
+        p.touch(tail, 2);
+        assert_eq!(p.runs_of(1), 2, "the touched tail leaves its run");
+        assert_eq!(p.spill_request(1, 0, |_, _| {}), 4);
+        assert_eq!(p.runs_of(1), 2, "spilled pages keep their stamps");
+        assert_eq!(p.host_spans(1), vec![0..4]);
+        let mut moved = Vec::new();
+        let recalled = p.recall_first(1, 0, 3, 4, |req, pages| {
+            moved.push((req, pages.to_vec()));
+        });
+        assert_eq!(recalled, 4);
+        assert_eq!(
+            moved,
+            vec![(1, p.pages_of(1)[..3].to_vec()), (1, vec![tail])]
+        );
+        assert_eq!(p.runs_of(1), 1, "recalled pages take consecutive stamps");
+    }
+
+    #[test]
+    fn run_and_slot_records_stay_small() {
+        // `decode-chaos` reaches ~80k slab slots and tens of thousands of
+        // runs, so every byte a record gains costs tens of KB of resident
+        // memory on the workload whose `peak_rss_mib` the benchmark
+        // bounds at 0.25 over the parent. A 56-byte page slot raised that
+        // workload from 9.78 to 11.05 MiB; the run pager's slot is 8
+        // bytes and its run 48.
+        assert!(std::mem::size_of::<Slot>() <= 8);
+        assert!(std::mem::size_of::<Run>() <= 48);
+    }
+
+    impl KvPager {
+        /// Number of runs holding `req`'s pages.
+        fn runs_of(&self, req: u64) -> usize {
+            let mut runs = 0;
+            let mut id = self
+                .by_req
+                .get(&req)
+                .map_or(NIL, |&rec| self.reqs[rec as usize].first);
+            while id != NIL {
+                runs += 1;
+                id = self.runs[id as usize].right;
+            }
+            runs
+        }
     }
 }

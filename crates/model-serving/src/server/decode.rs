@@ -4,6 +4,8 @@
 //! pages (recall or direct-host-access) and prices the step with the
 //! decode roofline.
 
+use std::ops::Range;
+
 use exec_engine::decode::{abort_decode, begin_decode, start_token_step, StepSpec};
 use exec_engine::hw::DecodeRef;
 use exec_planner::kvplan::{choose_kv, KvPlacement};
@@ -14,7 +16,7 @@ use simcore::time::{SimDur, SimTime};
 use super::dispatch::{release_gpu, try_dispatch};
 use super::{resilience, Queued, ServerState};
 use crate::config::{DecodePolicy, KvMode};
-use crate::kvcache::{KvPager, PageHome, PageId};
+use crate::kvcache::{KvPager, PageId};
 use crate::metrics::ServingReport;
 
 /// One request streaming tokens in a GPU's continuous batch. The prefill
@@ -101,38 +103,60 @@ pub(super) struct Kv<'a> {
 }
 
 impl Kv<'_> {
-    /// Spills `page` from the GPU to the pinned-host pool and emits its
-    /// spill event. Returns `false`, spilling nothing, when the page is
-    /// not device-resident or the host pool is full.
-    pub(super) fn spill(&mut self, page: PageId) -> bool {
-        let owner = self.pager.page(page).map(|p| p.owner);
-        if !self.pager.spill(page) {
-            return false;
-        }
-        self.report.kv_spills += 1;
-        self.probe.emit(
-            self.now,
-            ProbeEvent::KvPageSpill {
-                req: owner.expect("a spilled page is live"),
-                gpu: self.g,
-                page,
-            },
-        );
-        true
+    /// Spills the `k` least recently touched pages on the GPU that were
+    /// not touched in `step` (fewer if the host pool fills) and emits
+    /// their spill events.
+    fn spill_lru(&mut self, step: u64, k: u64) {
+        let each = page_events(self.probe, self.now, self.g, spill_event);
+        self.report.kv_spills += self.pager.spill_lru(self.g, step, k, each);
     }
 
-    /// Spills the `k` least recently touched pages on the GPU that were
-    /// not touched in `step` (fewer if the host pool fills), returning
-    /// them.
-    fn spill_lru(&mut self, step: u64, k: u64) -> Vec<PageId> {
-        let victims = self
-            .pager
-            .spill_victims(self.g, step, usize::try_from(k).unwrap_or(0));
-        for &victim in &victims {
-            let spilled = self.spill(victim);
-            debug_assert!(spilled, "victims are device-resident and fit the host pool");
+    /// Swaps `req` out: spills its pages on the GPU to the pinned-host
+    /// pool (until that fills) and emits their spill events. Returns how
+    /// many it spilled.
+    pub(super) fn swap_out(&mut self, req: u64) -> u64 {
+        let each = page_events(self.probe, self.now, self.g, spill_event);
+        let spilled = self.pager.spill_request(req, self.g, each);
+        self.report.kv_spills += spilled;
+        spilled
+    }
+
+    /// Recalls `n` of `req`'s host pages to the GPU for `step`, in
+    /// allocation order and taken from `spans` when given, and emits
+    /// their recall events.
+    fn recall(&mut self, req: u64, step: u64, n: u64, spans: Option<&[Range<usize>]>) {
+        let each = page_events(self.probe, self.now, self.g, |req, gpu, page| {
+            ProbeEvent::KvPageRecall { req, gpu, page }
+        });
+        let recalled = match spans {
+            Some(spans) => self.pager.recall_spans(req, self.g, step, spans, n, each),
+            None => self.pager.recall_first(req, self.g, step, n, each),
+        };
+        debug_assert_eq!(recalled, n, "every recall that can land has a host page");
+        self.report.kv_recalls += recalled;
+    }
+}
+
+/// The event of one page a spill moves to the host.
+fn spill_event(req: u64, gpu: usize, page: PageId) -> ProbeEvent {
+    ProbeEvent::KvPageSpill { req, gpu, page }
+}
+
+/// The callback a bulk pager move hands each run's pages to: it emits
+/// `event` for every page when the probe is on, and nothing otherwise.
+fn page_events(
+    probe: &Probe,
+    now: SimTime,
+    gpu: usize,
+    event: fn(u64, usize, PageId) -> ProbeEvent,
+) -> impl FnMut(u64, &[PageId]) + '_ {
+    let on = probe.is_enabled();
+    move |req, pages| {
+        if on {
+            for &page in pages {
+                probe.emit(now, event(req, gpu, page));
+            }
         }
-        victims
     }
 }
 
@@ -228,15 +252,17 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
             kv.report.kv_alloc_failures += 1;
         }
         let pages = kv.pager.pages_of(e.q.req);
-        for &page in &pages[pages.len() - got as usize..] {
-            kv.probe.emit(
-                kv.now,
-                ProbeEvent::KvPageAlloc {
-                    req: e.q.req,
-                    gpu: g,
-                    page,
-                },
-            );
+        if kv.probe.is_enabled() {
+            for &page in &pages[pages.len() - got as usize..] {
+                kv.probe.emit(
+                    kv.now,
+                    ProbeEvent::KvPageAlloc {
+                        req: e.q.req,
+                        gpu: g,
+                        page,
+                    },
+                );
+            }
         }
         // The step appends to the tail page: mark it hot so the spill
         // policy cannot victimise it mid-step.
@@ -271,16 +297,18 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
             KvMode::Recall => KvPlacement::Recall,
             KvMode::Auto => choose_kv(page_bytes, remaining, &gpu_spec.pcie, gpu_spec.mem_bw),
         };
-        let evicted = if place == KvPlacement::Recall && kv_mode == KvMode::Recall {
+        let spans = (place == KvPlacement::Recall && kv_mode == KvMode::Recall).then(|| {
             // Forced recall evicts cold pages to make room; Auto only
             // recalls into free space — its crossover math assumes
             // recalled pages then stay resident, which an eviction
-            // cascade would violate.
+            // cascade would violate. The entry recalls only from the
+            // host ranges read before its own evictions: a page they
+            // spill was priced as resident.
+            let spans = kv.pager.host_spans(e.q.req);
             let deficit = host.saturating_sub(kv.pager.gpu_free_pages(g));
-            kv.spill_lru(step_id, deficit)
-        } else {
-            Vec::new()
-        };
+            kv.spill_lru(step_id, deficit);
+            spans
+        });
         // Recalls land in allocation order while the device pool has
         // room; the remaining pages are read in place over PCIe,
         // overlapped with compute.
@@ -288,29 +316,8 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
             KvPlacement::Recall => host.min(kv.pager.gpu_free_pages(g)),
             KvPlacement::Dha => 0,
         };
-        let mut at = 0;
-        for _ in 0..recalls {
-            let pager = &kv.pager;
-            let (skip, p) = pager.pages_of(e.q.req)[at..]
-                .iter()
-                .copied()
-                .enumerate()
-                .find(|&(_, p)| {
-                    pager.page(p).map(|pg| pg.home) == Some(PageHome::Host) && !evicted.contains(&p)
-                })
-                .expect("every recall that can land has a host page");
-            at += skip + 1;
-            let recalled = kv.pager.recall(p, g, step_id);
-            debug_assert!(recalled, "a host page recalls into free room");
-            kv.report.kv_recalls += 1;
-            kv.probe.emit(
-                kv.now,
-                ProbeEvent::KvPageRecall {
-                    req: e.q.req,
-                    gpu: g,
-                    page: p,
-                },
-            );
+        if recalls > 0 {
+            kv.recall(e.q.req, step_id, recalls, spans.as_deref());
         }
         recall_transfers += recalls;
         dha_pages += host - recalls;

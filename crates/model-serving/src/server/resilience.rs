@@ -15,7 +15,6 @@ use super::decode::{self, DecodeEntry, DecodeState, Kv};
 use super::dispatch::{note_retry, place_cold, requeue, retry_after_crash};
 use super::{Queued, ServerState, MAX_RETRIES};
 use crate::instance::Residency;
-use crate::kvcache::PageHome;
 
 /// Burst cap of the checkpoint bandwidth token bucket, in bytes.
 const CHECKPOINT_BURST: u64 = 8 << 20;
@@ -175,13 +174,7 @@ pub(super) fn maybe_swap(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usi
             now,
             g,
         };
-        let mut spilled = 0u64;
-        for p in kv.pager.pages_of(e.q.req).to_vec() {
-            let on_g = kv.pager.page(p).map(|pg| pg.home) == Some(PageHome::Gpu(g));
-            if on_g && kv.spill(p) {
-                spilled += 1;
-            }
-        }
+        let spilled = kv.swap_out(e.q.req);
         s.report.sessions_swapped += 1;
         s.probe.emit(
             now,

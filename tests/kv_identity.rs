@@ -8,10 +8,14 @@
 //! a 64-bit FNV-1a hash of its `to_jsonl` output.
 //!
 //! The hashes were recorded with the pager that scanned its whole slab
-//! for every victim selection, so a pass proves the incremental LRU
-//! lists and per-request counts replay it bit for bit. Every test first
-//! asserts that its run spills, recalls, reads in place, swaps or
-//! restores as intended, so no hash pins a run that skipped its path.
+//! for every victim selection. They held through the per-page LRU lists
+//! that replaced that scan and through the page-run pager that replaced
+//! those lists, whose bulk spill, swap-out and recall move whole runs;
+//! the page ids and the order of every `KvPage*` event are in the
+//! hashes, so a pass proves each pager replays the first bit for bit.
+//! Every test first asserts that its run spills, recalls, reads in
+//! place, swaps or restores as intended, so no hash pins a run that
+//! skipped its path.
 
 use dnn_models::zoo::{build, ModelId};
 use exec_planner::generate::PlanMode;

@@ -5,9 +5,14 @@
 //! victim is never a page touched in the current token step, and the
 //! victims come out in exact least-recently-touched order. A bulk
 //! `alloc_pages` leaves the pager exactly as the same number of serial
-//! `try_alloc` calls would. Request ids span the whole `u64` range, not
-//! only dense trace indices, so the pager's request index sees 0,
-//! `u64::MAX` and sparse large ids.
+//! `try_alloc` calls would, down to its run records. Each other bulk
+//! move (LRU spill, one request's spill, a recall of a request's first
+//! host pages, forced recall from the host ranges read before its own
+//! evictions) moves the same pages in the same order as the
+//! page-at-a-time calls it replaces, run on a clone, and leaves every
+//! page with the same home, stamp and step. Request ids span the whole
+//! `u64` range, not only dense trace indices, so the pager's request
+//! index sees 0, `u64::MAX` and sparse large ids.
 //!
 //! The pager is driven against an independent shadow model (a plain
 //! map of live pages, stamped by its own clock on every alloc, touch and
@@ -49,6 +54,20 @@ enum Op {
     BatchSpill { gpu: usize, k: usize },
     /// Recall the `nth` host-resident page (mod population) to `gpu`.
     Recall { gpu: usize, nth: usize },
+    /// Bulk LRU spill of up to `k` pages of `gpu`.
+    SpillLru { gpu: usize, k: u64 },
+    /// Bulk spill of `req`'s pages on `gpu` (a session swap-out).
+    SpillRequest { req: usize, gpu: usize },
+    /// Bulk recall of `req`'s first `n` host pages to `gpu`.
+    RecallFirst { req: usize, gpu: usize, n: u64 },
+    /// Forced recall: read `req`'s host ranges, LRU-spill `k` pages of
+    /// `gpu`, then recall up to `n` pages of those ranges to `gpu`.
+    ForcedRecall {
+        req: usize,
+        gpu: usize,
+        k: u64,
+        n: u64,
+    },
     /// Touch the `nth` page of `req` in the current step.
     Touch { req: usize, nth: usize },
     /// Abort/complete `req`: free all its pages.
@@ -69,6 +88,15 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             (0usize..GPUS).prop_map(|gpu| Op::Spill { gpu }),
             (0usize..GPUS, 0usize..5).prop_map(|(gpu, k)| Op::BatchSpill { gpu, k }),
             (0usize..GPUS, 0usize..8).prop_map(|(gpu, nth)| Op::Recall { gpu, nth }),
+            (0usize..GPUS, 0u64..6).prop_map(|(gpu, k)| Op::SpillLru { gpu, k }),
+            (0..REQS, 0usize..GPUS).prop_map(|(req, gpu)| Op::SpillRequest { req, gpu }),
+            (0..REQS, 0usize..GPUS, 0u64..7).prop_map(|(req, gpu, n)| Op::RecallFirst {
+                req,
+                gpu,
+                n
+            }),
+            (0..REQS, 0usize..GPUS, 0u64..6, 0u64..7)
+                .prop_map(|(req, gpu, k, n)| Op::ForcedRecall { req, gpu, k, n }),
             (0..REQS, 0usize..8).prop_map(|(req, nth)| Op::Touch { req, nth }),
             (0..REQS).prop_map(|req| Op::Free { req }),
             Just(Op::Step),
@@ -174,17 +202,99 @@ impl Shadow {
 }
 
 fn spill_one(p: &mut KvPager, shadow: &mut Shadow, step: u64, gpu: usize, victim: usize) {
-    // The LRU victim is never a page touched in the current step, is
-    // GPU-resident, and is the pager's own idea of a live page.
+    // The LRU victim is the pager's own idea of a live page.
+    assert!(p.page(victim).unwrap().touch_step != step);
+    assert!(p.spill(victim));
+    note_lru_spill(shadow, gpu, victim);
+}
+
+/// Records an LRU spill of `victim` from `gpu`: never a page touched in
+/// the current step, always one resident on `gpu`.
+fn note_lru_spill(shadow: &mut Shadow, gpu: usize, victim: usize) {
     assert!(
         !shadow.touched_this_step.contains(&victim),
         "victim {victim} was touched in the current step"
     );
     let (_, home) = shadow.live[&victim];
     assert_eq!(home, PageHome::Gpu(gpu), "victim not resident on gpu {gpu}");
-    assert!(p.page(victim).unwrap().touch_step != step);
-    assert!(p.spill(victim));
     shadow.live.get_mut(&victim).unwrap().1 = PageHome::Host;
+}
+
+/// Records a recall of host page `id` to `gpu`: an access.
+fn note_recall(shadow: &mut Shadow, gpu: usize, id: usize) {
+    let home = &mut shadow.live.get_mut(&id).unwrap().1;
+    assert_eq!(
+        *home,
+        PageHome::Host,
+        "recalled page {id} was not on the host"
+    );
+    *home = PageHome::Gpu(gpu);
+    shadow.access(id);
+}
+
+/// `n` rounds of LRU victim selection and spill on `gpu`, one page at a
+/// time; returns each victim with its owner.
+fn spill_serially(p: &mut KvPager, gpu: usize, step: u64, n: u64) -> Vec<(u64, usize)> {
+    let mut spilled = Vec::new();
+    for _ in 0..n {
+        let Some(v) = p.spill_victim(gpu, step) else {
+            break;
+        };
+        spilled.push((p.page(v).unwrap().owner, v));
+        assert!(p.spill(v));
+    }
+    spilled
+}
+
+/// Recalls `pages` of `req` to `gpu` one at a time, in order, until `n`
+/// landed or the device pool is full; returns them with their owner.
+fn recall_serially(
+    p: &mut KvPager,
+    req: u64,
+    gpu: usize,
+    step: u64,
+    pages: &[usize],
+    n: u64,
+) -> Vec<(u64, usize)> {
+    let mut recalled = Vec::new();
+    for &id in pages {
+        if recalled.len() as u64 == n || !p.recall(id, gpu, step) {
+            break;
+        }
+        recalled.push((req, id));
+    }
+    recalled
+}
+
+/// A bulk-move callback that records every page it is handed, with its
+/// owner, in order.
+fn collect(into: &mut Vec<(u64, usize)>) -> impl FnMut(u64, &[usize]) + '_ {
+    |owner, pages| into.extend(pages.iter().map(|&id| (owner, id)))
+}
+
+/// `req`'s host-resident pages, in allocation order.
+fn host_pages(p: &KvPager, req: u64) -> Vec<usize> {
+    p.pages_of(req)
+        .iter()
+        .copied()
+        .filter(|&id| p.page(id).unwrap().home == PageHome::Host)
+        .collect()
+}
+
+/// Every live page reads the same (owner, home, stamp, step) in both
+/// pagers, and the lifetime counters agree.
+fn assert_same_pages(bulk: &KvPager, serial: &KvPager, shadow: &Shadow) {
+    for &id in shadow.live.keys() {
+        assert_eq!(
+            format!("{:?}", bulk.page(id)),
+            format!("{:?}", serial.page(id)),
+            "page {id} differs after a bulk move"
+        );
+    }
+    assert_eq!(
+        (bulk.spills, bulk.recalls, bulk.host_used_pages()),
+        (serial.spills, serial.recalls, serial.host_used_pages())
+    );
 }
 
 proptest! {
@@ -288,6 +398,83 @@ proptest! {
                     } else {
                         prop_assert!(full, "recall failed with free room");
                     }
+                }
+                Op::SpillLru { gpu, k } => {
+                    let mut serial = p.clone();
+                    let expect = spill_serially(&mut serial, gpu, step, k);
+                    let mut moved = Vec::new();
+                    let got = p.spill_lru(gpu, step, k, collect(&mut moved));
+                    prop_assert_eq!(&moved, &expect, "LRU spill moved other pages");
+                    prop_assert_eq!(got, moved.len() as u64);
+                    for &(_, v) in &moved {
+                        note_lru_spill(&mut shadow, gpu, v);
+                    }
+                    assert_same_pages(&p, &serial, &shadow);
+                }
+                Op::SpillRequest { req, gpu } => {
+                    // A swap-out spills every page of the request on the
+                    // GPU, hot or not, in allocation order.
+                    let req = reqs[req];
+                    let mut serial = p.clone();
+                    let mut expect = Vec::new();
+                    for id in serial.pages_of(req).to_vec() {
+                        if serial.page(id).unwrap().home == PageHome::Gpu(gpu) && serial.spill(id) {
+                            expect.push((req, id));
+                        }
+                    }
+                    let mut moved = Vec::new();
+                    let got = p.spill_request(req, gpu, collect(&mut moved));
+                    prop_assert_eq!(&moved, &expect, "swap-out moved other pages");
+                    prop_assert_eq!(got, moved.len() as u64);
+                    for &(_, id) in &moved {
+                        let home = &mut shadow.live.get_mut(&id).unwrap().1;
+                        prop_assert_eq!(*home, PageHome::Gpu(gpu));
+                        *home = PageHome::Host;
+                    }
+                    assert_same_pages(&p, &serial, &shadow);
+                }
+                Op::RecallFirst { req, gpu, n } => {
+                    let req = reqs[req];
+                    let mut serial = p.clone();
+                    let host = host_pages(&serial, req);
+                    let expect = recall_serially(&mut serial, req, gpu, step, &host, n);
+                    let mut moved = Vec::new();
+                    let got = p.recall_first(req, gpu, step, n, collect(&mut moved));
+                    prop_assert_eq!(&moved, &expect, "recall moved other pages");
+                    prop_assert_eq!(got, moved.len() as u64);
+                    for &(_, id) in &moved {
+                        note_recall(&mut shadow, gpu, id);
+                    }
+                    assert_same_pages(&p, &serial, &shadow);
+                }
+                Op::ForcedRecall { req, gpu, k, n } => {
+                    // The recall set is the host pages read before the
+                    // eviction round, which may spill the request's own
+                    // pages: those stay on the host.
+                    let req = reqs[req];
+                    let mut serial = p.clone();
+                    let host = host_pages(&serial, req);
+                    let spilled = spill_serially(&mut serial, gpu, step, k);
+                    let recalled = recall_serially(&mut serial, req, gpu, step, &host, n);
+                    let spans = p.host_spans(req);
+                    let span_pages: Vec<usize> = spans
+                        .iter()
+                        .flat_map(|r| p.pages_of(req)[r.clone()].to_vec())
+                        .collect();
+                    prop_assert_eq!(&span_pages, &host, "host spans missed host pages");
+                    let (mut out, mut back) = (Vec::new(), Vec::new());
+                    p.spill_lru(gpu, step, k, collect(&mut out));
+                    let got = p.recall_spans(req, gpu, step, &spans, n, collect(&mut back));
+                    prop_assert_eq!(&out, &spilled, "eviction moved other pages");
+                    prop_assert_eq!(&back, &recalled, "forced recall moved other pages");
+                    prop_assert_eq!(got, back.len() as u64);
+                    for &(_, v) in &out {
+                        note_lru_spill(&mut shadow, gpu, v);
+                    }
+                    for &(_, id) in &back {
+                        note_recall(&mut shadow, gpu, id);
+                    }
+                    assert_same_pages(&p, &serial, &shadow);
                 }
                 Op::Touch { req, nth } => {
                     let pages = p.pages_of(reqs[req]).to_vec();

@@ -1,6 +1,8 @@
 //! Invariants of the engine events a logging probe records for one
 //! cold start, and the Gantt chart drawn from them.
 
+use std::collections::BTreeMap;
+
 use deepplan::{DeepPlan, ModelId, PlanMode};
 use exec_engine::launch::LaunchSpec;
 use exec_engine::single::run_traced;
@@ -152,4 +154,31 @@ fn dha_layers_show_as_dha_glyph() {
         exec.intervals.iter().any(|&(_, _, g)| g == '='),
         "DHA execution not drawn with the DHA glyph"
     );
+}
+
+/// A traced run installs its probe on the flow driver too, as a serving
+/// run does, so the log holds each link's bandwidth share. A PT+DHA cold
+/// start loads over two PCIe paths and migrates over NVLink, and every
+/// link it used publishes an idle sample once its last flow drains.
+#[test]
+fn traced_cold_start_records_link_shares() {
+    let (_, events) = traced(PlanMode::PtDha);
+    let mut last: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
+    for e in &events {
+        if let ProbeEvent::LinkShare {
+            link,
+            rate_bps,
+            flows,
+        } = e.what
+        {
+            last.insert(link, (rate_bps, flows));
+        }
+    }
+    assert!(last.len() >= 3, "links with a share sample: {last:?}");
+    for (link, &(rate_bps, flows)) in &last {
+        assert!(
+            rate_bps == 0.0 && flows == 0,
+            "link {link} ends busy: {rate_bps} B/s over {flows} flows"
+        );
+    }
 }
