@@ -1,7 +1,8 @@
 //! `deepplan-cli` input validation: every out-of-range value exits 1
 //! with an `error:` line before any simulation state is built, never a
 //! panic or a silently wrapped size; a flag whose value is missing or
-//! does not parse exits 2 with the usage line.
+//! does not parse exits 2 with the usage line. A valid `serve` exits 0,
+//! and its metrics files are well formed.
 
 use std::process::{Command, Output};
 
@@ -195,4 +196,63 @@ fn shedding_every_request_reports_zero_goodput() {
     );
     assert!(stdout.contains("completed 0,"), "{stdout}");
     assert!(stdout.contains("goodput 0.0%"), "{stdout}");
+}
+
+/// `serve --metrics-out --metrics-json` writes both metrics files: the
+/// Prometheus text declares each family once with its samples right
+/// after it, and every row of the JSON series is as wide as `columns`.
+#[test]
+fn serve_writes_both_metrics_files() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let prom_path = dir.join(format!("cli-metrics-{}.prom", std::process::id()));
+    let json_path = dir.join(format!("cli-metrics-{}.json", std::process::id()));
+    let (prom_arg, json_arg) = (prom_path.to_str().unwrap(), json_path.to_str().unwrap());
+    let out = cli(&[
+        "serve",
+        "bert-base",
+        "--requests",
+        "40",
+        "--metrics-out",
+        prom_arg,
+        "--metrics-json",
+        json_arg,
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let prom = std::fs::read_to_string(&prom_path).expect("metrics snapshot written");
+    let json = std::fs::read_to_string(&json_path).expect("metrics series written");
+    let _ = std::fs::remove_file(&prom_path);
+    let _ = std::fs::remove_file(&json_path);
+
+    let mut families: Vec<&str> = Vec::new();
+    for line in prom.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let name = rest.split(' ').next().unwrap_or_default();
+            assert!(!families.contains(&name), "{name} declared twice");
+            families.push(name);
+        } else if !line.starts_with('#') {
+            let family = families.last().expect("a sample before any family");
+            let sample = line.split(['{', ' ']).next().unwrap_or_default();
+            assert!(
+                matches!(
+                    sample.strip_prefix(family),
+                    Some("" | "_bucket" | "_sum" | "_count")
+                ),
+                "{line} sits in {family}"
+            );
+        }
+    }
+    assert!(families.contains(&"deepplan_requests_completed_total"));
+
+    let series: serde_json::Value = serde_json::from_str(&json).expect("series parses");
+    let width = series["columns"].as_array().expect("columns").len();
+    let rows = series["rows"].as_array().expect("rows");
+    assert!(!rows.is_empty());
+    for row in rows {
+        assert_eq!(row.as_array().expect("row").len(), width, "{row:?}");
+    }
 }

@@ -40,10 +40,10 @@ pub type DoneFn<S> = Box<dyn FnOnce(&mut S, &mut Ctx<S>, InferenceResult)>;
 
 /// Typed launch failure: the spec routes traffic over hardware paths the
 /// machine does not have. Returned by [`start_inference`] *before* any
-/// state is touched or events scheduled, so a failed launch is free to
-/// retry with a different spec (e.g. with the offending secondaries
-/// dropped) — this is what lets a recovery manager treat a stale plan on
-/// a degraded topology as a recoverable condition instead of a crash.
+/// state is touched or events scheduled, so a caller with a hand-built
+/// spec is free to retry with a different one (e.g. with the offending
+/// secondaries dropped). The server never sees it: its secondaries are
+/// NVLink partners of the primary by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineError {
     /// Two GPUs the plan transfers between are not NVLink-connected.

@@ -21,7 +21,9 @@
 //! for positive deviations — the base-10 order of magnitude of how
 //! unlikely the observation is under the learned baseline, the same
 //! quantity a phi-accrual failure detector accumulates — computed
-//! without `erf` so scoring stays cheap and dependency-free.
+//! without `erf` so scoring stays cheap and dependency-free. Each
+//! baseline is Welford's running mean and variance, kept in its own
+//! three fields.
 //!
 //! Hysteresis is built in at both ends: a baseline must see
 //! `min_samples` observations before it may raise suspicion, a single
@@ -32,7 +34,6 @@
 //! so a fault cannot teach the detector that slow is normal.
 
 use simcore::flow::LinkId;
-use simcore::metrics::Welford;
 use simcore::probe::DetectState;
 
 use crate::config::DetectionPolicy;
@@ -49,24 +50,30 @@ const STRIKES: u32 = 2;
 /// Clean canary transfers required to reinstate a probing link.
 const CANARIES: u32 = 3;
 
-/// Running baseline of healthy observation ratios, built on the shared
-/// [`simcore::metrics::Welford`] accumulator.
+/// Running baseline of healthy observation ratios: Welford's single-pass
+/// mean and variance, bit-identical for identical observation streams.
 #[derive(Debug, Clone, Default)]
 struct Baseline {
-    w: Welford,
+    n: u32,
+    mean: f64,
+    m2: f64,
 }
 
 impl Baseline {
     fn push(&mut self, x: f64) {
-        self.w.push(x);
+        self.n += 1;
+        let d = x - self.mean;
+        self.mean += d / f64::from(self.n);
+        self.m2 += d * (x - self.mean);
     }
 
-    fn n(&self) -> u32 {
-        self.w.count()
-    }
-
-    fn mean(&self) -> f64 {
-        self.w.mean()
+    /// Sample standard deviation; 0.0 with fewer than two observations.
+    fn sample_std(&self) -> f64 {
+        if self.n < 2 {
+            0.0
+        } else {
+            (self.m2 / f64::from(self.n - 1)).sqrt()
+        }
     }
 
     /// Sample standard deviation, floored at 5 % of the mean so a
@@ -74,17 +81,14 @@ impl Baseline {
     /// small modelling error instead of flagging on the first µs of
     /// drift.
     fn std_floored(&self) -> f64 {
-        self.w
-            .sample_std()
-            .max(0.05 * self.w.mean().abs())
-            .max(1e-6)
+        self.sample_std().max(0.05 * self.mean.abs()).max(1e-6)
     }
 
     /// Suspicion of observation `x`: `-log10 P(X ≥ x)` under a Gaussian
     /// fit, approximated by the tail exponent. Negative deviations
     /// (faster than expected) are never suspicious.
     fn suspicion(&self, x: f64) -> f64 {
-        let z = (x - self.w.mean()) / self.std_floored();
+        let z = (x - self.mean) / self.std_floored();
         if z <= 0.0 {
             return 0.0;
         }
@@ -132,7 +136,7 @@ impl Track {
     /// observations of the same fault resolve to the same re-plan
     /// signature instead of churning plans on float noise.
     fn infer_factor(&self, ratio: f64) -> f64 {
-        let raw = (self.base.mean() / ratio).clamp(1.0 / 16.0, 1.0);
+        let raw = (self.base.mean / ratio).clamp(1.0 / 16.0, 1.0);
         ((raw * 16.0).round() / 16.0).max(1.0 / 16.0)
     }
 
@@ -323,7 +327,7 @@ fn observe(t: &mut Track, min_samples: u32, ratio: f64) -> bool {
     if t.state != DetectState::Healthy || !ratio.is_finite() || ratio <= 0.0 {
         return false;
     }
-    let score = if t.base.n() >= min_samples {
+    let score = if t.base.n >= min_samples {
         t.base.suspicion(ratio)
     } else {
         0.0
@@ -371,6 +375,20 @@ mod tests {
             let x = if i % 2 == 0 { 0.98 } else { 1.02 };
             assert!(d.observe_link(l, x).is_none());
         }
+    }
+
+    #[test]
+    fn welford_matches_two_pass() {
+        let xs = [1.0, 2.0, 4.0, 8.0, 16.0];
+        let mut w = Baseline::default();
+        for x in xs {
+            w.push(x);
+        }
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+        assert!((w.mean - mean).abs() < 1e-12);
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
+        assert!((w.sample_std() - var.sqrt()).abs() < 1e-12);
+        assert_eq!(w.n, 5);
     }
 
     #[test]

@@ -205,7 +205,6 @@ pub(super) fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: u
             .push((ctx.now() - q.arrival).as_ms_f64());
     }
 
-    let rt = s.kinds[kind].rt.clone();
     let plan = s.active_plans[kind].clone();
     let secondaries: Vec<usize> = if !warm && plan.gpu_slots() > 1 {
         pt_group(&s.cfg.machine, g, s.cfg.max_pt_gpus)
@@ -241,9 +240,9 @@ pub(super) fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: u
         .map(|_| HedgeSpec {
             rate_bps: s.believed_path_rate(g),
         });
-    let spec = |secondaries| LaunchSpec {
-        rt: rt.clone(),
-        plan: plan.clone(),
+    let spec = LaunchSpec {
+        rt: s.kinds[kind].rt.clone(),
+        plan,
         primary: g,
         secondaries,
         warm,
@@ -272,55 +271,47 @@ pub(super) fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: u
             run: s.hw.runs.vacant_index(),
         },
     );
-    // All captures are `Copy`, so the completion callback can be minted
-    // twice: once for the launch and once for the NVLink-less fallback.
-    let make_done = move || -> DoneFn<ServerState> {
-        Box::new(move |s: &mut ServerState, ctx, res| {
-            if decode {
-                s.probe.emit(
-                    res.finished,
-                    ProbeEvent::FirstToken {
-                        req: q.req,
-                        instance: inst_id,
-                        gpu: g,
-                        ttft_ns: (res.finished - q.arrival).as_nanos(),
-                    },
-                );
-                note_observation(s, ctx, g, inst_id, warm, disp_slowdown, &res);
-                let entry = DecodeEntry {
-                    q,
-                    dispatched,
-                    prefill_done: res.finished,
-                    tokens_done: 1,
-                    cold: !warm,
-                };
-                decode::join(s, ctx, g, entry);
-                return;
-            }
+    let done: DoneFn<ServerState> = Box::new(move |s: &mut ServerState, ctx, res| {
+        if decode {
             s.probe.emit(
                 res.finished,
-                ProbeEvent::RequestCompleted {
+                ProbeEvent::FirstToken {
                     req: q.req,
                     instance: inst_id,
                     gpu: g,
-                    cold: !warm,
-                    latency_ns: (res.finished - q.arrival).as_nanos(),
-                    queue_wait_ns: (dispatched - q.arrival).as_nanos(),
+                    ttft_ns: (res.finished - q.arrival).as_nanos(),
                 },
             );
             note_observation(s, ctx, g, inst_id, warm, disp_slowdown, &res);
-            on_complete(s, ctx, g, &q, warm, res.finished);
-        })
-    };
-    let run = match start_inference(s, ctx, spec(secondaries), make_done()) {
-        Ok(run) => run,
-        // A stale plan can demand NVLink a freshly degraded topology no
-        // longer has. A failed launch touches no state, so fall back to
-        // a primary-only launch — always valid, the surplus partitions
-        // fold onto the primary's own PCIe lane.
-        Err(_) => start_inference(s, ctx, spec(Vec::new()), make_done())
-            .expect("primary-only launch cannot require NVLink"),
-    };
+            let entry = DecodeEntry {
+                q,
+                dispatched,
+                prefill_done: res.finished,
+                tokens_done: 1,
+                cold: !warm,
+            };
+            decode::join(s, ctx, g, entry);
+            return;
+        }
+        s.probe.emit(
+            res.finished,
+            ProbeEvent::RequestCompleted {
+                req: q.req,
+                instance: inst_id,
+                gpu: g,
+                cold: !warm,
+                latency_ns: (res.finished - q.arrival).as_nanos(),
+                queue_wait_ns: (dispatched - q.arrival).as_nanos(),
+            },
+        );
+        note_observation(s, ctx, g, inst_id, warm, disp_slowdown, &res);
+        on_complete(s, ctx, g, &q, warm, res.finished);
+    });
+    // Every secondary is an NVLink partner of the primary (`pt_group`
+    // admits no other) and the network has a link for each NVLinked
+    // pair, so the launch never lacks a path.
+    let run = start_inference(s, ctx, spec, done)
+        .expect("pt_group admits only NVLink partners, and each has a link");
     s.running[g] = Some(RunningReq { q, run });
 }
 

@@ -22,7 +22,7 @@
 //!   with Perfetto and JSONL exporters, plus a JSONL trace parser.
 //! * [`attribution`] — per-request critical-path latency attribution
 //!   reconstructed from probe spans, with p50/p99 blame tables.
-//! * [`metrics`] — streaming metric registry (counters, gauges,
+//! * [`metrics`] — streaming serving metrics (counters, gauges,
 //!   log-bucketed histograms) and multi-window SLO burn-rate monitors
 //!   fed online from probe events.
 //!

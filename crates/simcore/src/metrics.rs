@@ -3,9 +3,13 @@
 //! The probe bus ([`crate::probe`]) publishes raw events; this module
 //! turns them into *online* metrics without a post-processing pass:
 //!
-//! * a [`Registry`] of counters, gauges and log-bucketed histograms,
-//!   keyed by label sets fixed at registration, addressed by integer
-//!   handles so the per-event hot path allocates nothing;
+//! * a [`Registry`] whose fields are the serving metrics: per model
+//!   kind, request counters and log2-bucketed latency, queue-wait and
+//!   TTFT histograms; per GPU, queue-depth and cache gauges; per run,
+//!   the pinned-host gauge, the retry, stall, execution, alert, token
+//!   and KV-page counters and the TPOT histogram. [`MetricsSink`]
+//!   updates the fields in place, so the per-event path allocates
+//!   nothing;
 //! * windowed percentiles: every histogram keeps a cumulative view and
 //!   a rotating window, snapshotted into a JSON time series at a fixed
 //!   sim-time cadence;
@@ -13,86 +17,29 @@
 //!   [`ProbeEvent::SloBurnAlert`] into the event log the moment an
 //!   error budget burns too fast over both the short and long window
 //!   (the classic "fast-burn AND slow-burn" pager rule);
-//! * exporters: Prometheus-style text ([`Registry::to_prometheus`])
-//!   and a JSON time series ([`MetricsSink::to_json_series`]).
+//! * exporters: Prometheus-style text ([`Registry::to_prometheus`]),
+//!   which writes each family's `# HELP` and `# TYPE` lines once and
+//!   then all of its samples, and a JSON time series
+//!   ([`MetricsSink::to_json_series`]).
 //!
-//! Everything is deterministic: metric identity is registration order,
-//! windows rotate on integer sim-time boundaries, and identical runs
-//! export byte-identical snapshots. A run without a [`MetricsSink`]
-//! behaves exactly as before — the disabled probe path constructs
-//! nothing, so metrics cost zero when off.
-//!
-//! [`Welford`] is the shared running mean/variance the gray-failure
-//! detector's baselines build on, so statistical plumbing lives in one
-//! place.
+//! Everything is deterministic: families export in a fixed order with
+//! model kinds and GPUs in index order, windows rotate on integer
+//! sim-time boundaries, and identical runs export byte-identical
+//! snapshots. A run without a [`MetricsSink`] behaves exactly as
+//! before — the disabled probe path constructs nothing, so metrics cost
+//! zero when off.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::fmt::{Debug, Write};
 use std::rc::Rc;
 
 use crate::probe::{Event, EventLog, Probe, ProbeEvent, StallCause};
 use crate::time::SimTime;
 
 // ---------------------------------------------------------------------------
-// Welford running statistics
+// Metrics
 // ---------------------------------------------------------------------------
-
-/// Welford running mean/variance accumulator.
-///
-/// The numerically stable single-pass algorithm; push order matters
-/// bit-for-bit, so feeding identical observation streams reproduces
-/// identical statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Welford {
-    n: u32,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / f64::from(self.n);
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u32 {
-        self.n
-    }
-
-    /// Running mean (0.0 before the first observation).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample standard deviation; 0.0 with fewer than two observations.
-    pub fn sample_std(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / f64::from(self.n - 1)).sqrt()
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Metric registry
-// ---------------------------------------------------------------------------
-
-/// Handle of a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle of a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle of a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistId(usize);
 
 const BUCKETS: usize = 64;
 
@@ -104,7 +51,7 @@ const BUCKETS: usize = 64;
 /// deterministic. Keeps a cumulative view plus a rotating window for
 /// windowed percentiles.
 #[derive(Debug, Clone)]
-pub struct LogHistogram {
+struct LogHistogram {
     counts: [u64; BUCKETS],
     count: u64,
     sum: u64,
@@ -150,7 +97,7 @@ fn percentile_of(counts: &[u64; BUCKETS], total: u64, p: f64) -> f64 {
 
 impl LogHistogram {
     /// Records one value into both the cumulative and window views.
-    pub fn observe(&mut self, v: u64) {
+    fn observe(&mut self, v: u64) {
         let b = bucket_of(v);
         self.counts[b] += 1;
         self.count += 1;
@@ -159,224 +106,250 @@ impl LogHistogram {
         self.win_count += 1;
     }
 
-    /// Total observations (cumulative).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations (cumulative).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Nearest-rank percentile over the cumulative view.
-    pub fn percentile(&self, p: f64) -> f64 {
-        percentile_of(&self.counts, self.count, p)
-    }
-
     /// Nearest-rank percentile over the current window.
-    pub fn window_percentile(&self, p: f64) -> f64 {
+    fn window_percentile(&self, p: f64) -> f64 {
         percentile_of(&self.win_counts, self.win_count, p)
     }
 
     /// Clears the window view (the cumulative view is untouched).
-    pub fn rotate(&mut self) {
+    fn rotate(&mut self) {
         self.win_counts = [0; BUCKETS];
         self.win_count = 0;
     }
 }
 
-#[derive(Debug, Clone)]
-enum MetricKind {
-    Counter(u64),
-    Gauge(f64),
-    Histogram(Box<LogHistogram>),
+/// One model kind's request metrics, labelled `model="<name>"`.
+#[derive(Debug, Clone, Default)]
+struct KindMetrics {
+    name: String,
+    enqueued: u64,
+    completed: u64,
+    shed: u64,
+    latency: LogHistogram,
+    queue_wait: LogHistogram,
+    ttft: LogHistogram,
 }
 
-#[derive(Debug, Clone)]
-struct Metric {
-    name: &'static str,
-    help: &'static str,
-    labels: Vec<(&'static str, String)>,
-    kind: MetricKind,
+/// Name and help of each per-kind counter family, in
+/// [`KindMetrics::counters`] order.
+const KIND_COUNTERS: [(&str, &str); 3] = [
+    ("deepplan_requests_enqueued_total", "Requests enqueued."),
+    ("deepplan_requests_completed_total", "Requests completed."),
+    (
+        "deepplan_requests_shed_total",
+        "Requests shed without service.",
+    ),
+];
+
+/// Name and help of each per-kind histogram family, in
+/// [`KindMetrics::histograms`] order.
+const KIND_HISTOGRAMS: [(&str, &str); 3] = [
+    ("deepplan_request_latency_ns", "End-to-end request latency."),
+    (
+        "deepplan_request_queue_wait_ns",
+        "Queueing component of request latency.",
+    ),
+    (
+        "deepplan_ttft_ns",
+        "Time to first token for decode requests.",
+    ),
+];
+
+impl KindMetrics {
+    fn counters(&self) -> [u64; 3] {
+        [self.enqueued, self.completed, self.shed]
+    }
+
+    fn histograms(&self) -> [&LogHistogram; 3] {
+        [&self.latency, &self.queue_wait, &self.ttft]
+    }
 }
 
-/// A deterministic metric registry: metrics are identified by integer
-/// handles resolved once at registration, so the per-event path is a
-/// bounds-checked array update with zero allocation.
+/// The stall causes in declaration order, so `cause as usize` indexes
+/// [`Registry`]'s per-cause stall counters.
+const STALL_CAUSES: [StallCause; 3] = [
+    StallCause::Barrier,
+    StallCause::PcieLoad,
+    StallCause::NvlinkMigrate,
+];
+
+/// The metrics a [`MetricsSink`] keeps, one field per metric; per-kind
+/// and per-GPU metrics are indexed by model kind and GPU.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    metrics: Vec<Metric>,
+    kinds: Vec<KindMetrics>,
+    queue_depth: Vec<f64>,
+    cache_used: Vec<f64>,
+    host_pinned: f64,
+    retries: u64,
+    stall_ns: u64,
+    stalls: [u64; 3],
+    exec_busy_ns: u64,
+    alerts: u64,
+    tpot: LogHistogram,
+    tokens: u64,
+    kv_spills: u64,
+    kv_recalls: u64,
+}
+
+/// Writes a family's `# HELP` and `# TYPE` lines.
+fn family(out: &mut String, name: &str, ty: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {ty}");
+}
+
+/// Writes one counter or gauge sample; `labels` is what goes between
+/// the braces, empty for none. `v` prints in its `Debug` form, so a
+/// gauge's whole `f64` keeps its `.0`.
+fn sample(out: &mut String, name: &str, labels: &str, v: impl Debug) {
+    if labels.is_empty() {
+        let _ = writeln!(out, "{name} {v:?}");
+    } else {
+        let _ = writeln!(out, "{name}{{{labels}}} {v:?}");
+    }
+}
+
+/// Writes an unlabelled counter family and its one sample.
+fn counter(out: &mut String, name: &str, help: &str, v: u64) {
+    family(out, name, "counter", help);
+    sample(out, name, "", v);
+}
+
+/// Writes a histogram's cumulative view: a `_bucket` sample per
+/// non-empty bucket and `+Inf`, then `_sum` and `_count`.
+fn histogram(out: &mut String, name: &str, labels: &str, h: &LogHistogram) {
+    let sep = if labels.is_empty() { "" } else { "," };
+    let mut cum = 0u64;
+    for (b, c) in h.counts.iter().enumerate().filter(|(_, c)| **c > 0) {
+        cum += c;
+        let le = bucket_edge(b) as u128;
+        let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cum}");
+    }
+    let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", h.count);
+    sample(out, &format!("{name}_sum"), labels, h.sum);
+    sample(out, &format!("{name}_count"), labels, h.count);
 }
 
 impl Registry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a monotonic counter.
-    pub fn counter(
-        &mut self,
-        name: &'static str,
-        help: &'static str,
-        labels: Vec<(&'static str, String)>,
-    ) -> CounterId {
-        self.metrics.push(Metric {
-            name,
-            help,
-            labels,
-            kind: MetricKind::Counter(0),
-        });
-        CounterId(self.metrics.len() - 1)
-    }
-
-    /// Registers a gauge.
-    pub fn gauge(
-        &mut self,
-        name: &'static str,
-        help: &'static str,
-        labels: Vec<(&'static str, String)>,
-    ) -> GaugeId {
-        self.metrics.push(Metric {
-            name,
-            help,
-            labels,
-            kind: MetricKind::Gauge(0.0),
-        });
-        GaugeId(self.metrics.len() - 1)
-    }
-
-    /// Registers a log-bucketed histogram.
-    pub fn histogram(
-        &mut self,
-        name: &'static str,
-        help: &'static str,
-        labels: Vec<(&'static str, String)>,
-    ) -> HistId {
-        self.metrics.push(Metric {
-            name,
-            help,
-            labels,
-            kind: MetricKind::Histogram(Box::default()),
-        });
-        HistId(self.metrics.len() - 1)
-    }
-
-    /// Increments a counter.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        if let MetricKind::Counter(v) = &mut self.metrics[id.0].kind {
-            *v += by;
+    fn new(kind_names: Vec<String>, gpus: usize) -> Self {
+        Registry {
+            kinds: kind_names
+                .into_iter()
+                .map(|name| KindMetrics {
+                    name,
+                    ..KindMetrics::default()
+                })
+                .collect(),
+            queue_depth: vec![0.0; gpus],
+            cache_used: vec![0.0; gpus],
+            ..Registry::default()
         }
     }
 
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        match &self.metrics[id.0].kind {
-            MetricKind::Counter(v) => *v,
-            _ => 0,
-        }
-    }
-
-    /// Sets a gauge.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, v: f64) {
-        if let MetricKind::Gauge(g) = &mut self.metrics[id.0].kind {
-            *g = v;
-        }
-    }
-
-    /// Records a histogram observation.
-    #[inline]
-    pub fn observe(&mut self, id: HistId, v: u64) {
-        if let MetricKind::Histogram(h) = &mut self.metrics[id.0].kind {
-            h.observe(v);
-        }
-    }
-
-    /// Read access to a histogram.
-    pub fn hist(&self, id: HistId) -> &LogHistogram {
-        match &self.metrics[id.0].kind {
-            MetricKind::Histogram(h) => h,
-            _ => unreachable!("HistId always addresses a histogram"),
-        }
-    }
-
-    fn hist_mut(&mut self, id: HistId) -> &mut LogHistogram {
-        match &mut self.metrics[id.0].kind {
-            MetricKind::Histogram(h) => h,
-            _ => unreachable!("HistId always addresses a histogram"),
-        }
-    }
-
-    /// Exports every metric as Prometheus text exposition format.
+    /// Exports every metric as Prometheus text exposition format: each
+    /// family's `# HELP` and `# TYPE` lines, then all of its samples,
+    /// model kinds and GPUs in index order.
     ///
-    /// Registration order, fixed bucket edges and shortest-roundtrip
+    /// A fixed family order, fixed bucket edges and shortest-roundtrip
     /// float formatting make identical runs export identical bytes.
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::new();
-        let mut last_name = "";
-        for m in &self.metrics {
-            if m.name != last_name {
-                let ty = match m.kind {
-                    MetricKind::Counter(_) => "counter",
-                    MetricKind::Gauge(_) => "gauge",
-                    MetricKind::Histogram(_) => "histogram",
-                };
-                let _ = writeln!(out, "# HELP {} {}", m.name, m.help);
-                let _ = writeln!(out, "# TYPE {} {ty}", m.name);
-                last_name = m.name;
-            }
-            let labels = |extra: Option<(&str, String)>| -> String {
-                let mut parts: Vec<String> = m
-                    .labels
-                    .iter()
-                    .map(|(k, v)| format!("{k}=\"{v}\""))
-                    .collect();
-                if let Some((k, v)) = extra {
-                    parts.push(format!("{k}=\"{v}\""));
-                }
-                if parts.is_empty() {
-                    String::new()
-                } else {
-                    format!("{{{}}}", parts.join(","))
-                }
-            };
-            match &m.kind {
-                MetricKind::Counter(v) => {
-                    let _ = writeln!(out, "{}{} {v}", m.name, labels(None));
-                }
-                MetricKind::Gauge(v) => {
-                    let _ = writeln!(out, "{}{} {v:?}", m.name, labels(None));
-                }
-                MetricKind::Histogram(h) => {
-                    let mut cum = 0u64;
-                    for (b, c) in h.counts.iter().enumerate() {
-                        if *c == 0 {
-                            continue;
-                        }
-                        cum += c;
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {cum}",
-                            m.name,
-                            labels(Some(("le", format!("{}", bucket_edge(b) as u128))))
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{} {}",
-                        m.name,
-                        labels(Some(("le", "+Inf".to_string()))),
-                        h.count
-                    );
-                    let _ = writeln!(out, "{}_sum{} {}", m.name, labels(None), h.sum);
-                    let _ = writeln!(out, "{}_count{} {}", m.name, labels(None), h.count);
-                }
+        let labels: Vec<String> = self
+            .kinds
+            .iter()
+            .map(|k| format!("model=\"{}\"", k.name))
+            .collect();
+        for (i, (name, help)) in KIND_COUNTERS.into_iter().enumerate() {
+            family(&mut out, name, "counter", help);
+            for (k, l) in self.kinds.iter().zip(&labels) {
+                sample(&mut out, name, l, k.counters()[i]);
             }
         }
+        for (i, (name, help)) in KIND_HISTOGRAMS.into_iter().enumerate() {
+            family(&mut out, name, "histogram", help);
+            for (k, l) in self.kinds.iter().zip(&labels) {
+                histogram(&mut out, name, l, k.histograms()[i]);
+            }
+        }
+        for (name, help, gauges) in [
+            (
+                "deepplan_queue_depth",
+                "Requests queued per GPU.",
+                &self.queue_depth,
+            ),
+            (
+                "deepplan_cache_used_bytes",
+                "Model-cache occupancy per GPU.",
+                &self.cache_used,
+            ),
+        ] {
+            family(&mut out, name, "gauge", help);
+            for (g, v) in gauges.iter().enumerate() {
+                sample(&mut out, name, &format!("gpu=\"{g}\""), v);
+            }
+        }
+        let name = "deepplan_host_pinned_bytes";
+        family(
+            &mut out,
+            name,
+            "gauge",
+            "Pinned host memory held by the model store.",
+        );
+        sample(&mut out, name, "", self.host_pinned);
+        counter(
+            &mut out,
+            "deepplan_retries_total",
+            "Retry attempts.",
+            self.retries,
+        );
+        counter(
+            &mut out,
+            "deepplan_stall_ns_total",
+            "Nanoseconds execution spent stalled.",
+            self.stall_ns,
+        );
+        let name = "deepplan_stalls_total";
+        family(&mut out, name, "counter", "Execution stalls by cause.");
+        for (cause, n) in STALL_CAUSES.iter().zip(self.stalls) {
+            sample(&mut out, name, &format!("cause=\"{}\"", cause.as_str()), n);
+        }
+        counter(
+            &mut out,
+            "deepplan_exec_busy_ns_total",
+            "Nanoseconds of kernel execution.",
+            self.exec_busy_ns,
+        );
+        counter(
+            &mut out,
+            "deepplan_slo_burn_alerts_total",
+            "SLO burn-rate alerts fired.",
+            self.alerts,
+        );
+        let name = "deepplan_tpot_ns";
+        family(
+            &mut out,
+            name,
+            "histogram",
+            "Per-request mean time per output token.",
+        );
+        histogram(&mut out, name, "", &self.tpot);
+        counter(
+            &mut out,
+            "deepplan_tokens_generated_total",
+            "Output tokens generated by decode.",
+            self.tokens,
+        );
+        counter(
+            &mut out,
+            "deepplan_kv_page_spills_total",
+            "KV pages spilled to pinned host memory.",
+            self.kv_spills,
+        );
+        counter(
+            &mut out,
+            "deepplan_kv_page_recalls_total",
+            "Spilled KV pages recalled to device memory.",
+            self.kv_recalls,
+        );
         out
     }
 }
@@ -545,187 +518,39 @@ impl MetricsSpec {
     }
 }
 
-/// Per-kind metric handles, resolved once at construction.
-#[derive(Debug, Clone)]
-struct KindHandles {
-    enqueued: CounterId,
-    completed: CounterId,
-    shed: CounterId,
-    latency: HistId,
-    queue_wait: HistId,
-    ttft: HistId,
-}
+/// Columns of each model kind in [`MetricsSink::to_json_series`].
+const COLUMNS: [&str; 5] = ["completed", "shed", "p50_ms", "p99_ms", "burn_milli"];
 
 /// A probe sink that records every event into an inner [`EventLog`]
-/// *and* feeds the streaming metric registry and SLO monitors. Fired
-/// SLO alerts are appended to the log as first-class probe events, so
-/// they flow through the normal exporters.
+/// *and* feeds the metric [`Registry`] and SLO monitors. Fired SLO
+/// alerts are appended to the log as first-class probe events, so they
+/// flow through the normal exporters.
 #[derive(Debug)]
 pub struct MetricsSink {
     /// The verbatim event log (plus appended `slo_burn_alert` events).
     pub log: EventLog,
-    /// The live metric registry.
+    /// The live metrics.
     pub registry: Registry,
-    spec: MetricsSpec,
-    kinds: Vec<KindHandles>,
-    queue_depth: Vec<GaugeId>,
-    cache_used: Vec<GaugeId>,
-    host_pinned: GaugeId,
-    retries: CounterId,
-    stall_ns: CounterId,
-    stalls_by_cause: [CounterId; 3],
-    exec_busy_ns: CounterId,
-    alerts: CounterId,
-    tpot: HistId,
-    tokens_out: CounterId,
-    kv_spills: CounterId,
-    kv_recalls: CounterId,
+    instance_kinds: Vec<usize>,
+    slo_ns: u64,
     monitors: Vec<SloMonitor>,
     next_rotate_ns: u64,
-    columns: Vec<String>,
     rows: Vec<(u64, Vec<f64>)>,
     last_event_ns: u64,
 }
 
 impl MetricsSink {
-    /// Builds the sink, registering every metric up front.
+    /// Builds the sink with every metric at zero.
     pub fn new(spec: MetricsSpec) -> Self {
-        let mut registry = Registry::new();
-        let mut kinds = Vec::with_capacity(spec.kind_names.len());
-        let mut monitors = Vec::with_capacity(spec.kind_names.len());
-        let mut columns = vec![];
-        for (k, name) in spec.kind_names.iter().enumerate() {
-            let label = || vec![("model", name.clone())];
-            kinds.push(KindHandles {
-                enqueued: registry.counter(
-                    "deepplan_requests_enqueued_total",
-                    "Requests enqueued.",
-                    label(),
-                ),
-                completed: registry.counter(
-                    "deepplan_requests_completed_total",
-                    "Requests completed.",
-                    label(),
-                ),
-                shed: registry.counter(
-                    "deepplan_requests_shed_total",
-                    "Requests shed without service.",
-                    label(),
-                ),
-                latency: registry.histogram(
-                    "deepplan_request_latency_ns",
-                    "End-to-end request latency.",
-                    label(),
-                ),
-                queue_wait: registry.histogram(
-                    "deepplan_request_queue_wait_ns",
-                    "Queueing component of request latency.",
-                    label(),
-                ),
-                ttft: registry.histogram(
-                    "deepplan_ttft_ns",
-                    "Time to first token for decode requests.",
-                    label(),
-                ),
-            });
-            monitors.push(SloMonitor::new(k));
-            for col in ["completed", "shed", "p50_ms", "p99_ms", "burn_milli"] {
-                columns.push(format!("{name}.{col}"));
-            }
-        }
-        let queue_depth = (0..spec.gpus)
-            .map(|g| {
-                registry.gauge(
-                    "deepplan_queue_depth",
-                    "Requests queued per GPU.",
-                    vec![("gpu", g.to_string())],
-                )
-            })
-            .collect();
-        let cache_used = (0..spec.gpus)
-            .map(|g| {
-                registry.gauge(
-                    "deepplan_cache_used_bytes",
-                    "Model-cache occupancy per GPU.",
-                    vec![("gpu", g.to_string())],
-                )
-            })
-            .collect();
-        let host_pinned = registry.gauge(
-            "deepplan_host_pinned_bytes",
-            "Pinned host memory held by the model store.",
-            vec![],
-        );
-        let retries = registry.counter("deepplan_retries_total", "Retry attempts.", vec![]);
-        let stall_ns = registry.counter(
-            "deepplan_stall_ns_total",
-            "Nanoseconds execution spent stalled.",
-            vec![],
-        );
-        let stalls_by_cause = [
-            StallCause::Barrier,
-            StallCause::PcieLoad,
-            StallCause::NvlinkMigrate,
-        ]
-        .map(|c| {
-            registry.counter(
-                "deepplan_stalls_total",
-                "Execution stalls by cause.",
-                vec![("cause", c.as_str().to_string())],
-            )
-        });
-        let exec_busy_ns = registry.counter(
-            "deepplan_exec_busy_ns_total",
-            "Nanoseconds of kernel execution.",
-            vec![],
-        );
-        let alerts = registry.counter(
-            "deepplan_slo_burn_alerts_total",
-            "SLO burn-rate alerts fired.",
-            vec![],
-        );
-        let tpot = registry.histogram(
-            "deepplan_tpot_ns",
-            "Per-request mean time per output token.",
-            vec![],
-        );
-        let tokens_out = registry.counter(
-            "deepplan_tokens_generated_total",
-            "Output tokens generated by decode.",
-            vec![],
-        );
-        let kv_spills = registry.counter(
-            "deepplan_kv_page_spills_total",
-            "KV pages spilled to pinned host memory.",
-            vec![],
-        );
-        let kv_recalls = registry.counter(
-            "deepplan_kv_page_recalls_total",
-            "Spilled KV pages recalled to device memory.",
-            vec![],
-        );
         MetricsSink {
             log: EventLog::new(),
-            registry,
-            kinds,
-            queue_depth,
-            cache_used,
-            host_pinned,
-            retries,
-            stall_ns,
-            stalls_by_cause,
-            exec_busy_ns,
-            alerts,
-            tpot,
-            tokens_out,
-            kv_spills,
-            kv_recalls,
-            monitors,
+            monitors: (0..spec.kind_names.len()).map(SloMonitor::new).collect(),
+            registry: Registry::new(spec.kind_names, spec.gpus),
+            instance_kinds: spec.instance_kinds,
+            slo_ns: spec.slo_ns,
             next_rotate_ns: RESOLUTION_MS * 1_000_000,
-            columns,
             rows: Vec::new(),
             last_event_ns: 0,
-            spec,
         }
     }
 
@@ -736,26 +561,21 @@ impl MetricsSink {
         (Probe::with_metrics(sink.clone()), sink)
     }
 
-    fn kind_of(&self, instance: usize) -> usize {
-        self.spec.instance_kinds.get(instance).copied().unwrap_or(0)
-    }
-
     fn snapshot(&mut self, at_ns: u64) {
-        let mut row = Vec::with_capacity(self.columns.len());
-        for (k, h) in self.kinds.iter().enumerate() {
-            row.push(self.registry.counter_value(h.completed) as f64);
-            row.push(self.registry.counter_value(h.shed) as f64);
-            let hist = self.registry.hist(h.latency);
-            row.push(hist.window_percentile(50.0) / 1e6);
-            row.push(hist.window_percentile(99.0) / 1e6);
-            row.push((self.monitors[k].long.burn() * 1000.0).round());
+        let kinds = &mut self.registry.kinds;
+        let mut row = Vec::with_capacity(kinds.len() * COLUMNS.len());
+        for (k, monitor) in kinds.iter_mut().zip(&self.monitors) {
+            row.extend([
+                k.completed as f64,
+                k.shed as f64,
+                k.latency.window_percentile(50.0) / 1e6,
+                k.latency.window_percentile(99.0) / 1e6,
+                (monitor.long.burn() * 1000.0).round(),
+            ]);
+            k.latency.rotate();
+            k.queue_wait.rotate();
         }
         self.rows.push((at_ns, row));
-        for h in &self.kinds {
-            let (latency, queue_wait) = (h.latency, h.queue_wait);
-            self.registry.hist_mut(latency).rotate();
-            self.registry.hist_mut(queue_wait).rotate();
-        }
     }
 
     fn rotate_to(&mut self, at_ns: u64) {
@@ -776,74 +596,55 @@ impl MetricsSink {
         let at_ns = at.as_nanos();
         self.last_event_ns = at_ns;
         self.rotate_to(at_ns);
+        let r = &mut self.registry;
+        let kind = |instance: usize| self.instance_kinds.get(instance).copied().unwrap_or(0);
         match what {
-            ProbeEvent::RequestEnqueued { instance, .. } => {
-                let k = self.kind_of(instance);
-                self.registry.inc(self.kinds[k].enqueued, 1);
-            }
+            ProbeEvent::RequestEnqueued { instance, .. } => r.kinds[kind(instance)].enqueued += 1,
             ProbeEvent::RequestCompleted {
                 instance,
                 latency_ns,
                 queue_wait_ns,
                 ..
             } => {
-                let k = self.kind_of(instance);
-                self.registry.inc(self.kinds[k].completed, 1);
-                self.registry.observe(self.kinds[k].latency, latency_ns);
-                self.registry
-                    .observe(self.kinds[k].queue_wait, queue_wait_ns);
-                let ok = latency_ns <= self.spec.slo_ns;
+                let k = kind(instance);
+                r.kinds[k].completed += 1;
+                r.kinds[k].latency.observe(latency_ns);
+                r.kinds[k].queue_wait.observe(queue_wait_ns);
+                let ok = latency_ns <= self.slo_ns;
                 if let Some(alert) = self.monitors[k].observe(at_ns / 1_000_000, ok) {
-                    self.registry.inc(self.alerts, 1);
+                    r.alerts += 1;
                     self.log.record(at, alert);
                 }
             }
-            ProbeEvent::RequestShed { instance, .. } => {
-                let k = self.kind_of(instance);
-                self.registry.inc(self.kinds[k].shed, 1);
-            }
-            ProbeEvent::RequestRetried { .. } => self.registry.inc(self.retries, 1),
+            ProbeEvent::RequestShed { instance, .. } => r.kinds[kind(instance)].shed += 1,
+            ProbeEvent::RequestRetried { .. } => r.retries += 1,
             ProbeEvent::QueueDepth { gpu, depth } => {
-                if let Some(&id) = self.queue_depth.get(gpu) {
-                    self.registry.set(id, depth as f64);
+                if let Some(g) = r.queue_depth.get_mut(gpu) {
+                    *g = depth as f64;
                 }
             }
             ProbeEvent::CacheOccupancy {
                 gpu, used_bytes, ..
             } => {
-                if let Some(&id) = self.cache_used.get(gpu) {
-                    self.registry.set(id, used_bytes as f64);
+                if let Some(g) = r.cache_used.get_mut(gpu) {
+                    *g = used_bytes as f64;
                 }
             }
-            ProbeEvent::HostPinned { bytes } => {
-                self.registry.set(self.host_pinned, bytes as f64);
-            }
-            ProbeEvent::StallStarted { cause, .. } => {
-                let i = match cause {
-                    StallCause::Barrier => 0,
-                    StallCause::PcieLoad => 1,
-                    StallCause::NvlinkMigrate => 2,
-                };
-                self.registry.inc(self.stalls_by_cause[i], 1);
-            }
-            ProbeEvent::StallEnded { ns, .. } => self.registry.inc(self.stall_ns, ns),
-            ProbeEvent::RunCompleted { exec_busy_ns, .. } => {
-                self.registry.inc(self.exec_busy_ns, exec_busy_ns);
-            }
+            ProbeEvent::HostPinned { bytes } => r.host_pinned = bytes as f64,
+            ProbeEvent::StallStarted { cause, .. } => r.stalls[cause as usize] += 1,
+            ProbeEvent::StallEnded { ns, .. } => r.stall_ns += ns,
+            ProbeEvent::RunCompleted { exec_busy_ns, .. } => r.exec_busy_ns += exec_busy_ns,
             ProbeEvent::FirstToken {
                 instance, ttft_ns, ..
-            } => {
-                let k = self.kind_of(instance);
-                self.registry.observe(self.kinds[k].ttft, ttft_ns);
-            }
+            } => r.kinds[kind(instance)].ttft.observe(ttft_ns),
             ProbeEvent::DecodeFinished {
                 tokens, tpot_ns, ..
             } => {
-                self.registry.observe(self.tpot, tpot_ns);
-                self.registry.inc(self.tokens_out, tokens);
+                r.tpot.observe(tpot_ns);
+                r.tokens += tokens;
             }
-            ProbeEvent::KvPageSpill { .. } => self.registry.inc(self.kv_spills, 1),
-            ProbeEvent::KvPageRecall { .. } => self.registry.inc(self.kv_recalls, 1),
+            ProbeEvent::KvPageSpill { .. } => r.kv_spills += 1,
+            ProbeEvent::KvPageRecall { .. } => r.kv_recalls += 1,
             _ => {}
         }
     }
@@ -852,11 +653,15 @@ impl MetricsSink {
     /// model kind (`completed`, `shed`, windowed `p50_ms`/`p99_ms`,
     /// `burn_milli`), sampled each second of sim time.
     pub fn to_json_series(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"resolution_ms\": {RESOLUTION_MS},");
-        let cols: Vec<String> = self.columns.iter().map(|c| format!("\"{c}\"")).collect();
+        let cols: Vec<String> = self
+            .registry
+            .kinds
+            .iter()
+            .flat_map(|k| COLUMNS.map(|c| format!("\"{}.{c}\"", k.name)))
+            .collect();
         let _ = writeln!(out, "  \"columns\": [\"t_ms\", {}],", cols.join(", "));
         out.push_str("  \"rows\": [\n");
         for (i, (t_ns, row)) in self.rows.iter().enumerate() {
@@ -885,55 +690,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn welford_matches_two_pass() {
-        let xs = [1.0, 2.0, 4.0, 8.0, 16.0];
-        let mut w = Welford::default();
-        for x in xs {
-            w.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!((w.mean() - mean).abs() < 1e-12);
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-        assert!((w.sample_std() - var.sqrt()).abs() < 1e-12);
-        assert_eq!(w.count(), 5);
-    }
-
-    #[test]
     fn log_histogram_percentiles_are_bucket_edges() {
         let mut h = LogHistogram::default();
         for v in [1u64, 2, 3, 100, 1000] {
             h.observe(v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1106);
+        assert_eq!((h.count, h.sum), (5, 1106));
         // p50 lands in the bucket holding 2 and 3 (edges 2^2-1 = 3).
-        assert_eq!(h.percentile(50.0), 3.0);
-        assert_eq!(h.percentile(100.0), 1023.0);
+        assert_eq!(h.window_percentile(50.0), 3.0);
+        assert_eq!(h.window_percentile(100.0), 1023.0);
         h.rotate();
         assert_eq!(h.window_percentile(99.0), 0.0);
-        assert_eq!(h.percentile(100.0), 1023.0, "cumulative view survives");
-    }
-
-    #[test]
-    fn registry_prometheus_export_is_deterministic() {
-        let build = || {
-            let mut r = Registry::new();
-            let c = r.counter("test_total", "A counter.", vec![("model", "bert".into())]);
-            let g = r.gauge("test_gauge", "A gauge.", vec![]);
-            let h = r.histogram("test_ns", "A histogram.", vec![]);
-            r.inc(c, 3);
-            r.set(g, 1.5);
-            r.observe(h, 100);
-            r.observe(h, 200_000);
-            r.to_prometheus()
-        };
-        let a = build();
-        assert_eq!(a, build());
-        assert!(a.contains("# TYPE test_total counter"));
-        assert!(a.contains("test_total{model=\"bert\"} 3"));
-        assert!(a.contains("test_gauge 1.5"));
-        assert!(a.contains("test_ns_count 2"));
-        assert!(a.contains("le=\"+Inf\"} 2"));
+        let cumulative = percentile_of(&h.counts, h.count, 100.0);
+        assert_eq!(cumulative, 1023.0, "cumulative view survives");
     }
 
     #[test]
@@ -1010,6 +779,57 @@ mod tests {
         assert_eq!(sink.rows[0].0, 1_000_000_000);
     }
 
+    /// Asserts that `prom` declares each family once, `# HELP` then
+    /// `# TYPE`, and that every sample directly follows its own
+    /// family's declaration.
+    fn assert_one_block_per_family(prom: &str) {
+        let mut declared: Vec<&str> = Vec::new();
+        let mut lines = prom.lines();
+        while let Some(line) = lines.next() {
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                let name = rest.split(' ').next().unwrap_or_default();
+                assert!(!declared.contains(&name), "{name} declared twice");
+                declared.push(name);
+                let ty = lines.next().unwrap_or_default();
+                assert!(ty.starts_with(&format!("# TYPE {name} ")), "{ty}");
+                continue;
+            }
+            let family = *declared.last().expect("a sample before any family");
+            let sample = line.split(['{', ' ']).next().unwrap_or_default();
+            let suffix = sample.strip_prefix(family);
+            assert!(
+                matches!(suffix, Some("" | "_bucket" | "_sum" | "_count")),
+                "{line} sits in {family}"
+            );
+        }
+    }
+
+    #[test]
+    fn each_family_is_written_once_with_its_samples() {
+        let spec = MetricsSpec::new(vec!["a".into(), "b".into()], vec![0, 1], 2);
+        let mut sink = MetricsSink::new(spec);
+        for instance in [0, 1, 1] {
+            sink.record(
+                SimTime::from_nanos(1_000),
+                ProbeEvent::RequestCompleted {
+                    req: 0,
+                    instance,
+                    gpu: 0,
+                    cold: false,
+                    latency_ns: 3_000,
+                    queue_wait_ns: 0,
+                },
+            );
+        }
+        let prom = sink.registry.to_prometheus();
+        assert_one_block_per_family(&prom);
+        assert_eq!(prom.matches("# HELP ").count(), 18);
+        let completed = "deepplan_requests_completed_total";
+        assert!(prom.contains(&format!(
+            "counter\n{completed}{{model=\"a\"}} 1\n{completed}{{model=\"b\"}} 2\n"
+        )));
+    }
+
     #[test]
     fn slo_alert_lands_in_event_log() {
         let mut spec = MetricsSpec::new(vec!["m".into()], vec![0], 1);
@@ -1049,7 +869,7 @@ mod tests {
                 burn_milli: 999_999,
             }
         );
-        assert!(sink.registry.counter_value(sink.alerts) == 1);
+        assert_eq!(sink.registry.alerts, 1);
         // Stripping alert lines recovers the raw event stream.
         let raw: Vec<_> = sink
             .events()

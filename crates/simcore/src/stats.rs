@@ -2,7 +2,9 @@
 //!
 //! Latency percentiles (p50/p99), goodput counting and fixed-width
 //! time-series bucketing, shared by the serving simulator and the bench
-//! harnesses.
+//! harnesses. An empty [`Samples`] summarises to 0.0 (and a goodput
+//! fraction of 1.0), the value report tables print for "no data"; a
+//! caller that must tell the two apart checks [`Samples::is_empty`].
 
 use serde::{Deserialize, Serialize};
 
@@ -36,64 +38,39 @@ impl Samples {
     }
 
     /// Arithmetic mean, or 0.0 when empty.
-    ///
-    /// The 0.0 sentinel is convenient for report tables but ambiguous
-    /// (a mean of exactly 0.0 is indistinguishable from "no data");
-    /// callers that must tell the two apart use [`Samples::try_mean`].
     pub fn mean(&self) -> f64 {
-        self.try_mean().unwrap_or(0.0)
-    }
-
-    /// Arithmetic mean, or `None` when empty.
-    pub fn try_mean(&self) -> Option<f64> {
         if self.values.is_empty() {
-            return None;
+            return 0.0;
         }
-        Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
+        self.values.iter().sum::<f64>() / self.values.len() as f64
     }
 
-    /// Minimum observation, or 0.0 when empty (see [`Samples::try_min`]).
+    /// Minimum observation, or 0.0 when empty.
     pub fn min(&self) -> f64 {
-        self.try_min().unwrap_or(0.0)
+        self.values.iter().copied().reduce(f64::min).unwrap_or(0.0)
     }
 
-    /// Minimum observation, or `None` when empty.
-    pub fn try_min(&self) -> Option<f64> {
-        self.values.iter().copied().reduce(f64::min)
-    }
-
-    /// Maximum observation, or 0.0 when empty (see [`Samples::try_max`]).
+    /// Maximum observation, or 0.0 when empty.
     pub fn max(&self) -> f64 {
-        self.try_max().unwrap_or(0.0)
-    }
-
-    /// Maximum observation, or `None` when empty.
-    pub fn try_max(&self) -> Option<f64> {
-        self.values.iter().copied().reduce(f64::max)
+        self.values.iter().copied().reduce(f64::max).unwrap_or(0.0)
     }
 
     /// The `p`-th percentile (0..=100) by nearest-rank, or 0.0 when
-    /// empty (see [`Samples::try_percentile`] to distinguish).
-    pub fn percentile(&self, p: f64) -> f64 {
-        self.try_percentile(p).unwrap_or(0.0)
-    }
-
-    /// The `p`-th percentile (0..=100) by nearest-rank, or `None` when
     /// empty.
     ///
     /// With a single sample every percentile is that sample. Sorts a
     /// copy (total order, so NaN samples cannot panic — they sort
     /// after every real number) and leaves `self` untouched, so reports
     /// can query percentiles through shared references.
-    pub fn try_percentile(&self, p: f64) -> Option<f64> {
+    pub fn percentile(&self, p: f64) -> f64 {
         if self.values.is_empty() {
-            return None;
+            return 0.0;
         }
         let mut sorted = self.values.clone();
         sorted.sort_by(f64::total_cmp);
         let p = p.clamp(0.0, 100.0);
         let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
+        sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
     }
 
     /// Convenience: the 99th percentile (0.0 when empty).
@@ -103,20 +80,13 @@ impl Samples {
 
     /// Fraction of observations `<= threshold` (goodput-style), or 1.0
     /// when empty — an empty window trivially meets any SLO, which is
-    /// the right default for goodput plots; use
-    /// [`Samples::try_fraction_at_most`] when "no traffic" must not
-    /// read as "perfect".
+    /// the right default for goodput plots.
     pub fn fraction_at_most(&self, threshold: f64) -> f64 {
-        self.try_fraction_at_most(threshold).unwrap_or(1.0)
-    }
-
-    /// Fraction of observations `<= threshold`, or `None` when empty.
-    pub fn try_fraction_at_most(&self, threshold: f64) -> Option<f64> {
         if self.values.is_empty() {
-            return None;
+            return 1.0;
         }
         let ok = self.values.iter().filter(|v| **v <= threshold).count();
-        Some(ok as f64 / self.values.len() as f64)
+        ok as f64 / self.values.len() as f64
     }
 
     /// Read-only view of the raw observations.
@@ -209,27 +179,17 @@ mod tests {
     }
 
     #[test]
-    fn empty_samples_try_variants_return_none() {
-        let s = Samples::new();
-        assert_eq!(s.try_mean(), None);
-        assert_eq!(s.try_min(), None);
-        assert_eq!(s.try_max(), None);
-        assert_eq!(s.try_percentile(50.0), None);
-        assert_eq!(s.try_fraction_at_most(10.0), None);
-    }
-
-    #[test]
     fn single_sample_is_every_summary() {
         let mut s = Samples::new();
         s.push(7.0);
-        assert_eq!(s.try_mean(), Some(7.0));
-        assert_eq!(s.try_min(), Some(7.0));
-        assert_eq!(s.try_max(), Some(7.0));
+        assert_eq!(s.mean(), 7.0);
+        assert_eq!(s.min(), 7.0);
+        assert_eq!(s.max(), 7.0);
         for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
-            assert_eq!(s.try_percentile(p), Some(7.0));
+            assert_eq!(s.percentile(p), 7.0);
         }
-        assert_eq!(s.try_fraction_at_most(6.0), Some(0.0));
-        assert_eq!(s.try_fraction_at_most(7.0), Some(1.0));
+        assert_eq!(s.fraction_at_most(6.0), 0.0);
+        assert_eq!(s.fraction_at_most(7.0), 1.0);
     }
 
     #[test]

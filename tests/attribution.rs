@@ -150,6 +150,71 @@ fn metrics_enabled_runs_are_byte_deterministic() {
     assert_eq!(to_jsonl(sa.events()), to_jsonl(sb.events()));
 }
 
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn hash(text: &str) -> String {
+    format!("{:#018x}", fnv1a64(text.as_bytes()))
+}
+
+/// The fig15 4:4:1 mix (BERT-Base, RoBERTa-Base, GPT-2) for 5 s at
+/// 150 rps over 300 instances, through a `MetricsSink`: three model
+/// kinds, so every per-kind family has three label sets.
+fn metered_mix_run() -> MetricsSink {
+    let machine = p3_8xlarge();
+    let cfg = ServerConfig::paper_default(machine.clone(), PlanMode::PtDha);
+    let (ids, instance_kinds) = fig15::mix(300);
+    let kinds: Vec<DeployedModel> = ids
+        .iter()
+        .map(|&id| DeployedModel::prepare(&build(id), &machine, PlanMode::PtDha, cfg.max_pt_gpus))
+        .collect();
+    let trace = fig15::trace(300, SimDur::from_secs(5), 150.0);
+    let spec = metrics_spec(&cfg, &kinds, &instance_kinds);
+    let (probe, sink) = MetricsSink::probe(spec);
+    run_server_probed(cfg, kinds, &instance_kinds, trace, SimTime::ZERO, probe);
+    let mut sink = std::rc::Rc::try_unwrap(sink)
+        .expect("the run dropped every probe handle")
+        .into_inner();
+    sink.finish();
+    sink
+}
+
+/// Both metrics exporters, hashed with 64-bit FNV-1a. The hashes were
+/// recorded with the handle-addressed registry the sink's own fields
+/// replaced: its single-kind Prometheus text and both JSON series held
+/// byte for byte. Its multi-kind Prometheus text repeated each per-kind
+/// family's HELP/TYPE lines once per kind, so the mix pins its sample
+/// lines as a sorted set.
+#[test]
+fn metrics_exports_keep_their_recorded_bytes() {
+    let (_, sink) = metered_run();
+    let sink = sink.borrow();
+    let mix = metered_mix_run();
+    let prom = mix.registry.to_prometheus();
+    let mut samples: Vec<&str> = prom.lines().filter(|l| !l.starts_with('#')).collect();
+    samples.sort_unstable();
+    let got = [
+        (
+            "metered_run prometheus",
+            hash(&sink.registry.to_prometheus()),
+        ),
+        ("metered_run json series", hash(&sink.to_json_series())),
+        ("mix json series", hash(&mix.to_json_series())),
+        ("mix prometheus samples", hash(&samples.join("\n"))),
+    ];
+    let want = [
+        "0x2ab16545cd5a9ab8",
+        "0x460922c18a64d4cc",
+        "0xc427c5a45379401b",
+        "0x2150263effff6a2d",
+    ];
+    let got_hashes: Vec<&str> = got.iter().map(|(_, h)| h.as_str()).collect();
+    assert_eq!(got_hashes, want, "metrics export hashes moved: {got:#?}");
+}
+
 #[test]
 fn metrics_sink_only_adds_alert_events() {
     // The metrics engine observes the stream; it must not perturb it.
