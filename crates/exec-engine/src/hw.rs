@@ -2,11 +2,10 @@
 //! host-path transfer that every host→GPU flow goes through, with the
 //! transfer policy it carries: hedged races and corrupt-transfer arms.
 //!
-//! In-flight runs, decode processes and hedged races live in
-//! [`GenSlab`]s: a [`RunRef`] or [`DecodeRef`] is a generational key, so
-//! once its value is removed (completed or aborted) every event still
-//! holding the ref resolves to `None`, even after a later run reuses the
-//! slot.
+//! In-flight runs and hedged races live in [`GenSlab`]s: a [`RunRef`] is
+//! a generational key, so once its run is removed (completed or aborted)
+//! every event still holding the ref resolves to `None`, even after a
+//! later run reuses the slot.
 
 use gpu_topology::machine::Machine;
 use gpu_topology::netmap::NetMap;
@@ -17,7 +16,6 @@ use simcore::sim::{Ctx, EventFn};
 use simcore::slab::{GenKey, GenSlab};
 use simcore::time::SimDur;
 
-use crate::decode::DecodeRun;
 use crate::launch::{HedgeSpec, RunState};
 
 /// Stable reference to an in-flight inference run.
@@ -32,11 +30,6 @@ impl RunRef {
     }
 }
 
-/// Stable reference to a decode process, guarded like [`RunRef`] so
-/// token-step events scheduled before an abort land as no-ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodeRef(pub(crate) GenKey);
-
 /// The hardware substrate: machine description, its flow network, and the
 /// table of in-flight runs.
 pub struct HwState<S: HasHw> {
@@ -46,8 +39,6 @@ pub struct HwState<S: HasHw> {
     pub map: NetMap,
     /// In-flight inference runs.
     pub runs: GenSlab<RunState<S>>,
-    /// Live decode processes (one per GPU with a continuous batch).
-    pub decodes: GenSlab<DecodeRun<S>>,
     /// Undecided hedged races, keyed from their finish lines and
     /// watchdog; a race leaves when its first contestant finishes.
     races: GenSlab<Race<S>>,
@@ -86,7 +77,6 @@ impl<S: HasHw> HwState<S> {
                 machine,
                 map,
                 runs: GenSlab::new(),
-                decodes: GenSlab::new(),
                 races: GenSlab::new(),
                 probe: Probe::disabled(),
                 refetches: 0,
@@ -101,12 +91,6 @@ impl<S: HasHw> HwState<S> {
     /// Resolves a [`RunRef`], returning `None` for completed/stale runs.
     pub fn run_mut(&mut self, r: RunRef) -> Option<&mut RunState<S>> {
         self.runs.get_mut(r.0)
-    }
-
-    /// Resolves a [`DecodeRef`], returning `None` for aborted/stale
-    /// decode processes.
-    pub fn decode_mut(&mut self, r: DecodeRef) -> Option<&mut DecodeRun<S>> {
-        self.decodes.get_mut(r.0)
     }
 
     /// Arms a corrupt-transfer gray failure: the next checksum-carrying

@@ -581,6 +581,9 @@ fn mig_pump<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, slot: usize) {
 /// `r`: the NVLink launch overhead, then one flow. `started` is published
 /// as the flow starts and `on_done` runs when it drains, each only while
 /// `r` is live, so an aborted run's forwards and hops land as no-ops.
+/// The pair is NVLinked: [`start_inference`] admitted `r` only after
+/// checking every pair [`required_nvlink_pairs`] lists, and NVLink
+/// connectivity is static.
 #[allow(clippy::too_many_arguments)]
 fn nvlink_flow<S: HasHw>(
     state: &mut S,
@@ -594,13 +597,10 @@ fn nvlink_flow<S: HasHw>(
 ) {
     let hw = state.hw();
     let overhead = SimDur::from_nanos(hw.machine.nvlink.map_or(0, |nv| nv.launch_overhead_ns));
-    let Some(link) = hw.map.nvlink_between(&hw.machine, from, to) else {
-        // Unreachable after the launch-time check in [`start_inference`]
-        // (NetMap connectivity is static); tear the run down instead of
-        // poisoning the sim if a caller ever bypasses it.
-        abort_run(state, ctx, r);
-        return;
-    };
+    let link = hw
+        .map
+        .nvlink_between(&hw.machine, from, to)
+        .expect("start_inference admits a run only if every pair it moves over is NVLinked");
     ctx.schedule_in(
         overhead,
         Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {

@@ -8,8 +8,12 @@
 //! `cudaStreamWaitEvent`. All transfers (PCIe loads, NVLink forwards, DHA
 //! reads) are flows in the max-min-fair network, so contention between
 //! concurrent inferences (Tables 2/4) emerges from the topology.
+//!
+//! Every host→GPU transfer starts in [`hw::start_host_flow`], including
+//! the serving layer's own: decode token steps' KV recalls and reads,
+//! session checkpoints and restores, detector canaries and plan
+//! migrations. The serving layer times and guards those itself.
 
-pub mod decode;
 pub mod hw;
 pub mod launch;
 pub mod result;
@@ -17,8 +21,7 @@ pub mod runtime;
 pub mod single;
 pub mod timeline;
 
-pub use decode::{abort_decode, begin_decode, start_token_step, stream_kv, StepSpec};
-pub use hw::{DecodeRef, HasHw, HwState, RunRef};
+pub use hw::{HasHw, HwState, RunRef};
 pub use launch::{abort_run, start_inference, EngineError, LaunchSpec};
 pub use result::InferenceResult;
 pub use runtime::ModelRuntime;

@@ -5,7 +5,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use exec_engine::decode::stream_kv;
+use exec_engine::hw::start_host_flow;
 use exec_planner::kvplan::{choose_restore, RestoreChoice};
 use simcore::probe::{ProbeEvent, ShedCause};
 use simcore::sim::Ctx;
@@ -268,12 +268,30 @@ pub(super) fn maybe_checkpoint(s: &mut ServerState, ctx: &mut Ctx<ServerState>, 
     res.ckpt_tokens = (res.ckpt_tokens - spend as f64).max(0.0);
     res.ckpt_inflight[g] = true;
     let epoch = res.ckpt_epoch[g];
-    stream_kv(
-        s,
-        ctx,
-        g,
-        spend as f64,
-        Box::new(move |s: &mut ServerState, ctx| ckpt_done(s, ctx, g, epoch, batch)),
+    stream_kv(s, ctx, g, spend as f64, move |s, ctx| {
+        ckpt_done(s, ctx, g, epoch, batch)
+    });
+}
+
+/// Streams `bytes` of KV between pinned host memory and GPU `g` outside
+/// any token step: a checkpoint mirror or a restore replay. One launch
+/// overhead, then one [`start_host_flow`], like a step's recalls and DHA
+/// reads, so this traffic contends with foreground decode transfers.
+/// `on_done` fires when the flow drains; it guards itself, since the
+/// session it serves may outlive the batch it left.
+fn stream_kv(
+    s: &mut ServerState,
+    ctx: &mut Ctx<ServerState>,
+    g: usize,
+    bytes: f64,
+    on_done: impl FnOnce(&mut ServerState, &mut Ctx<ServerState>) + 'static,
+) {
+    let overhead = SimDur::from_nanos(s.cfg.machine.gpu(g).pcie.launch_overhead_ns);
+    ctx.schedule_in(
+        overhead,
+        Box::new(move |s: &mut ServerState, ctx| {
+            start_host_flow(s, ctx, g, bytes, None, |s, ctx, _| on_done(s, ctx));
+        }),
     );
 }
 
@@ -453,13 +471,9 @@ fn start_restore(s: &mut ServerState, ctx: &mut Ctx<ServerState>, e: DecodeEntry
     note_retry(s, now, &e.q, g2);
     s.instances[e.q.instance].active += 1;
     s.instances[e.q.instance].last_used = now;
-    stream_kv(
-        s,
-        ctx,
-        g2,
-        stream_bytes as f64,
-        Box::new(move |s: &mut ServerState, ctx| finish_restore(s, ctx, g2, e, ckpt)),
-    );
+    stream_kv(s, ctx, g2, stream_bytes as f64, move |s, ctx| {
+        finish_restore(s, ctx, g2, e, ckpt)
+    });
 }
 
 /// A restore replay drained on GPU `g`: the session rejoins the batch at

@@ -210,8 +210,10 @@ pub fn attribute(events: &[Event]) -> Vec<RequestAttribution> {
                 }
                 // Final-run sweep over [final dispatch, completion]:
                 // the run slot is unique among live runs, so every
-                // exec/stall span with this run id inside the log
-                // window belongs to this request.
+                // exec/stall span with this run id until the run ends
+                // belongs to this request. A later run may reuse the
+                // slot before the request completes (a decode session
+                // outlives its prefill), so the sweep stops there.
                 sweep_final_run(&events[di..=ci], run, prev, finish, &mut parts);
                 debug_assert_eq!(parts.total_ns(), latency_ns.min(finish - arrival));
                 out.push(RequestAttribution {
@@ -231,10 +233,11 @@ pub fn attribute(events: &[Event]) -> Vec<RequestAttribution> {
     out
 }
 
-/// Classifies `[lo, hi]` by the run's exec and stall spans: exec spans
-/// win over stall spans where both claim an instant, and any residue
-/// becomes [`Cause::Other`]. The elementary segments partition the
-/// window, so the added nanoseconds equal exactly `hi - lo`.
+/// Classifies `[lo, hi]` by the run's exec and stall spans up to its
+/// `run_completed` or `run_aborted`, where any span still open closes:
+/// exec spans win over stall spans where both claim an instant, and any
+/// residue becomes [`Cause::Other`]. The elementary segments partition
+/// the window, so the added nanoseconds equal exactly `hi - lo`.
 fn sweep_final_run(window: &[Event], run: usize, lo: u64, hi: u64, parts: &mut Parts) {
     struct Iv {
         start: u64,
@@ -245,6 +248,7 @@ fn sweep_final_run(window: &[Event], run: usize, lo: u64, hi: u64, parts: &mut P
     let mut ivs: Vec<Iv> = Vec::new();
     let mut open_exec: Option<(u64, bool)> = None;
     let mut open_stall: Option<(u64, StallCause)> = None;
+    let mut end = hi;
     let exec_cause = |dha: bool| if dha { Cause::ExecDha } else { Cause::ExecGpu };
     let stall_cause = |c: StallCause| match c {
         StallCause::Barrier => Cause::StallBarrier,
@@ -280,13 +284,19 @@ fn sweep_final_run(window: &[Event], run: usize, lo: u64, hi: u64, parts: &mut P
                     });
                 }
             }
+            ProbeEvent::RunCompleted { run: r, .. } | ProbeEvent::RunAborted { run: r, .. }
+                if r == run =>
+            {
+                end = at;
+                break;
+            }
             _ => {}
         }
     }
     if let Some((s, dha)) = open_exec {
         ivs.push(Iv {
             start: s,
-            end: hi,
+            end,
             cause: exec_cause(dha),
             prio: 2,
         });
@@ -294,7 +304,7 @@ fn sweep_final_run(window: &[Event], run: usize, lo: u64, hi: u64, parts: &mut P
     if let Some((s, c)) = open_stall {
         ivs.push(Iv {
             start: s,
-            end: hi,
+            end,
             cause: stall_cause(c),
             prio: 1,
         });

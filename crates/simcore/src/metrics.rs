@@ -10,9 +10,9 @@
 //!   and KV-page counters and the TPOT histogram. [`MetricsSink`]
 //!   updates the fields in place, so the per-event path allocates
 //!   nothing;
-//! * windowed percentiles: every histogram keeps a cumulative view and
-//!   a rotating window, snapshotted into a JSON time series at a fixed
-//!   sim-time cadence;
+//! * windowed percentiles: each kind's latency histogram has a window
+//!   beside it, snapshotted into a JSON time series and cleared at a
+//!   fixed sim-time cadence;
 //! * multi-window SLO burn-rate monitors per model kind, emitting
 //!   [`ProbeEvent::SloBurnAlert`] into the event log the moment an
 //!   error budget burns too fast over both the short and long window
@@ -48,15 +48,12 @@ const BUCKETS: usize = 64;
 /// Bucket `b` holds values whose bit length is `b`, so bucket upper
 /// edges are `2^b − 1`. Percentiles resolve to a bucket upper edge by
 /// nearest rank — coarse (×2) but allocation-free, streaming and
-/// deterministic. Keeps a cumulative view plus a rotating window for
-/// windowed percentiles.
+/// deterministic.
 #[derive(Debug, Clone)]
 struct LogHistogram {
     counts: [u64; BUCKETS],
     count: u64,
     sum: u64,
-    win_counts: [u64; BUCKETS],
-    win_count: u64,
 }
 
 impl Default for LogHistogram {
@@ -65,8 +62,6 @@ impl Default for LogHistogram {
             counts: [0; BUCKETS],
             count: 0,
             sum: 0,
-            win_counts: [0; BUCKETS],
-            win_count: 0,
         }
     }
 }
@@ -80,41 +75,28 @@ fn bucket_edge(b: usize) -> f64 {
     ((1u128 << b) - 1) as f64
 }
 
-fn percentile_of(counts: &[u64; BUCKETS], total: u64, p: f64) -> f64 {
-    if total == 0 {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (b, c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return bucket_edge(b);
-        }
-    }
-    bucket_edge(BUCKETS - 1)
-}
-
 impl LogHistogram {
-    /// Records one value into both the cumulative and window views.
+    /// Records one value.
     fn observe(&mut self, v: u64) {
-        let b = bucket_of(v);
-        self.counts[b] += 1;
+        self.counts[bucket_of(v)] += 1;
         self.count += 1;
         self.sum += v;
-        self.win_counts[b] += 1;
-        self.win_count += 1;
     }
 
-    /// Nearest-rank percentile over the current window.
-    fn window_percentile(&self, p: f64) -> f64 {
-        percentile_of(&self.win_counts, self.win_count, p)
-    }
-
-    /// Clears the window view (the cumulative view is untouched).
-    fn rotate(&mut self) {
-        self.win_counts = [0; BUCKETS];
-        self.win_count = 0;
+    /// Nearest-rank percentile.
+    fn percentile(&self, p: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (b, c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return bucket_edge(b);
+            }
+        }
+        bucket_edge(BUCKETS - 1)
     }
 }
 
@@ -126,6 +108,9 @@ struct KindMetrics {
     completed: u64,
     shed: u64,
     latency: LogHistogram,
+    /// The latencies since the last snapshot, for its windowed
+    /// percentiles; cleared at each snapshot.
+    latency_window: LogHistogram,
     queue_wait: LogHistogram,
     ttft: LogHistogram,
 }
@@ -568,12 +553,11 @@ impl MetricsSink {
             row.extend([
                 k.completed as f64,
                 k.shed as f64,
-                k.latency.window_percentile(50.0) / 1e6,
-                k.latency.window_percentile(99.0) / 1e6,
+                k.latency_window.percentile(50.0) / 1e6,
+                k.latency_window.percentile(99.0) / 1e6,
                 (monitor.long.burn() * 1000.0).round(),
             ]);
-            k.latency.rotate();
-            k.queue_wait.rotate();
+            k.latency_window = LogHistogram::default();
         }
         self.rows.push((at_ns, row));
     }
@@ -609,6 +593,7 @@ impl MetricsSink {
                 let k = kind(instance);
                 r.kinds[k].completed += 1;
                 r.kinds[k].latency.observe(latency_ns);
+                r.kinds[k].latency_window.observe(latency_ns);
                 r.kinds[k].queue_wait.observe(queue_wait_ns);
                 let ok = latency_ns <= self.slo_ns;
                 if let Some(alert) = self.monitors[k].observe(at_ns / 1_000_000, ok) {
@@ -697,12 +682,9 @@ mod tests {
         }
         assert_eq!((h.count, h.sum), (5, 1106));
         // p50 lands in the bucket holding 2 and 3 (edges 2^2-1 = 3).
-        assert_eq!(h.window_percentile(50.0), 3.0);
-        assert_eq!(h.window_percentile(100.0), 1023.0);
-        h.rotate();
-        assert_eq!(h.window_percentile(99.0), 0.0);
-        let cumulative = percentile_of(&h.counts, h.count, 100.0);
-        assert_eq!(cumulative, 1023.0, "cumulative view survives");
+        assert_eq!(h.percentile(50.0), 3.0);
+        assert_eq!(h.percentile(100.0), 1023.0);
+        assert_eq!(LogHistogram::default().percentile(99.0), 0.0);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! [`GenSlab`] recycles freed slots and keeps a per-slot generation, so
 //! a key held by a scheduled event goes stale when its value is removed:
-//! the engine's in-flight runs, decode processes and hedged races, and
-//! the driver's flow callbacks, live there. It avoids an external
-//! dependency.
+//! the engine's in-flight runs and hedged races, and the driver's flow
+//! callbacks, live there. It avoids an external dependency.
 
 /// A key into a [`GenSlab`]: slot index plus the generation it was
 /// issued under. A key goes stale the moment its slot is removed, so

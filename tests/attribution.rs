@@ -3,6 +3,8 @@
 //! output (golden trace), and determinism of the streaming
 //! metrics/SLO engine.
 
+use std::collections::HashMap;
+
 use bench::experiments::fig15;
 use bench::experiments::serving::run_mix_probed;
 use deepplan::PlanMode;
@@ -15,6 +17,9 @@ use simcore::attribution::{analyze, attribute, render_analysis, Cause};
 use simcore::metrics::MetricsSink;
 use simcore::probe::{parse_jsonl, to_jsonl, Event, Probe, ProbeEvent};
 use simcore::time::{SimDur, SimTime};
+
+mod common;
+use common::fnv1a64;
 
 /// Runs the fig15-style MAF mix with a recording probe. 300 instances
 /// oversubscribe the 4-GPU cache, so the trace exercises cold starts,
@@ -112,6 +117,51 @@ fn golden_trace_analysis_matches_checked_in_output() {
     );
 }
 
+#[test]
+fn decode_requests_are_charged_only_their_own_run() {
+    // A decode session outlives its prefill run, and later runs reuse
+    // the run slot before the session completes: none of their exec or
+    // stall spans may be charged to it.
+    let trace = include_str!("data/golden_decode.jsonl");
+    let events = parse_jsonl(trace).expect("decode golden parses");
+    // Each request's run since its latest dispatch, and the run's
+    // lifetime from that dispatch to its end.
+    let mut running = HashMap::new();
+    let mut lifetime = HashMap::new();
+    for e in &events {
+        let at = e.at.as_nanos();
+        match e.what {
+            ProbeEvent::RequestDispatched { req, run, .. } => {
+                running.insert(req, (run, at));
+            }
+            ProbeEvent::RunCompleted { run, .. } | ProbeEvent::RunAborted { run, .. } => {
+                running.retain(|&req, &mut (r, from)| {
+                    if r == run {
+                        lifetime.insert(req, at - from);
+                    }
+                    r != run
+                });
+            }
+            _ => {}
+        }
+    }
+    let atts = attribute(&events);
+    assert_eq!(atts.len(), 80, "the decode golden completes 80 requests");
+    for a in &atts {
+        let charged: u64 = Cause::ALL
+            .iter()
+            .filter(|c| !matches!(c, Cause::Queue | Cause::Retry | Cause::Other))
+            .map(|&c| a.parts.get(c))
+            .sum();
+        let run_ns = lifetime[&a.req];
+        assert!(
+            charged <= run_ns,
+            "request {}: {charged} ns of exec and stall in a final run of {run_ns} ns",
+            a.req
+        );
+    }
+}
+
 /// One oversubscribed BERT-Base run through a `MetricsSink`.
 fn metered_run() -> (ServingReport, std::rc::Rc<std::cell::RefCell<MetricsSink>>) {
     let machine = p3_8xlarge();
@@ -148,12 +198,6 @@ fn metrics_enabled_runs_are_byte_deterministic() {
         "JSON time series must be byte-identical across identical runs"
     );
     assert_eq!(to_jsonl(sa.events()), to_jsonl(sb.events()));
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 fn hash(text: &str) -> String {

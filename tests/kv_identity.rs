@@ -28,11 +28,8 @@ use simcore::fault::FaultSpec;
 use simcore::probe::{to_jsonl, Probe};
 use simcore::time::SimTime;
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+mod common;
+use common::fnv1a64;
 
 /// One probed GPT-2 decode run on the 4-GPU machine, 16 instances at
 /// seed 11. `tweak` edits the config after decode is enabled. Returns

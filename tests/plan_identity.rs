@@ -14,13 +14,10 @@ use exec_planner::generate::{generate, PlanMode};
 use gpu_topology::presets::{a5000_dual, dgx1_like, p3_8xlarge, single_v100};
 use layer_profiler::profiler::Profiler;
 
-const GOLDEN: &str = include_str!("data/golden_plan_hashes.txt");
+mod common;
+use common::fnv1a64;
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+const GOLDEN: &str = include_str!("data/golden_plan_hashes.txt");
 
 fn plan_hashes() -> String {
     let mut out = String::new();

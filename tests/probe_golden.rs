@@ -13,14 +13,11 @@ use std::collections::HashMap;
 
 use simcore::probe::{parse_jsonl, to_jsonl, to_perfetto, PerfettoOptions, ProbeEvent};
 
+mod common;
+use common::fnv1a64;
+
 const EVERY_EVENT: &str = include_str!("data/golden_every_event.jsonl");
 const EVERY_EVENT_PERFETTO: &str = include_str!("data/golden_every_event.perfetto.json");
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 fn perfetto_of(jsonl: &str) -> String {
     let events = parse_jsonl(jsonl).expect("golden parses");

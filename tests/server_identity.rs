@@ -32,6 +32,9 @@ use simcore::probe::{parse_jsonl, to_jsonl, Probe};
 use simcore::rng::{derive_seed, seeded};
 use simcore::time::{SimDur, SimTime};
 
+mod common;
+use common::fnv1a64;
+
 const GOLDEN: &str = include_str!("data/golden_server_hashes.txt");
 
 /// Scenarios drawn; each is one row of the golden file.
@@ -39,12 +42,6 @@ const CASES: u64 = 24;
 
 /// Root seed of the generator.
 const SEED: u64 = 0x5e77_e125;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// Every kind the fault DSL parses.
 const FAULT_KINDS: [&str; 16] = [
