@@ -10,8 +10,7 @@
 
 use deepplan::{ModelId, PlanMode};
 use model_serving::workload::poisson;
-use simcore::attribution::attribute;
-use simcore::attribution::blame;
+use simcore::attribution::{analyze, blame};
 use simcore::time::SimTime;
 
 use crate::experiments::serving::run_mix_probed;
@@ -29,7 +28,7 @@ pub fn run() -> Table {
             let concurrency = 140;
             let trace = poisson::generate(100.0, concurrency, 400, SimTime::ZERO, SEED);
             let (_, events) = run_mix_probed(mode, &[model], vec![0; concurrency], trace);
-            let atts = attribute(&events);
+            let atts = analyze(&events).requests;
             for row in blame(&atts, |_| "all".to_string()) {
                 t.push(vec![
                     model.to_string(),
