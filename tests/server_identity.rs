@@ -13,8 +13,11 @@
 //! sent request completed or was shed, no KV page outlived the run, and
 //! every allocated page was freed from the device or the host pool. It
 //! also checks that `parse_jsonl` reads the run's JSONL back as its event
-//! log, and that the same case run with the probe off executes the same
-//! number of simulation events. A failure names the case.
+//! log, that the same case run with the probe off executes the same
+//! number of simulation events, and that `analyze` attributes each
+//! `request_completed` event exactly once, with parts summing to its
+//! latency (the release build compiles out `analyze`'s own debug check).
+//! A failure names the case.
 
 use dnn_models::zoo::{build, catalog, ModelId};
 use exec_planner::generate::PlanMode;
@@ -27,8 +30,9 @@ use model_serving::{
 };
 use rand::rngs::StdRng;
 use rand::RngExt;
+use simcore::attribution::analyze;
 use simcore::fault::FaultSpec;
-use simcore::probe::{parse_jsonl, to_jsonl, Probe};
+use simcore::probe::{parse_jsonl, to_jsonl, Probe, ProbeEvent};
 use simcore::rng::{derive_seed, seeded};
 use simcore::time::{SimDur, SimTime};
 
@@ -376,6 +380,28 @@ fn drawn_scenarios_balance_their_books_and_keep_their_recorded_hashes() {
             fail(format!(
                 "probe-off run executed {} events, probe-on run {}",
                 bare.sim_events, report.sim_events
+            ));
+        }
+        let attributed = analyze(events).requests;
+        let completions = events
+            .iter()
+            .filter(|e| matches!(e.what, ProbeEvent::RequestCompleted { .. }))
+            .count();
+        if attributed.len() != completions {
+            fail(format!(
+                "{} attributions for {completions} completions",
+                attributed.len()
+            ));
+        }
+        if let Some(a) = attributed
+            .iter()
+            .find(|a| a.parts.total_ns() != a.latency_ns)
+        {
+            fail(format!(
+                "request {} attributed {} ns of its {} ns latency",
+                a.req,
+                a.parts.total_ns(),
+                a.latency_ns
             ));
         }
         let hash = fnv1a64(jsonl.as_bytes());
