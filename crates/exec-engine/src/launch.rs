@@ -38,35 +38,6 @@ use crate::runtime::ModelRuntime;
 /// Completion callback of a run.
 pub type DoneFn<S> = Box<dyn FnOnce(&mut S, &mut Ctx<S>, InferenceResult)>;
 
-/// Typed launch failure: the spec routes traffic over hardware paths the
-/// machine does not have. Returned by [`start_inference`] *before* any
-/// state is touched or events scheduled, so a caller with a hand-built
-/// spec is free to retry with a different one (e.g. with the offending
-/// secondaries dropped). The server never sees it: its secondaries are
-/// NVLink partners of the primary by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineError {
-    /// Two GPUs the plan transfers between are not NVLink-connected.
-    MissingNvlink {
-        /// Source GPU.
-        from: usize,
-        /// Destination GPU.
-        to: usize,
-    },
-}
-
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::MissingNvlink { from, to } => {
-                write!(f, "plan requires NVLink between GPUs {from} and {to}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
 /// Everything needed to launch one run.
 pub struct LaunchSpec {
     /// Runtime table of the model at the request's batch size.
@@ -247,24 +218,18 @@ fn required_nvlink_pairs(spec: &LaunchSpec) -> Vec<(usize, usize)> {
 ///
 /// Must be called from inside an event handler.
 ///
-/// # Errors
-///
-/// Returns [`EngineError::MissingNvlink`] when the spec needs a GPU→GPU
-/// path the machine lacks (e.g. a parallel-transmission plan executed
-/// with a secondary that lost its NVLink partner). Nothing has been
-/// inserted or scheduled on error — the caller may relaunch with an
-/// adjusted spec.
-///
 /// # Panics
 ///
 /// Panics if the plan's decision vector does not match the runtime's
-/// layer count.
+/// layer count, or if the spec moves data between two GPUs that are not
+/// NVLinked: every secondary must be an NVLink partner of the primary,
+/// as `pt_group` guarantees for the server's.
 pub fn start_inference<S: HasHw>(
     state: &mut S,
     ctx: &mut Ctx<S>,
     spec: LaunchSpec,
     on_done: DoneFn<S>,
-) -> Result<RunRef, EngineError> {
+) -> RunRef {
     let n = spec.rt.layer_count();
     assert_eq!(
         spec.plan.decisions.len(),
@@ -277,9 +242,10 @@ pub fn start_inference<S: HasHw>(
     );
     for (from, to) in required_nvlink_pairs(&spec) {
         let hw = state.hw();
-        if hw.map.nvlink_between(&hw.machine, from, to).is_none() {
-            return Err(EngineError::MissingNvlink { from, to });
-        }
+        assert!(
+            hw.map.nvlink_between(&hw.machine, from, to).is_some(),
+            "every GPU pair a run moves data over must be NVLinked; GPUs {from} and {to} are not"
+        );
     }
     let now = ctx.now();
     let mut ready = vec![false; n];
@@ -338,7 +304,7 @@ pub fn start_inference<S: HasHw>(
     } else {
         exec_try(state, ctx, r);
     }
-    Ok(r)
+    r
 }
 
 /// Issues position `pos` of transmission slot `slot`'s partition.
@@ -581,9 +547,8 @@ fn mig_pump<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, slot: usize) {
 /// `r`: the NVLink launch overhead, then one flow. `started` is published
 /// as the flow starts and `on_done` runs when it drains, each only while
 /// `r` is live, so an aborted run's forwards and hops land as no-ops.
-/// The pair is NVLinked: [`start_inference`] admitted `r` only after
-/// checking every pair [`required_nvlink_pairs`] lists, and NVLink
-/// connectivity is static.
+/// The pair is NVLinked: [`start_inference`] asserts that of every pair
+/// [`required_nvlink_pairs`] lists, and NVLink connectivity is static.
 #[allow(clippy::too_many_arguments)]
 fn nvlink_flow<S: HasHw>(
     state: &mut S,

@@ -22,7 +22,7 @@ pub mod single;
 pub mod timeline;
 
 pub use hw::{HasHw, HwState, RunRef};
-pub use launch::{abort_run, start_inference, EngineError, LaunchSpec};
+pub use launch::{abort_run, start_inference, LaunchSpec};
 pub use result::InferenceResult;
 pub use runtime::ModelRuntime;
 pub use single::{run_cold, run_traced, run_transfer_only, run_warm, SingleRun};

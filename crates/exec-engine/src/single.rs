@@ -80,8 +80,7 @@ fn run_probed(
                     Box::new(move |s: &mut SingleRun, _ctx, res| {
                         s.results[i] = Some(res);
                     }),
-                )
-                .expect("launch spec requires NVLink the machine lacks");
+                );
             }),
         );
     }
