@@ -169,7 +169,6 @@ fn gpu_fail(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
         }
     }
     decode::abort_batch(s, ctx, g);
-    s.busy[g] = false;
     // Device memory is gone: every instance on this GPU is cold again.
     for inst in s.instances.iter_mut() {
         if inst.gpu() == Some(g) {

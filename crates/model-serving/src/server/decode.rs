@@ -49,7 +49,8 @@ impl DecodeEntry {
 /// Per-GPU continuous batch: requests join at token boundaries as their
 /// prefills finish and leave as they hit their target length. At most
 /// one token step is in flight per GPU, and prefills alternate with
-/// steps (`busy` excludes steps; `stepping` excludes dispatches).
+/// steps (a running prefill excludes steps; `stepping` excludes
+/// dispatches).
 #[derive(Default)]
 pub(super) struct DecodeBatch {
     pub(super) entries: Vec<DecodeEntry>,
@@ -197,14 +198,14 @@ pub(super) fn pump(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
     let Some(dec) = &s.decode else {
         return;
     };
-    if s.busy[g] || dec.batches[g].stepping || !s.gpu_up.is_up(g) {
+    if s.running[g].is_some() || dec.batches[g].stepping || !s.gpu_up.is_up(g) {
         return;
     }
     resilience::maybe_swap(s, ctx, g);
     let batch_len = s.decode.as_ref().map_or(0, |d| d.batches[g].entries.len());
     if !s.queues[g].is_empty() && batch_len < s.cfg.decode.max_batch {
         try_dispatch(s, ctx, g);
-        if s.busy[g] {
+        if s.running[g].is_some() {
             return; // Prefill in flight; it joins at the next boundary.
         }
     }

@@ -80,7 +80,7 @@ fn route(s: &mut ServerState, ctx: &mut Ctx<ServerState>, req: Request) {
 /// All checks are inert under the default
 /// [`crate::config::AdmissionPolicy`] with resilience off.
 fn admit(s: &mut ServerState, ctx: &mut Ctx<ServerState>, q: &Queued, g: usize) -> bool {
-    let depth = s.queues[g].len() + usize::from(s.busy[g]);
+    let depth = s.queues[g].len() + usize::from(s.running[g].is_some());
     if let Some(cap) = s.cfg.admission.queue_cap {
         if depth >= cap {
             s.shed(ctx.now(), q, ShedCause::QueueFull);
@@ -147,7 +147,7 @@ pub(super) fn place_cold(s: &mut ServerState, now: SimTime, g: usize, i: usize) 
 
 /// Dispatches the head of GPU `g`'s queue if the GPU is idle and up.
 pub(super) fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
-    if s.busy[g] || !s.gpu_up.is_up(g) {
+    if s.running[g].is_some() || !s.gpu_up.is_up(g) {
         return;
     }
     if s.decode.as_ref().is_some_and(|d| d.batches[g].stepping) {
@@ -195,7 +195,6 @@ pub(super) fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: u
         return;
     }
 
-    s.busy[g] = true;
     s.instances[inst_id].active += 1;
     s.instances[inst_id].last_used = ctx.now();
     s.emit_queue_depth(ctx.now(), g);
@@ -310,15 +309,13 @@ pub(super) fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: u
     // Every secondary is an NVLink partner of the primary (`pt_group`
     // admits no other) and the network has a link for each NVLinked
     // pair, so the launch never lacks a path.
-    let run = start_inference(s, ctx, spec, done)
-        .expect("pt_group admits only NVLink partners, and each has a link");
+    let run = start_inference(s, ctx, spec, done);
     s.running[g] = Some(RunningReq { q, run });
 }
 
 /// GPU `g` finished the prefill or one-shot run of instance `i`: the GPU
 /// is free again and the instance's weights are resident.
 pub(super) fn release_gpu(s: &mut ServerState, g: usize, i: usize) {
-    s.busy[g] = false;
     s.running[g] = None;
     s.mark_loaded(i, g);
 }

@@ -89,17 +89,18 @@ pub struct ServerState {
     sizes: Vec<u64>,
     instances: Vec<Instance>,
     caches: Vec<GpuCache>,
-    busy: Vec<bool>,
     queues: Vec<VecDeque<Queued>>,
     pending: VecDeque<Request>,
     report: ServingReport,
     measure_from: SimTime,
     probe: Probe,
     next_req: u64,
+    /// The prefill or one-shot run in flight on each GPU: a GPU is busy
+    /// exactly while it has one.
+    running: Vec<Option<RunningReq>>,
     // --- fault state (inert on healthy runs) ---
     gpu_up: GpuHealth,
     link_health: LinkHealth,
-    running: Vec<Option<RunningReq>>,
     /// Pinned host bytes each instance's weights occupy.
     inst_pinned: Vec<u64>,
     /// Instances whose host copy was reclaimed under memory pressure.
@@ -169,16 +170,15 @@ impl ServerState {
                 .map(|g| GpuCache::new(cfg.cache_bytes(g)))
                 .collect(),
             instances: instance_kinds.iter().map(|&k| Instance::new(k)).collect(),
-            busy: vec![false; n_gpus],
             queues: (0..n_gpus).map(|_| VecDeque::new()).collect(),
             pending: trace.into(),
             report: ServingReport::new(),
             measure_from,
             probe: Probe::disabled(),
             next_req: 0,
+            running: (0..n_gpus).map(|_| None).collect(),
             gpu_up: GpuHealth::all_up(n_gpus),
             link_health: LinkHealth::snapshot(&flows.net),
-            running: (0..n_gpus).map(|_| None).collect(),
             unpinned: vec![false; instance_kinds.len()],
             pinned_total: inst_pinned.iter().sum(),
             inst_pinned,
@@ -315,7 +315,7 @@ impl ServerState {
             .min_by_key(|&g| {
                 (
                     self.path_factor(g) < 1.0,
-                    self.queues[g].len() + usize::from(self.busy[g]),
+                    self.queues[g].len() + usize::from(self.running[g].is_some()),
                     u64::MAX - self.caches[g].free(),
                     g,
                 )
@@ -359,7 +359,7 @@ impl ServerState {
     /// cycle alive forever and the simulation would never go idle.
     fn serving_active(&self) -> bool {
         !self.pending.is_empty()
-            || self.busy.iter().any(|&b| b)
+            || self.running.iter().any(Option::is_some)
             || self.queues.iter().any(|q| !q.is_empty())
             || self.decode.as_ref().is_some_and(DecodeState::active)
             || self
