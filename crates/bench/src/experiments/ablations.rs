@@ -76,17 +76,8 @@ pub fn pt_partner_choice() -> Table {
     let b = bundle(&machine, ModelId::BertBase, 1, PlanMode::Pt);
     for (label, sec) in [("same switch (GPU 1)", 1usize), ("other switch (GPU 2)", 2)] {
         let spec = LaunchSpec {
-            rt: b.runtime.clone(),
-            plan: b.plan.clone(),
-            primary: 0,
             secondaries: vec![sec],
-            warm: false,
-            skip_exec: false,
-            bulk_migrate: false,
-            distributed: false,
-            exec_scale: 1.0,
-            verify_loads: false,
-            hedge: None,
+            ..LaunchSpec::new(b.runtime.clone(), b.plan.clone(), 0)
         };
         let (res, _) = {
             let (mut r, net) = run_at(machine.clone(), vec![(SimTime::ZERO, spec)]);
@@ -111,17 +102,9 @@ pub fn partition_count() -> Table {
     for (k, secs) in sec_sets {
         let (rt, plan) = manual_transfer_plan(&machine, ModelId::BertLarge, k);
         let spec = LaunchSpec {
-            rt,
-            plan,
-            primary: 0,
             secondaries: secs,
-            warm: false,
             skip_exec: true,
-            bulk_migrate: false,
-            distributed: false,
-            exec_scale: 1.0,
-            verify_loads: false,
-            hedge: None,
+            ..LaunchSpec::new(rt, plan, 0)
         };
         let (results, _) = run_at(machine.clone(), vec![(SimTime::ZERO, spec)]);
         t.push(vec![
@@ -169,17 +152,10 @@ pub fn distributed_execution() -> Table {
         ("distributed execution", true),
     ] {
         let spec = |warm: bool| LaunchSpec {
-            rt: b.runtime.clone(),
-            plan: b.plan.clone(),
-            primary: 0,
             secondaries: vec![2],
             warm,
-            skip_exec: false,
-            bulk_migrate: false,
             distributed,
-            exec_scale: 1.0,
-            verify_loads: false,
-            hedge: None,
+            ..LaunchSpec::new(b.runtime.clone(), b.plan.clone(), 0)
         };
         let (cold, _) = run_at(machine.clone(), vec![(SimTime::ZERO, spec(false))]);
         let (warm, _) = run_at(machine.clone(), vec![(SimTime::ZERO, spec(true))]);

@@ -60,17 +60,10 @@ pub fn measure(id: deepplan::ModelId, cfg_idx: usize) -> (f64, f64) {
     let (rt, plan) = manual_transfer_plan(&machine, id, cfg.partitions);
     let total_bytes = rt.total_bytes as f64;
     let spec = LaunchSpec {
-        rt,
-        plan,
-        primary: 0,
         secondaries: cfg.secondaries.clone(),
-        warm: false,
         skip_exec: true,
         bulk_migrate: cfg.bulk,
-        distributed: false,
-        exec_scale: 1.0,
-        verify_loads: false,
-        hedge: None,
+        ..LaunchSpec::new(rt, plan, 0)
     };
     let (results, _) = run_at(machine, vec![(SimTime::ZERO, spec)]);
     let secs = results[0].latency().as_secs_f64();

@@ -23,17 +23,8 @@ pub fn measure(id: deepplan::ModelId) -> (f64, f64, f64) {
     let one = b.simulate_cold(0).latency().as_ms_f64();
 
     let spec = |primary: usize, secondary: usize| LaunchSpec {
-        rt: b.runtime.clone(),
-        plan: b.plan.clone(),
-        primary,
         secondaries: vec![secondary],
-        warm: false,
-        skip_exec: false,
-        bulk_migrate: false,
-        distributed: false,
-        exec_scale: 1.0,
-        verify_loads: false,
-        hedge: None,
+        ..LaunchSpec::new(b.runtime.clone(), b.plan.clone(), primary)
     };
     let (results, _) = run_at(
         machine,

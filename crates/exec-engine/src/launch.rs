@@ -101,6 +101,25 @@ fn scaled(d: SimDur, k: f64) -> SimDur {
 }
 
 impl LaunchSpec {
+    /// A cold run of `plan` on `primary` alone: full execution with
+    /// per-layer NVLink migration, healthy compute, no checksum and no
+    /// hedge. Callers change the rest with struct-update syntax.
+    pub fn new(rt: Arc<ModelRuntime>, plan: Arc<ExecutionPlan>, primary: usize) -> Self {
+        LaunchSpec {
+            rt,
+            plan,
+            primary,
+            secondaries: Vec::new(),
+            warm: false,
+            skip_exec: false,
+            bulk_migrate: false,
+            distributed: false,
+            exec_scale: 1.0,
+            verify_loads: false,
+            hedge: None,
+        }
+    }
+
     /// Owning GPU per layer: the primary except, under distributed
     /// execution, layers of secondary partitions.
     fn owners(&self) -> Vec<usize> {

@@ -25,4 +25,4 @@ pub use hw::{HasHw, HwState, RunRef};
 pub use launch::{abort_run, start_inference, LaunchSpec};
 pub use result::InferenceResult;
 pub use runtime::ModelRuntime;
-pub use single::{run_cold, run_traced, run_transfer_only, run_warm, SingleRun};
+pub use single::{run_cold, run_traced, run_warm};

@@ -20,7 +20,7 @@ use crate::runtime::ModelRuntime;
 use std::sync::Arc;
 
 /// A minimal world: hardware + result collection.
-pub struct SingleRun {
+struct SingleRun {
     hw: HwState<SingleRun>,
     flows: FlowDriver<SingleRun>,
     results: Vec<Option<InferenceResult>>,
@@ -104,17 +104,8 @@ pub fn run_cold(
     secondaries: Vec<usize>,
 ) -> InferenceResult {
     let spec = LaunchSpec {
-        rt,
-        plan,
-        primary,
         secondaries,
-        warm: false,
-        skip_exec: false,
-        bulk_migrate: false,
-        distributed: false,
-        exec_scale: 1.0,
-        verify_loads: false,
-        hedge: None,
+        ..LaunchSpec::new(rt, plan, primary)
     };
     run_at(machine, vec![(SimTime::ZERO, spec)]).0.remove(0)
 }
@@ -127,17 +118,8 @@ pub fn run_warm(
     primary: usize,
 ) -> InferenceResult {
     let spec = LaunchSpec {
-        rt,
-        plan,
-        primary,
-        secondaries: Vec::new(),
         warm: true,
-        skip_exec: false,
-        bulk_migrate: false,
-        distributed: false,
-        exec_scale: 1.0,
-        verify_loads: false,
-        hedge: None,
+        ..LaunchSpec::new(rt, plan, primary)
     };
     run_at(machine, vec![(SimTime::ZERO, spec)]).0.remove(0)
 }
@@ -153,32 +135,6 @@ pub fn run_traced(
     let (probe, log) = Probe::logging();
     let (mut results, _) = run_probed(machine, vec![(SimTime::ZERO, spec)], probe);
     (results.remove(0), log.take().events)
-}
-
-/// Transfers a model without executing (Figure 6): returns the result and
-/// the final network for bandwidth statistics.
-pub fn run_transfer_only(
-    machine: gpu_topology::machine::Machine,
-    rt: Arc<ModelRuntime>,
-    plan: Arc<ExecutionPlan>,
-    primary: usize,
-    secondaries: Vec<usize>,
-) -> (InferenceResult, FlowNet) {
-    let spec = LaunchSpec {
-        rt,
-        plan,
-        primary,
-        secondaries,
-        warm: false,
-        skip_exec: true,
-        bulk_migrate: false,
-        distributed: false,
-        exec_scale: 1.0,
-        verify_loads: false,
-        hedge: None,
-    };
-    let (mut results, net) = run_at(machine, vec![(SimTime::ZERO, spec)]);
-    (results.remove(0), net)
 }
 
 #[cfg(test)]
@@ -295,8 +251,12 @@ mod tests {
         let m = single_v100();
         let (rt, plan) = setup(ModelId::ResNet50, PlanMode::PipeSwitch, &m);
         let total = rt.total_bytes;
-        let (res, net) = run_transfer_only(m, rt, plan, 0, vec![]);
-        assert_eq!(res.exec_busy.as_nanos(), 0);
+        let spec = LaunchSpec {
+            skip_exec: true,
+            ..LaunchSpec::new(rt, plan, 0)
+        };
+        let (res, net) = run_at(m, vec![(SimTime::ZERO, spec)]);
+        assert_eq!(res[0].exec_busy.as_nanos(), 0);
         // All bytes crossed the GPU's PCIe link.
         let carried = net.link_carried_bytes(simcore::flow::LinkId(1));
         assert!((carried - total as f64).abs() < 1.0);
@@ -317,19 +277,7 @@ mod tests {
         // Two cold PipeSwitch loads on GPUs 0 and 1 (same switch) take
         // longer than either alone; on GPUs 0 and 2 they do not.
         let (rt, plan) = setup(ModelId::BertBase, PlanMode::PipeSwitch, &single_v100());
-        let spec = |gpu: usize| LaunchSpec {
-            rt: rt.clone(),
-            plan: plan.clone(),
-            primary: gpu,
-            secondaries: vec![],
-            warm: false,
-            skip_exec: false,
-            bulk_migrate: false,
-            distributed: false,
-            exec_scale: 1.0,
-            verify_loads: false,
-            hedge: None,
-        };
+        let spec = |gpu: usize| LaunchSpec::new(rt.clone(), plan.clone(), gpu);
         let (alone, _) = run_at(p3_8xlarge(), vec![(SimTime::ZERO, spec(0))]);
         let (same_switch, _) = run_at(
             p3_8xlarge(),

@@ -82,25 +82,17 @@ fn fc_model(n: usize) -> Model {
 fn cold_spec(partitions: Vec<Vec<usize>>, secondaries: Vec<usize>) -> LaunchSpec {
     let n = partitions.iter().map(Vec::len).sum();
     let model = fc_model(n);
+    let plan = Arc::new(ExecutionPlan {
+        model: model.name.clone(),
+        batch: 1,
+        pipelined: true,
+        decisions: vec![LayerExec::Load; n],
+        partitions,
+        block_bytes: None,
+    });
     LaunchSpec {
-        rt: ModelRuntime::new(&model, &v100(), 1),
-        plan: Arc::new(ExecutionPlan {
-            model: model.name.clone(),
-            batch: 1,
-            pipelined: true,
-            decisions: vec![LayerExec::Load; n],
-            partitions,
-            block_bytes: None,
-        }),
-        primary: 0,
         secondaries,
-        warm: false,
-        skip_exec: false,
-        bulk_migrate: false,
-        distributed: false,
-        exec_scale: 1.0,
-        verify_loads: false,
-        hedge: None,
+        ..LaunchSpec::new(ModelRuntime::new(&model, &v100(), 1), plan, 0)
     }
 }
 

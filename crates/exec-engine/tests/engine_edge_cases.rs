@@ -95,17 +95,10 @@ fn warm_distributed_pays_hops_warm_merged_does_not() {
         block_bytes: None,
     });
     let spec = |warm: bool, distributed: bool| LaunchSpec {
-        rt: rt.clone(),
-        plan: plan.clone(),
-        primary: 0,
         secondaries: vec![2],
         warm,
-        skip_exec: false,
-        bulk_migrate: false,
         distributed,
-        exec_scale: 1.0,
-        verify_loads: false,
-        hedge: None,
+        ..LaunchSpec::new(rt.clone(), plan.clone(), 0)
     };
     let (merged, _) = run_at(machine.clone(), vec![(SimTime::ZERO, spec(true, false))]);
     let (dist, _) = run_at(machine.clone(), vec![(SimTime::ZERO, spec(true, true))]);
@@ -135,17 +128,10 @@ fn bulk_migration_defers_readiness_to_partition_end() {
         block_bytes: None,
     });
     let spec = |bulk: bool| LaunchSpec {
-        rt: rt.clone(),
-        plan: plan.clone(),
-        primary: 0,
         secondaries: vec![2],
-        warm: false,
         skip_exec: true,
         bulk_migrate: bulk,
-        distributed: false,
-        exec_scale: 1.0,
-        verify_loads: false,
-        hedge: None,
+        ..LaunchSpec::new(rt.clone(), plan.clone(), 0)
     };
     let (pipe, _) = run_at(machine.clone(), vec![(SimTime::ZERO, spec(false))]);
     let (bulk, _) = run_at(machine, vec![(SimTime::ZERO, spec(true))]);
@@ -170,17 +156,8 @@ fn single_layer_model_runs_under_every_flag_combo() {
                 Arc::new(p)
             };
             let spec = LaunchSpec {
-                rt: rt.clone(),
-                plan,
-                primary: 1,
-                secondaries: vec![],
                 warm,
-                skip_exec: false,
-                bulk_migrate: false,
-                distributed: false,
-                exec_scale: 1.0,
-                verify_loads: false,
-                hedge: None,
+                ..LaunchSpec::new(rt.clone(), plan, 1)
             };
             let (res, _) = run_at(machine.clone(), vec![(SimTime::ZERO, spec)]);
             assert!(res[0].latency().as_nanos() > 0);
@@ -214,17 +191,9 @@ fn warm_fast_path_matches_slow_path_exactly() {
     let plan = all_load_plan(&model, None);
     let fast = run_warm(machine.clone(), rt.clone(), plan.clone(), 0);
     let spec = LaunchSpec {
-        rt,
-        plan,
-        primary: 0,
-        secondaries: vec![],
         warm: true,
-        skip_exec: false,
-        bulk_migrate: false,
         distributed: true, // Forces the per-layer path; no hops occur.
-        exec_scale: 1.0,
-        verify_loads: false,
-        hedge: None,
+        ..LaunchSpec::new(rt, plan, 0)
     };
     let (slow, _) = run_at(machine, vec![(SimTime::ZERO, spec)]);
     assert_eq!(

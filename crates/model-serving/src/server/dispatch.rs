@@ -240,17 +240,12 @@ pub(super) fn try_dispatch(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: u
             rate_bps: s.believed_path_rate(g),
         });
     let spec = LaunchSpec {
-        rt: s.kinds[kind].rt.clone(),
-        plan,
-        primary: g,
         secondaries,
         warm,
-        skip_exec: false,
-        bulk_migrate: false,
-        distributed: false,
         exec_scale,
         verify_loads,
         hedge,
+        ..LaunchSpec::new(s.kinds[kind].rt.clone(), plan, g)
     };
     // Autoregressive request: after the prefill, join the GPU's
     // continuous batch instead of completing. Requires the kind to be a

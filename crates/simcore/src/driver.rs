@@ -66,11 +66,6 @@ impl<S> Default for FlowDriver<S> {
 }
 
 impl<S> FlowDriver<S> {
-    /// Creates a driver around an empty network.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a driver around a pre-built network.
     pub fn with_net(net: FlowNet) -> Self {
         FlowDriver {

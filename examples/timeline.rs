@@ -24,17 +24,8 @@ fn main() {
     for mode in [PlanMode::PipeSwitch, PlanMode::Dha, PlanMode::PtDha] {
         let b = dp.plan_mode(model, 1, mode);
         let spec = LaunchSpec {
-            rt: b.runtime.clone(),
-            plan: b.plan.clone(),
-            primary: 0,
             secondaries: b.secondaries_for(0),
-            warm: false,
-            skip_exec: false,
-            bulk_migrate: false,
-            distributed: false,
-            exec_scale: 1.0,
-            verify_loads: false,
-            hedge: None,
+            ..LaunchSpec::new(b.runtime.clone(), b.plan.clone(), 0)
         };
         let (res, events) = run_traced(machine.clone(), spec);
         println!(

@@ -61,17 +61,8 @@ fn chrome_trace_of_a_pt_run_is_valid_json_with_all_lanes() {
     let dp = DeepPlan::new(machine.clone()).with_exact_profile();
     let b = dp.plan_mode(ModelId::BertBase, 1, PlanMode::PtDha);
     let spec = LaunchSpec {
-        rt: b.runtime.clone(),
-        plan: b.plan.clone(),
-        primary: 0,
         secondaries: b.secondaries_for(0),
-        warm: false,
-        skip_exec: false,
-        bulk_migrate: false,
-        distributed: false,
-        exec_scale: 1.0,
-        verify_loads: false,
-        hedge: None,
+        ..LaunchSpec::new(b.runtime.clone(), b.plan.clone(), 0)
     };
     let (_, log) = run_traced(machine, spec);
     let json = to_perfetto(&log, &PerfettoOptions::default());

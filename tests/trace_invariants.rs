@@ -15,17 +15,8 @@ fn traced(mode: PlanMode) -> (exec_engine::InferenceResult, Vec<Event>) {
     let dp = DeepPlan::new(machine.clone()).with_exact_profile();
     let b = dp.plan_mode(ModelId::BertBase, 1, mode);
     let spec = LaunchSpec {
-        rt: b.runtime.clone(),
-        plan: b.plan.clone(),
-        primary: 0,
         secondaries: b.secondaries_for(0),
-        warm: false,
-        skip_exec: false,
-        bulk_migrate: false,
-        distributed: false,
-        exec_scale: 1.0,
-        verify_loads: false,
-        hedge: None,
+        ..LaunchSpec::new(b.runtime.clone(), b.plan.clone(), 0)
     };
     run_traced(machine, spec)
 }
