@@ -48,7 +48,7 @@ pub fn run_with(instances: usize, horizon: SimDur, rate: f64, summary_buckets: u
         let (kinds, instance_kinds) = mix(instances);
         let tr = trace(instances, horizon, rate);
         let r = run_mix(mode, &kinds, instance_kinds, tr);
-        let series = r.over_time.p99_series();
+        let series = r.p99_series();
         let head: Vec<String> = series
             .iter()
             .take(summary_buckets)

@@ -1,6 +1,6 @@
 //! Serving metrics: latency percentiles, goodput, cold-start accounting.
 
-use simcore::stats::{Samples, TimeSeries};
+use simcore::stats::Samples;
 use simcore::time::{SimDur, SimTime};
 
 /// The serving SLO (paper §5.3: 100 ms): goodput counts completions
@@ -13,13 +13,13 @@ pub(crate) const SLO: SimDur = SimDur::from_millis(100);
 const BUCKET: SimDur = SimDur::from_secs(60);
 
 /// Aggregate report of one serving experiment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingReport {
     /// End-to-end latencies (ms), measurement window only.
     pub latencies: Samples,
-    /// Latencies bucketed over time (ms) in one-minute buckets, for
-    /// Figure 15-style series.
-    pub over_time: TimeSeries,
+    /// Latencies (ms) by the minute of simulated time in which each
+    /// request finished, for Figure 15-style series.
+    pub over_time: Vec<Samples>,
     /// Completed requests in the measurement window.
     pub completed: u64,
     /// Cold starts in the measurement window.
@@ -117,62 +117,7 @@ pub struct ServingReport {
     pub sim_events: u64,
 }
 
-impl Default for ServingReport {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ServingReport {
-    /// Creates an empty report.
-    pub fn new() -> Self {
-        ServingReport {
-            latencies: Samples::new(),
-            over_time: TimeSeries::new(BUCKET),
-            completed: 0,
-            cold_starts: 0,
-            evictions: 0,
-            queue_wait: Samples::new(),
-            host_pinned_bytes: 0,
-            shed: 0,
-            shed_measured: 0,
-            retries: 0,
-            gpu_failures: 0,
-            aborted_runs: 0,
-            replans: 0,
-            plan_migrations: 0,
-            quarantines: 0,
-            reinstates: 0,
-            canaries: 0,
-            hedged_transfers: 0,
-            checksum_refetches: 0,
-            ttft: Samples::new(),
-            tpot: Samples::new(),
-            decode_completed: 0,
-            tokens_generated: 0,
-            kv_spills: 0,
-            kv_recalls: 0,
-            kv_dha_reads: 0,
-            kv_alloc_failures: 0,
-            kv_live_pages_at_end: 0,
-            kv_allocs: 0,
-            kv_frees_gpu: 0,
-            kv_frees_host: 0,
-            ckpt_sessions: 0,
-            ckpt_bytes: 0,
-            restore_decisions: 0,
-            reprefill_decisions: 0,
-            sessions_restored: 0,
-            sessions_reprefilled: 0,
-            sessions_swapped: 0,
-            sessions_resumed: 0,
-            sessions_truncated: 0,
-            recovery_restore_ttft: Samples::new(),
-            recovery_reprefill_ttft: Samples::new(),
-            sim_events: 0,
-        }
-    }
-
     /// 99th-percentile time-to-first-token in ms.
     pub fn p99_ttft_ms(&self) -> f64 {
         self.ttft.p99()
@@ -187,7 +132,11 @@ impl ServingReport {
     pub fn record(&mut self, finished: SimTime, latency: SimDur, cold: bool) {
         let ms = latency.as_ms_f64();
         self.latencies.push(ms);
-        self.over_time.record(finished, ms);
+        let bucket = (finished.as_nanos() / BUCKET.as_nanos()) as usize;
+        if self.over_time.len() <= bucket {
+            self.over_time.resize_with(bucket + 1, Samples::default);
+        }
+        self.over_time[bucket].push(ms);
         self.completed += 1;
         if cold {
             self.cold_starts += 1;
@@ -197,6 +146,12 @@ impl ServingReport {
     /// 99th-percentile latency in ms.
     pub fn p99_ms(&self) -> f64 {
         self.latencies.p99()
+    }
+
+    /// 99th-percentile latency (ms) per [`ServingReport::over_time`]
+    /// bucket; an empty bucket reports 0.0.
+    pub fn p99_series(&self) -> Vec<f64> {
+        self.over_time.iter().map(Samples::p99).collect()
     }
 
     /// Goodput: the fraction of the measurement window's requests that
@@ -266,7 +221,7 @@ mod tests {
 
     #[test]
     fn recording_and_rates() {
-        let mut r = ServingReport::new();
+        let mut r = ServingReport::default();
         r.record(SimTime::from_nanos(1), SimDur::from_millis(10), false);
         r.record(SimTime::from_nanos(2), SimDur::from_millis(150), true);
         assert_eq!(r.completed, 2);
@@ -278,8 +233,10 @@ mod tests {
 
     #[test]
     fn shed_requests_count_against_goodput() {
-        let mut r = ServingReport::new();
-        r.shed_measured = 1;
+        let mut r = ServingReport {
+            shed_measured: 1,
+            ..ServingReport::default()
+        };
         assert_eq!(r.goodput(), 0.0, "a shed request misses the SLO");
         r.record(SimTime::from_nanos(1), SimDur::from_millis(10), false);
         r.record(SimTime::from_nanos(2), SimDur::from_millis(150), true);
@@ -289,8 +246,19 @@ mod tests {
     }
 
     #[test]
+    fn over_time_buckets_by_the_minute() {
+        let mut r = ServingReport::default();
+        let at = |s| SimTime::ZERO + SimDur::from_secs(s);
+        r.record(at(0), SimDur::from_millis(1), false);
+        r.record(at(59), SimDur::from_millis(2), false);
+        r.record(at(61), SimDur::from_millis(3), false);
+        assert_eq!(r.over_time.len(), 2);
+        assert_eq!(r.p99_series(), vec![2.0, 3.0]);
+    }
+
+    #[test]
     fn empty_report_is_safe() {
-        let r = ServingReport::new();
+        let r = ServingReport::default();
         assert_eq!(r.goodput(), 1.0);
         assert_eq!(r.cold_rate(), 0.0);
         assert_eq!(r.p99_ms(), 0.0);

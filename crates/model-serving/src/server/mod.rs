@@ -172,7 +172,7 @@ impl ServerState {
             instances: instance_kinds.iter().map(|&k| Instance::new(k)).collect(),
             queues: (0..n_gpus).map(|_| VecDeque::new()).collect(),
             pending: trace.into(),
-            report: ServingReport::new(),
+            report: ServingReport::default(),
             measure_from,
             probe: Probe::disabled(),
             next_req: 0,

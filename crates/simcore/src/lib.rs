@@ -17,7 +17,7 @@
 //! * [`slab`] — a generational free-list slab for state that scheduled
 //!   events refer to by key.
 //! * [`rng`] — seeded random-variate helpers (exponential, Poisson process).
-//! * [`stats`] — summary statistics, percentiles and time-series bucketing.
+//! * [`stats`] — summary statistics and percentiles.
 //! * [`probe`] — the observability event bus ([`Probe`], [`probe::EventLog`])
 //!   with Perfetto and JSONL exporters, plus a JSONL trace parser.
 //! * [`attribution`] — per-request critical-path latency attribution

@@ -1,17 +1,15 @@
 //! Summary statistics for experiment reporting.
 //!
-//! Latency percentiles (p50/p99), goodput counting and fixed-width
-//! time-series bucketing, shared by the serving simulator and the bench
-//! harnesses. An empty [`Samples`] summarises to 0.0 (and a goodput
-//! fraction of 1.0), the value report tables print for "no data"; a
-//! caller that must tell the two apart checks [`Samples::is_empty`].
+//! Latency percentiles (p50/p99) and goodput counting, shared by the
+//! serving simulator and the bench harnesses. An empty [`Samples`]
+//! summarises to 0.0 (and a goodput fraction of 1.0), the value report
+//! tables print for "no data"; a caller that must tell the two apart
+//! checks [`Samples::is_empty`].
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{SimDur, SimTime};
-
 /// An accumulating sample set with percentile queries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Samples {
     values: Vec<f64>,
 }
@@ -95,63 +93,6 @@ impl Samples {
     }
 }
 
-/// A fixed-width time-bucketed series of sample sets.
-///
-/// Used for the Figure 15 style "p99 over wall-clock minutes" plots.
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    bucket: SimDur,
-    buckets: Vec<Samples>,
-}
-
-impl TimeSeries {
-    /// Creates a series with the given bucket width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket width is zero.
-    pub fn new(bucket: SimDur) -> Self {
-        assert!(bucket.as_nanos() > 0, "bucket width must be positive");
-        TimeSeries {
-            bucket,
-            buckets: Vec::new(),
-        }
-    }
-
-    /// Records an observation stamped at simulated time `at`.
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        let idx = (at.as_nanos() / self.bucket.as_nanos()) as usize;
-        while self.buckets.len() <= idx {
-            self.buckets.push(Samples::new());
-        }
-        self.buckets[idx].push(value);
-    }
-
-    /// Number of buckets materialised so far.
-    pub fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Whether no bucket exists yet.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// Iterates `(bucket_start, samples)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &Samples)> {
-        let w = self.bucket;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(move |(i, s)| (SimTime::from_nanos(i as u64 * w.as_nanos()), s))
-    }
-
-    /// Per-bucket p99 values (empty buckets report 0.0).
-    pub fn p99_series(&self) -> Vec<f64> {
-        self.buckets.iter().map(|s| s.p99()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,17 +142,6 @@ mod tests {
         assert_eq!(s.fraction_at_most(25.0), 0.5);
         assert_eq!(s.fraction_at_most(40.0), 1.0);
         assert_eq!(s.fraction_at_most(5.0), 0.0);
-    }
-
-    #[test]
-    fn time_series_buckets_by_width() {
-        let mut ts = TimeSeries::new(SimDur::from_secs(60));
-        ts.record(SimTime::from_nanos(0), 1.0);
-        ts.record(SimTime::ZERO + SimDur::from_secs(59), 2.0);
-        ts.record(SimTime::ZERO + SimDur::from_secs(61), 3.0);
-        assert_eq!(ts.len(), 2);
-        let p99 = ts.p99_series();
-        assert_eq!(p99, vec![2.0, 3.0]);
     }
 
     #[test]

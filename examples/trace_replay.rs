@@ -58,7 +58,7 @@ fn main() {
             report.completed
         );
         // Per-minute p99 series (the Figure 15 curve).
-        let series = report.over_time.p99_series();
+        let series = report.p99_series();
         let line: Vec<String> = series.iter().map(|v| format!("{v:.0}")).collect();
         println!("  per-minute p99 (ms): {}", line.join(" "));
     }

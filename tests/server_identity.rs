@@ -13,8 +13,9 @@
 //! sent request completed or was shed, no KV page outlived the run, and
 //! every allocated page was freed from the device or the host pool. It
 //! also checks that `parse_jsonl` reads the run's JSONL back as its event
-//! log, that the same case run with the probe off executes the same
-//! number of simulation events, and that `analyze` attributes each
+//! log, that the same case run with the probe off yields the same
+//! `ServingReport` (every counter, every latency sample and the number
+//! of simulation events), and that `analyze` attributes each
 //! `request_completed` event exactly once, with parts summing to its
 //! latency (the release build compiles out `analyze`'s own debug check).
 //! A failure names the case.
@@ -376,10 +377,11 @@ fn drawn_scenarios_balance_their_books_and_keep_their_recorded_hashes() {
         if parse_jsonl(&jsonl).as_ref() != Ok(events) {
             fail("parse_jsonl(to_jsonl(log)) is not the log".into());
         }
-        if bare.sim_events != report.sim_events {
+        if bare != report {
             fail(format!(
-                "probe-off run executed {} events, probe-on run {}",
-                bare.sim_events, report.sim_events
+                "probe-off report differs from the probe-on one \
+                 ({} vs {} events, {} vs {} completed)",
+                bare.sim_events, report.sim_events, bare.completed, report.completed
             ));
         }
         let attributed = analyze(events).requests;
