@@ -258,49 +258,37 @@ impl FaultSpec {
     /// at `horizon` and never wraps before the event it follows. The
     /// sort is stable: same-instant events keep spec order.
     pub fn materialize(&self, horizon: SimTime) -> Vec<FaultEvent> {
+        let flaps = self.flaps.iter().enumerate().map(|(i, f)| {
+            let down = FaultKind::LinkDegrade {
+                link: f.link,
+                factor: f.factor,
+            };
+            let up = FaultKind::LinkRestore { link: f.link };
+            (STREAM_FLAP, i, f.mean_up, f.mean_down, down, up)
+        });
+        let crashes = self.crashes.iter().enumerate().map(|(i, c)| {
+            let down = FaultKind::GpuFail { gpu: c.gpu };
+            let up = FaultKind::GpuRecover { gpu: c.gpu };
+            (STREAM_CRASH, i, c.mtbf, c.mttr, down, up)
+        });
         let mut out = self.scheduled.clone();
-        for (i, flap) in self.flaps.iter().enumerate() {
-            let mut rng = seeded(derive_seed(self.seed, STREAM_FLAP ^ ((i as u64) << 8)));
-            let up_rate = 1.0 / flap.mean_up.as_secs_f64().max(1e-9);
-            let down_rate = 1.0 / flap.mean_down.as_secs_f64().max(1e-9);
+        // Each process alternates an exponential up dwell, its `down`
+        // fault, an exponential down dwell and its `up` fault.
+        for (stream, i, mean_up, mean_down, down, up) in flaps.chain(crashes) {
+            let mut rng = seeded(derive_seed(self.seed, stream ^ ((i as u64) << 8)));
+            let up_rate = 1.0 / mean_up.as_secs_f64().max(1e-9);
+            let down_rate = 1.0 / mean_down.as_secs_f64().max(1e-9);
             let mut t = SimTime::ZERO;
             loop {
                 t = after(t, exp_secs(&mut rng, up_rate));
                 if t > horizon {
                     break;
                 }
-                out.push(FaultEvent {
-                    at: t,
-                    kind: FaultKind::LinkDegrade {
-                        link: flap.link,
-                        factor: flap.factor,
-                    },
-                });
+                out.push(FaultEvent { at: t, kind: down });
                 t = after(t, exp_secs(&mut rng, down_rate));
                 out.push(FaultEvent {
                     at: t.min(horizon),
-                    kind: FaultKind::LinkRestore { link: flap.link },
-                });
-            }
-        }
-        for (i, crash) in self.crashes.iter().enumerate() {
-            let mut rng = seeded(derive_seed(self.seed, STREAM_CRASH ^ ((i as u64) << 8)));
-            let fail_rate = 1.0 / crash.mtbf.as_secs_f64().max(1e-9);
-            let repair_rate = 1.0 / crash.mttr.as_secs_f64().max(1e-9);
-            let mut t = SimTime::ZERO;
-            loop {
-                t = after(t, exp_secs(&mut rng, fail_rate));
-                if t > horizon {
-                    break;
-                }
-                out.push(FaultEvent {
-                    at: t,
-                    kind: FaultKind::GpuFail { gpu: crash.gpu },
-                });
-                t = after(t, exp_secs(&mut rng, repair_rate));
-                out.push(FaultEvent {
-                    at: t.min(horizon),
-                    kind: FaultKind::GpuRecover { gpu: crash.gpu },
+                    kind: up,
                 });
             }
         }
@@ -390,104 +378,61 @@ fn parse_entry(entry: &str, out: &mut FaultSpec) -> Result<(), String> {
         }
         Err("missing link (pcie=|uplink=|nvlink=|link=)".to_string())
     };
-    let scheduled = |k: FaultKind| -> Result<FaultEvent, String> {
-        Ok(FaultEvent {
-            at: SimTime::from_nanos(at.ok_or("missing '@time'")?.as_nanos()),
-            kind: k,
-        })
-    };
-    match kind {
-        "gpu-fail" => {
-            let ev = scheduled(FaultKind::GpuFail {
-                gpu: parse_usize(get("gpu")?)?,
-            })?;
-            out.scheduled.push(ev);
-        }
-        "gpu-recover" => {
-            let ev = scheduled(FaultKind::GpuRecover {
-                gpu: parse_usize(get("gpu")?)?,
-            })?;
-            out.scheduled.push(ev);
-        }
-        "link-degrade" => {
-            let ev = scheduled(FaultKind::LinkDegrade {
-                link: link()?,
-                factor: parse_f64(get("factor")?)?,
-            })?;
-            out.scheduled.push(ev);
-        }
-        "link-restore" => {
-            let ev = scheduled(FaultKind::LinkRestore { link: link()? })?;
-            out.scheduled.push(ev);
-        }
-        "mem-pressure" => {
-            let ev = scheduled(FaultKind::HostMemPressure {
-                bytes: parse_bytes(get("bytes")?)?,
-            })?;
-            out.scheduled.push(ev);
-        }
-        "mem-release" => {
-            let ev = scheduled(FaultKind::HostMemRelease)?;
-            out.scheduled.push(ev);
-        }
-        "slowdown" => {
-            let ev = scheduled(FaultKind::Slowdown {
-                factor: parse_f64(get("factor")?)?,
-            })?;
-            out.scheduled.push(ev);
-        }
-        "slowdown-end" => {
-            let ev = scheduled(FaultKind::SlowdownEnd)?;
-            out.scheduled.push(ev);
-        }
-        "silent-link-slow" => {
-            let ev = scheduled(FaultKind::SilentLinkSlow {
-                link: link()?,
-                factor: parse_f64(get("factor")?)?,
-            })?;
-            out.scheduled.push(ev);
-        }
-        "silent-link-restore" => {
-            let ev = scheduled(FaultKind::SilentLinkRestore { link: link()? })?;
-            out.scheduled.push(ev);
-        }
-        "silent-gpu-slow" => {
-            let ev = scheduled(FaultKind::SilentGpuSlow {
-                gpu: parse_usize(get("gpu")?)?,
-                factor: parse_f64(get("factor")?)?,
-            })?;
-            out.scheduled.push(ev);
-        }
-        "silent-gpu-restore" => {
-            let ev = scheduled(FaultKind::SilentGpuRestore {
-                gpu: parse_usize(get("gpu")?)?,
-            })?;
-            out.scheduled.push(ev);
-        }
-        "stuck-flow" => {
-            let ev = scheduled(FaultKind::StuckFlow {
-                link: link()?,
-                stall: parse_dur(get("stall")?)?,
-            })?;
-            out.scheduled.push(ev);
-        }
-        "corrupt-transfer" => {
-            let ev = scheduled(FaultKind::CorruptTransfer { link: link()? })?;
-            out.scheduled.push(ev);
-        }
-        "link-flap" => out.flaps.push(LinkFlap {
+    let gpu = || parse_usize(get("gpu")?);
+    let factor = || parse_f64(get("factor")?);
+    let kind = match kind {
+        "gpu-fail" => FaultKind::GpuFail { gpu: gpu()? },
+        "gpu-recover" => FaultKind::GpuRecover { gpu: gpu()? },
+        "link-degrade" => FaultKind::LinkDegrade {
             link: link()?,
-            mean_up: parse_mean(get("up")?)?,
-            mean_down: parse_mean(get("down")?)?,
-            factor: parse_f64(get("factor")?)?,
-        }),
-        "gpu-crash" => out.crashes.push(GpuCrash {
-            gpu: parse_usize(get("gpu")?)?,
-            mtbf: parse_mean(get("mtbf")?)?,
-            mttr: parse_mean(get("mttr")?)?,
-        }),
+            factor: factor()?,
+        },
+        "link-restore" => FaultKind::LinkRestore { link: link()? },
+        "mem-pressure" => FaultKind::HostMemPressure {
+            bytes: parse_bytes(get("bytes")?)?,
+        },
+        "mem-release" => FaultKind::HostMemRelease,
+        "slowdown" => FaultKind::Slowdown { factor: factor()? },
+        "slowdown-end" => FaultKind::SlowdownEnd,
+        "silent-link-slow" => FaultKind::SilentLinkSlow {
+            link: link()?,
+            factor: factor()?,
+        },
+        "silent-link-restore" => FaultKind::SilentLinkRestore { link: link()? },
+        "silent-gpu-slow" => FaultKind::SilentGpuSlow {
+            gpu: gpu()?,
+            factor: factor()?,
+        },
+        "silent-gpu-restore" => FaultKind::SilentGpuRestore { gpu: gpu()? },
+        "stuck-flow" => FaultKind::StuckFlow {
+            link: link()?,
+            stall: parse_dur(get("stall")?)?,
+        },
+        "corrupt-transfer" => FaultKind::CorruptTransfer { link: link()? },
+        "link-flap" => {
+            out.flaps.push(LinkFlap {
+                link: link()?,
+                mean_up: parse_mean(get("up")?)?,
+                mean_down: parse_mean(get("down")?)?,
+                factor: factor()?,
+            });
+            return Ok(());
+        }
+        "gpu-crash" => {
+            out.crashes.push(GpuCrash {
+                gpu: gpu()?,
+                mtbf: parse_mean(get("mtbf")?)?,
+                mttr: parse_mean(get("mttr")?)?,
+            });
+            return Ok(());
+        }
         other => return Err(format!("unknown fault kind '{other}'")),
-    }
+    };
+    let at = at.ok_or("missing '@time'")?;
+    out.scheduled.push(FaultEvent {
+        at: SimTime::from_nanos(at.as_nanos()),
+        kind,
+    });
     Ok(())
 }
 
