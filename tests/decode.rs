@@ -28,6 +28,9 @@ use model_serving::{
 use simcore::probe::{to_jsonl, Event, Probe, ProbeEvent};
 use simcore::time::SimTime;
 
+mod common;
+use common::assert_bytes_eq;
+
 /// One probed GPT-2 decode run on the 4-GPU machine. `tweak` edits the
 /// config after decode is enabled; `shape` edits the trace after
 /// lengths are assigned.
@@ -242,27 +245,6 @@ mod differential {
     use super::*;
     use model_serving::run_server_faulted;
     use simcore::fault::FaultSpec;
-
-    /// First-divergence assertion borrowed from `kernel_identity.rs`.
-    fn assert_bytes_eq(got: &str, want: &str, golden: &str) {
-        if got == want {
-            return;
-        }
-        let mismatch = got
-            .lines()
-            .zip(want.lines())
-            .position(|(g, w)| g != w)
-            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
-        let g = got.lines().nth(mismatch).unwrap_or("<eof>");
-        let w = want.lines().nth(mismatch).unwrap_or("<eof>");
-        panic!(
-            "{golden}: output diverged at line {}:\n  got:  {g}\n  want: {w}\n\
-             (got {} lines, want {} lines)",
-            mismatch + 1,
-            got.lines().count(),
-            want.lines().count()
-        );
-    }
 
     /// The fig15 golden scenario (BERT-Base, 140×60 at 100 req/s, seed
     /// 11) with decode *disabled* but token lengths assigned anyway:

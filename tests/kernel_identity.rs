@@ -26,6 +26,9 @@ use simcore::fault::FaultSpec;
 use simcore::probe::{to_jsonl, Probe};
 use simcore::time::SimTime;
 
+mod common;
+use common::assert_bytes_eq;
+
 /// Mirrors `deepplan-cli serve bert-base` with the given knobs and
 /// returns the JSONL event log.
 fn serve_jsonl(
@@ -67,29 +70,6 @@ fn serve_jsonl(
     );
     let events = log.borrow().events.clone();
     to_jsonl(&events)
-}
-
-/// Asserts byte equality with a diff-friendly failure message: the
-/// first differing line is reported instead of two multi-megabyte
-/// strings.
-fn assert_bytes_eq(got: &str, want: &str, golden: &str) {
-    if got == want {
-        return;
-    }
-    let mismatch = got
-        .lines()
-        .zip(want.lines())
-        .position(|(g, w)| g != w)
-        .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
-    let g = got.lines().nth(mismatch).unwrap_or("<eof>");
-    let w = want.lines().nth(mismatch).unwrap_or("<eof>");
-    panic!(
-        "{golden}: kernel output diverged from checked-in golden at line {}:\n  got:  {g}\n  want: {w}\n\
-         (got {} lines, want {} lines)",
-        mismatch + 1,
-        got.lines().count(),
-        want.lines().count()
-    );
 }
 
 /// `serve bert-base --concurrency 140 --requests 60` (rate 100, seed

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use simcore::probe::{parse_jsonl, to_jsonl, to_perfetto, PerfettoOptions, ProbeEvent};
 
 mod common;
-use common::fnv1a64;
+use common::{assert_bytes_eq, fnv1a64};
 
 const EVERY_EVENT: &str = include_str!("data/golden_every_event.jsonl");
 const EVERY_EVENT_PERFETTO: &str = include_str!("data/golden_every_event.perfetto.json");
@@ -24,25 +24,10 @@ fn perfetto_of(jsonl: &str) -> String {
     to_perfetto(&events, &PerfettoOptions::default())
 }
 
-/// First differing line, for a readable failure instead of two dumps.
-fn assert_same(got: &str, want: &str, what: &str) {
-    if got == want {
-        return;
-    }
-    let (n, g, w) = got
-        .lines()
-        .zip(want.lines())
-        .enumerate()
-        .find(|(_, (g, w))| g != w)
-        .map(|(i, (g, w))| (i + 1, g, w))
-        .unwrap_or((got.lines().count().min(want.lines().count()) + 1, "", ""));
-    panic!("{what} diverged at line {n}:\n  got:  {g}\n  want: {w}");
-}
-
 #[test]
 fn every_event_jsonl_roundtrips_byte_for_byte() {
     let events = parse_jsonl(EVERY_EVENT).expect("golden parses");
-    assert_same(&to_jsonl(&events), EVERY_EVENT, "golden_every_event.jsonl");
+    assert_bytes_eq(&to_jsonl(&events), EVERY_EVENT, "golden_every_event.jsonl");
 }
 
 /// The sample file is the list of variants: a new event without a sample
@@ -56,7 +41,7 @@ fn every_event_golden_has_one_line_per_event_name() {
 
 #[test]
 fn every_event_perfetto_matches_byte_for_byte() {
-    assert_same(
+    assert_bytes_eq(
         &perfetto_of(EVERY_EVENT),
         EVERY_EVENT_PERFETTO,
         "golden_every_event.perfetto.json",

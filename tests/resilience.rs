@@ -20,6 +20,9 @@ use simcore::fault::FaultSpec;
 use simcore::probe::{to_jsonl, Event, Probe, ProbeEvent, ShedCause};
 use simcore::time::{SimDur, SimTime};
 
+mod common;
+use common::assert_bytes_eq;
+
 /// Long-context sessions: deep prompts and long output horizons, so
 /// victims carry a checkpoint mirror worth restoring and the restore
 /// side of the planner's crossover gets exercised.
@@ -97,27 +100,6 @@ fn assert_no_session_lost(report: &ServingReport, requests: usize) {
 /// A deterministic mid-decode crash with a later recovery: by 300 ms the
 /// long-context sessions on GPU 1 are several checkpoints deep.
 const CRASH: &str = "gpu-fail@300ms:gpu=1; gpu-recover@800ms:gpu=1";
-
-/// First-divergence assertion borrowed from `kernel_identity.rs`.
-fn assert_bytes_eq(got: &str, want: &str, golden: &str) {
-    if got == want {
-        return;
-    }
-    let mismatch = got
-        .lines()
-        .zip(want.lines())
-        .position(|(g, w)| g != w)
-        .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
-    let g = got.lines().nth(mismatch).unwrap_or("<eof>");
-    let w = want.lines().nth(mismatch).unwrap_or("<eof>");
-    panic!(
-        "{golden}: output diverged at line {}:\n  got:  {g}\n  want: {w}\n\
-         (got {} lines, want {} lines)",
-        mismatch + 1,
-        got.lines().count(),
-        want.lines().count()
-    );
-}
 
 /// The decode golden scenario from `tests/decode.rs` with the resilience
 /// layer left at its default (disabled): the run must be byte-identical
