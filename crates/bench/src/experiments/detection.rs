@@ -29,6 +29,7 @@ use model_serving::run_server_faulted;
 use model_serving::workload::poisson;
 use simcore::fault::FaultSpec;
 use simcore::probe::{DetectState, Event, Probe, ProbeEvent};
+use simcore::stats::Samples;
 use simcore::time::SimTime;
 
 use crate::setup::SEED;
@@ -120,24 +121,22 @@ pub fn detect_latency_ms(events: &[Event]) -> f64 {
 }
 
 /// p99 latency (ms) over requests completed inside `[from_s, to_s)`
-/// seconds; NaN when the window is empty.
+/// seconds, by [`Samples::p99`]'s nearest rank; NaN when the window is
+/// empty. The recovery ablation and its tests read their windows here too.
 pub fn windowed_p99_ms(events: &[Event], from_s: f64, to_s: f64) -> f64 {
-    let mut ms: Vec<f64> = events
-        .iter()
-        .filter(|e| {
-            let t = e.at.as_secs_f64();
-            t >= from_s && t < to_s
-        })
-        .filter_map(|e| match e.what {
-            ProbeEvent::RequestCompleted { latency_ns, .. } => Some(latency_ns as f64 / 1e6),
-            _ => None,
-        })
-        .collect();
-    if ms.is_empty() {
-        return f64::NAN;
+    let mut window = Samples::new();
+    for e in events {
+        if let ProbeEvent::RequestCompleted { latency_ns, .. } = e.what {
+            if (from_s..to_s).contains(&e.at.as_secs_f64()) {
+                window.push(latency_ns as f64 / 1e6);
+            }
+        }
     }
-    ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    ms[((ms.len() as f64 * 0.99).ceil() as usize).min(ms.len() - 1)]
+    if window.is_empty() {
+        f64::NAN
+    } else {
+        window.p99()
+    }
 }
 
 /// Runs the detection ablation with `n` requests per run.

@@ -29,9 +29,10 @@ use model_serving::metrics::ServingReport;
 use model_serving::run_server_faulted;
 use model_serving::workload::poisson;
 use simcore::fault::FaultSpec;
-use simcore::probe::{Event, Probe, ProbeEvent};
+use simcore::probe::{Event, Probe};
 use simcore::time::SimTime;
 
+use super::detection::windowed_p99_ms;
 use crate::setup::SEED;
 use crate::table::{fmt, Table};
 
@@ -87,27 +88,6 @@ pub fn run_scenario(
     );
     let events = log.borrow().events.clone();
     (report, events)
-}
-
-/// p99 latency (ms) over requests completed inside `[from_s, to_s)`
-/// seconds; NaN when the window is empty.
-fn windowed_p99_ms(events: &[Event], from_s: f64, to_s: f64) -> f64 {
-    let mut ms: Vec<f64> = events
-        .iter()
-        .filter(|e| {
-            let t = e.at.as_secs_f64();
-            t >= from_s && t < to_s
-        })
-        .filter_map(|e| match e.what {
-            ProbeEvent::RequestCompleted { latency_ns, .. } => Some(latency_ns as f64 / 1e6),
-            _ => None,
-        })
-        .collect();
-    if ms.is_empty() {
-        return f64::NAN;
-    }
-    ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    ms[((ms.len() as f64 * 0.99).ceil() as usize).min(ms.len() - 1)]
 }
 
 /// Runs the off/on ablation with `n` requests per run.

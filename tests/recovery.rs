@@ -1,6 +1,7 @@
 //! Self-healing control plane: re-planning on degraded topologies, live
 //! plan hot-swap, rollback on recovery, and overload admission control.
 
+use bench::experiments::detection::windowed_p99_ms;
 use dnn_models::zoo::{build, ModelId};
 use exec_planner::generate::PlanMode;
 use gpu_topology::presets::p3_8xlarge;
@@ -47,24 +48,6 @@ fn run_with(
 
 fn count(events: &[Event], f: impl Fn(&ProbeEvent) -> bool) -> usize {
     events.iter().filter(|e| f(&e.what)).count()
-}
-
-/// p99 (ms) over requests *completed* inside `[from_s, to_s)` seconds.
-fn windowed_p99_ms(events: &[Event], from_s: f64, to_s: f64) -> f64 {
-    let mut ms: Vec<f64> = events
-        .iter()
-        .filter(|e| {
-            let t = e.at.as_secs_f64();
-            t >= from_s && t < to_s
-        })
-        .filter_map(|e| match e.what {
-            ProbeEvent::RequestCompleted { latency_ns, .. } => Some(latency_ns as f64 / 1e6),
-            _ => None,
-        })
-        .collect();
-    assert!(!ms.is_empty(), "no completions in [{from_s}, {to_s})");
-    ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    ms[((ms.len() as f64 * 0.99).ceil() as usize).min(ms.len() - 1)]
 }
 
 /// The whole second PCIe switch (GPUs 2 and 3) goes dark mid-serving
