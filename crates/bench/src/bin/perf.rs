@@ -16,7 +16,11 @@
 //! continuous-batching decode run, probe-off and with the resilience
 //! layer at its default (disabled): it gates the token-step hot path —
 //! including the inert resilience branches — the fig15 one-shot
-//! workload never enters. The codec rows (`codec_*` fields) time
+//! workload never enters. The bare fig15 row also counts the heap
+//! allocations (and reallocations) each replay makes, through a
+//! counting global allocator: the count is exact and must repeat in
+//! every replay, so the entry's `heap_allocs` shows an algorithmic
+//! change without host noise. The codec rows (`codec_*` fields) time
 //! `to_jsonl`, `to_perfetto` and `parse_jsonl` over the first million
 //! events of the probed fig15 log. The flow row (`flow_ops_per_sec`)
 //! replays a fixed seeded history of flow starts, advances to the next
@@ -33,13 +37,16 @@
 //! With `--gate` (the CI mode) the run fails, without touching the
 //! trajectory, when bare events/sec, or any decode or codec row the last
 //! recorded entry carries, drops below 0.9× that entry — the
-//! perf-regression tripwire. The flow row is recorded but not gated
-//! until several entries show its medians holding still. `--note`
+//! perf-regression tripwire — or when `heap_allocs` exceeds the last
+//! entry that records one, exactly. The flow row is recorded but not
+//! gated until several entries show its medians holding still. `--note`
 //! labels the new entry. A trajectory file that is not a JSON array or
 //! legacy object (cut off, or holding merge-conflict markers) is an
 //! error that leaves the file untouched; a missing file starts a new
 //! trajectory.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use deepplan::PlanMode;
@@ -78,6 +85,45 @@ const FLOW_SEED: u64 = 11;
 
 /// Timed replays behind each row.
 const REPLAYS: usize = 3;
+
+/// Heap allocations and reallocations made so far by this process.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting every allocation and reallocation in
+/// [`ALLOCS`].
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter never touches
+// the memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's layout obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: `ptr` came from `System` with `layout`; the caller
+        // guarantees `new_size` is valid for that alignment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Runs `f` [`REPLAYS`] times; returns its last result and the median
 /// wall seconds of a run.
@@ -246,14 +292,19 @@ fn main() {
     let (kinds, instance_kinds) = fig15::mix(INSTANCES);
     let trace = fig15::trace(INSTANCES, horizon, RATE);
 
+    let mut replay_allocs = Vec::with_capacity(REPLAYS);
     let (report, wall_secs) = timed(|| {
-        run_mix(
-            PlanMode::PtDha,
-            &kinds,
-            instance_kinds.clone(),
-            trace.clone(),
-        )
+        let (instance_kinds, trace) = (instance_kinds.clone(), trace.clone());
+        let before = ALLOCS.load(Relaxed);
+        let report = run_mix(PlanMode::PtDha, &kinds, instance_kinds, trace);
+        replay_allocs.push(ALLOCS.load(Relaxed) - before);
+        report
     });
+    let heap_allocs = replay_allocs[0];
+    assert!(
+        replay_allocs.iter().all(|&n| n == heap_allocs),
+        "fig15 replays must allocate alike: {replay_allocs:?}"
+    );
     let events_per_sec = report.sim_events as f64 / wall_secs.max(1e-9);
     let sim_wall_ratio = HORIZON_SECS as f64 / wall_secs.max(1e-9);
 
@@ -298,6 +349,23 @@ fn main() {
     let (_, flow_secs) =
         timed(|| replay_flows(nets.pop().expect("one network per replay"), &flow_ops));
     let flow_ops_per_sec = flow_ops.len() as f64 / flow_secs.max(1e-9);
+
+    // The allocation gate is exact: the count repeats for the pinned
+    // workload, so any rise is the code's.
+    if let Some(last_allocs) = trajectory
+        .iter()
+        .rev()
+        .find_map(|e| e["heap_allocs"].as_u64())
+    {
+        println!("gate: heap_allocs {heap_allocs} vs last recorded {last_allocs} (exact)");
+        if gate && heap_allocs > last_allocs {
+            eprintln!(
+                "error: allocation regression: {heap_allocs} heap allocations > {last_allocs} \
+                 (last trajectory entry recording them); trajectory left untouched"
+            );
+            std::process::exit(1);
+        }
+    }
 
     if let Some(last) = trajectory.last() {
         let last_eps = last["events_per_sec"].as_f64().unwrap_or(0.0);
@@ -366,6 +434,7 @@ fn main() {
         "sim_secs": HORIZON_SECS,
         "sim_wall_ratio": (sim_wall_ratio * 10.0).round() / 10.0,
         "completed": report.completed,
+        "heap_allocs": heap_allocs,
         "decode_workload": format!(
             "gpt2-decode {DECODE_RATE} rps x {DECODE_REQUESTS} reqs, \
              {DECODE_INSTANCES} instances, pt+dha, resilience off"

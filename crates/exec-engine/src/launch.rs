@@ -16,22 +16,27 @@
 //! Bytes move over two kinds of path, each through one primitive: host
 //! →GPU PCIe through [`crate::hw::start_host_flow`] (weight blocks, DHA
 //! reads) and GPU→GPU NVLink through `nvlink_flow` (migration forwards,
-//! distributed-execution hops). Every event a run schedules holds its
-//! [`RunRef`] and resolves it first, so an aborted run's pending timers
-//! and flows land as no-ops.
+//! distributed-execution hops).
+//!
+//! Every event a run schedules is a word event, and every word names
+//! (run, slot) (`RunRef::word`): a weight block's launch timer and
+//! landing, an NVLink forward's launch timer and landing, a hop's, a
+//! layer's compute timer and its DHA read. The run keeps what each
+//! word acts on in its per-slot record (the block and the forward in
+//! flight) and resolves the run first, so an aborted run's pending
+//! timers and flows land as no-ops and schedule nothing, not even a
+//! box.
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
 use exec_planner::plan::{ExecutionPlan, LayerExec};
 use simcore::driver::start_flow;
 use simcore::probe::{ProbeEvent, StallCause};
-use simcore::sim::Ctx;
-use simcore::slab::GenKey;
+use simcore::sim::{Ctx, WordFn};
 use simcore::time::{SimDur, SimTime};
 
-use crate::hw::{start_host_flow, HasHw, RunRef};
+use crate::hw::{start_host_flow, HasHw, HostDone, RunRef};
 use crate::result::{InferenceResult, SlotLoadObs};
 use crate::runtime::ModelRuntime;
 
@@ -151,11 +156,8 @@ pub struct RunState<S> {
     started: SimTime,
     stall: SimDur,
     exec_busy: SimDur,
-    mig_queue: Vec<VecDeque<usize>>,
-    mig_busy: Vec<bool>,
-    slot_loaded: Vec<usize>,
-    /// Per-slot accumulated load bytes and wire time (detector signal).
-    slot_obs: Vec<(f64, SimDur)>,
+    /// Each transmission slot's load and migration streams.
+    slots: Vec<SlotState>,
     /// Warm fast path: merged `(compute, dha_wire_bytes)` steps. Runs of
     /// consecutive in-memory layers collapse into one timer event, which
     /// makes million-request serving traces cheap to simulate without
@@ -163,11 +165,43 @@ pub struct RunState<S> {
     /// under distributed execution (hops break the merge).
     warm_steps: Vec<(SimDur, f64)>,
     use_warm_fast: bool,
-    /// GPU owning each layer's weights (distributed execution).
+    /// GPU owning each layer's weights (distributed execution only).
     owner: Vec<usize>,
     /// GPU the execution stream currently sits on.
     current_gpu: usize,
+    /// GPU the execution stream is hopping from while a hop is in flight.
+    hop_from: usize,
     on_done: Option<DoneFn<S>>,
+}
+
+/// One transmission slot of a run: its load stream and, on a secondary
+/// GPU, its migration stream. The words of both name the slot.
+#[derive(Clone, Default)]
+struct SlotState {
+    /// Layers of the partition landed on the slot's GPU, in order.
+    loaded: usize,
+    /// Accumulated load bytes and wire time (detector signal).
+    obs: (f64, SimDur),
+    /// The weight block in flight.
+    block: Block,
+    /// Layers whose NVLink forward has started. The migration queue is
+    /// the landed layers past them: `partition[forwarded..loaded]`.
+    forwarded: usize,
+    /// Whether a forward is in flight; it carries layer `forwarded - 1`.
+    forwarding: bool,
+}
+
+/// A weight block: consecutive positions of a slot's partition moved as
+/// one host→GPU flow.
+#[derive(Clone, Default)]
+struct Block {
+    pos: Range<usize>,
+    bytes: f64,
+    /// When its flow was issued, and the flow's share count then.
+    started: SimTime,
+    n_shared: u32,
+    /// Whether a corrupt-transfer arm poisoned the flow.
+    corrupt: bool,
 }
 
 /// Builds the merged warm-step list for a spec.
@@ -240,9 +274,11 @@ fn required_nvlink_pairs(spec: &LaunchSpec) -> Vec<(usize, usize)> {
 /// # Panics
 ///
 /// Panics if the plan's decision vector does not match the runtime's
-/// layer count, or if the spec moves data between two GPUs that are not
-/// NVLinked: every secondary must be an NVLink partner of the primary,
-/// as `pt_group` guarantees for the server's.
+/// layer count, if the spec moves data between two GPUs that are not
+/// NVLinked (every secondary must be an NVLink partner of the primary,
+/// as `pt_group` guarantees for the server's), or if a word could not
+/// name the run: more than 256 transmission slots, or 2^24 runs in
+/// flight.
 pub fn start_inference<S: HasHw>(
     state: &mut S,
     ctx: &mut Ctx<S>,
@@ -266,6 +302,15 @@ pub fn start_inference<S: HasHw>(
             "every GPU pair a run moves data over must be NVLinked; GPUs {from} and {to} are not"
         );
     }
+    let slots = spec.plan.partitions.len();
+    assert!(
+        slots <= RunRef::MAX_SLOTS,
+        "a run's words name at most 256 transmission slots, not {slots}"
+    );
+    assert!(
+        state.hw().runs.vacant_index() < RunRef::MAX_RUNS,
+        "a run's words name at most 2^24 runs in flight"
+    );
     let now = ctx.now();
     let mut ready = vec![false; n];
     let mut loads_pending = 0usize;
@@ -279,14 +324,17 @@ pub fn start_inference<S: HasHw>(
             *rdy = true;
         }
     }
-    let slots = spec.plan.partitions.len();
     let use_warm_fast = spec.warm && !spec.skip_exec && !spec.distributed;
     let warm_steps = if use_warm_fast {
         build_warm_steps(&spec)
     } else {
         Vec::new()
     };
-    let owner = spec.owners();
+    let owner = if spec.distributed {
+        spec.owners()
+    } else {
+        Vec::new()
+    };
     let primary = spec.primary;
     let run = RunState {
         spec,
@@ -299,14 +347,12 @@ pub fn start_inference<S: HasHw>(
         started: now,
         stall: SimDur::ZERO,
         exec_busy: SimDur::ZERO,
-        mig_queue: vec![VecDeque::new(); slots.saturating_sub(1)],
-        mig_busy: vec![false; slots.saturating_sub(1)],
-        slot_loaded: vec![0; slots],
-        slot_obs: vec![(0.0, SimDur::ZERO); slots],
+        slots: vec![SlotState::default(); slots],
         warm_steps,
         use_warm_fast,
         owner,
         current_gpu: primary,
+        hop_from: primary,
         on_done: Some(on_done),
     };
     let (skip_exec, warm) = (run.spec.skip_exec, run.spec.warm);
@@ -326,69 +372,61 @@ pub fn start_inference<S: HasHw>(
     r
 }
 
-/// Issues position `pos` of transmission slot `slot`'s partition.
+/// Makes position `pos` of transmission slot `slot`'s partition the
+/// slot's next block and starts its launch-overhead timer.
 fn load_next<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, slot: usize, pos: usize) {
+    let hw = state.hw();
+    let Some(run) = hw.runs.get_mut(r.0) else {
+        return;
+    };
     // Gather the next transmission block: one layer by default, or
     // consecutive layers up to `plan.block_bytes` when grouping is on
     // (PipeSwitch-style amortisation of the per-transfer overhead).
-    let (block, bytes, gpu) = {
-        let Some(run) = state.hw().run_mut(r) else {
-            return;
-        };
-        let part = &run.spec.plan.partitions[slot];
-        if pos >= part.len() {
-            return;
+    let part = &run.spec.plan.partitions[slot];
+    if pos >= part.len() {
+        return;
+    }
+    let cap = run.spec.plan.block_bytes.unwrap_or(0);
+    let mut bytes = run.spec.rt.layers[part[pos]].param_bytes;
+    let mut end = pos + 1;
+    while end < part.len() && bytes < cap {
+        let next_bytes = run.spec.rt.layers[part[end]].param_bytes;
+        if bytes + next_bytes > cap {
+            break;
         }
-        let cap = run.spec.plan.block_bytes.unwrap_or(0);
-        let mut bytes = run.spec.rt.layers[part[pos]].param_bytes;
-        let mut end = pos + 1;
-        while end < part.len() && bytes < cap {
-            let next_bytes = run.spec.rt.layers[part[end]].param_bytes;
-            if bytes + next_bytes > cap {
-                break;
-            }
-            bytes += next_bytes;
-            end += 1;
-        }
-        let (gpu, _) = slot_gpu(&run.spec, slot);
-        (pos..end, bytes as f64, gpu)
+        bytes += next_bytes;
+        end += 1;
+    }
+    let (gpu, _) = slot_gpu(&run.spec, slot);
+    run.slots[slot].block = Block {
+        pos: pos..end,
+        bytes: bytes as f64,
+        ..Block::default()
     };
-    let overhead = {
-        let hw = state.hw();
-        SimDur::from_nanos(hw.machine.gpu(gpu).pcie.launch_overhead_ns)
-    };
-    ctx.schedule_in(
-        overhead,
-        Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
-            issue_block(state, ctx, r, slot, block, bytes, gpu, true);
-        }),
-    );
+    let overhead = SimDur::from_nanos(hw.machine.gpu(gpu).pcie.launch_overhead_ns);
+    ctx.call_in(overhead, block_launched, r.word(slot));
 }
 
-/// Starts (or restarts, after a checksum mismatch) one weight block's
-/// host→GPU flow: positions `block` of slot `slot`'s partition.
-/// `announce` is false on a re-fetch so load-start probe events are not
-/// duplicated.
-#[allow(clippy::too_many_arguments)]
-fn issue_block<S: HasHw>(
-    state: &mut S,
-    ctx: &mut Ctx<S>,
-    r: RunRef,
-    slot: usize,
-    block: Range<usize>,
-    bytes: f64,
-    gpu: usize,
-    announce: bool,
-) {
+/// A block's launch-overhead timer fired: its flow starts.
+fn block_launched<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, w: u64) {
+    let (r, slot) = RunRef::from_word(w);
+    issue_block(state, ctx, r, slot, true);
+}
+
+/// Starts (or restarts, after a checksum mismatch) the host→GPU flow of
+/// slot `slot`'s block in flight. `announce` is false on a re-fetch so
+/// load-start probe events are not duplicated.
+fn issue_block<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, slot: usize, announce: bool) {
     let started = ctx.now();
     let hw = state.hw();
-    let Some(run) = hw.run_mut(r) else {
+    let Some(run) = hw.runs.get(r.0) else {
         return;
     };
-    let (verify, hedge) = (run.spec.verify_loads, run.spec.hedge);
-    let plan = Arc::clone(&run.spec.plan);
+    let (gpu, _) = slot_gpu(&run.spec, slot);
+    let (block, hedge) = (&run.slots[slot].block, run.spec.hedge);
+    let bytes = block.bytes;
     if announce {
-        for &layer in &plan.partitions[slot][block.clone()] {
+        for &layer in &run.spec.plan.partitions[slot][block.pos.clone()] {
             hw.probe.emit(
                 started,
                 ProbeEvent::LoadStarted {
@@ -405,58 +443,77 @@ fn issue_block<S: HasHw>(
     // `verify_loads`.
     let path = hw.map.host_path(&hw.machine, gpu);
     let corrupt = hw.take_corrupt(&path);
-    let done = move |state: &mut S, ctx: &mut Ctx<S>, n_shared: u32| {
-        let now = ctx.now();
-        let Some(run) = state.hw().run_mut(r) else {
-            return;
-        };
-        // The observation records *expected work* (bytes weighted by the
-        // concurrent host flows sharing the path), so that span ÷
-        // (obs_bytes / believed_rate) stays near 1.0 under contention and
-        // only a genuinely degraded link pushes it up.
-        run.slot_obs[slot].0 += bytes * f64::from(n_shared);
-        run.slot_obs[slot].1 += now.since(started);
-        let layers = &plan.partitions[slot][block.clone()];
-        if corrupt && verify {
-            // Checksum mismatch: discard the block and fetch it again.
-            let hw = state.hw();
-            hw.refetches += 1;
-            hw.probe.emit(
-                now,
-                ProbeEvent::ChecksumMismatch {
-                    run: r.slot(),
-                    layer: layers[0],
-                    gpu,
-                    slot,
-                },
-            );
-            hw.probe.emit(
-                now,
-                ProbeEvent::LoadRefetched {
-                    run: r.slot(),
-                    layer: layers[0],
-                    gpu,
-                    slot,
-                },
-            );
-            issue_block(state, ctx, r, slot, block, bytes, gpu, false);
-            return;
-        }
-        for &layer in layers {
-            state.hw().probe.emit(
-                now,
-                ProbeEvent::LoadFinished {
-                    run: r.slot(),
-                    layer,
-                    gpu,
-                    slot,
-                },
-            );
-            on_load_done(state, ctx, r, slot, layer);
-        }
-        load_next(state, ctx, r, slot, block.end);
+    let done = HostDone::Word(block_landed, r.word(slot));
+    let n_shared = start_host_flow(state, ctx, gpu, bytes, hedge, done);
+    // The flow lands in a later event, so the run is still live.
+    let run = state.hw().run_mut(r).expect("live until its flow lands");
+    let block = &mut run.slots[slot].block;
+    (block.started, block.n_shared, block.corrupt) = (started, n_shared, corrupt);
+}
+
+/// Slot `slot`'s block in flight landed on its GPU.
+fn block_landed<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, w: u64) {
+    let now = ctx.now();
+    let (r, slot) = RunRef::from_word(w);
+    let Some(run) = state.hw().run_mut(r) else {
+        return;
     };
-    start_host_flow(state, ctx, gpu, bytes, hedge, done);
+    let (gpu, _) = slot_gpu(&run.spec, slot);
+    let plan = Arc::clone(&run.spec.plan);
+    let verify = run.spec.verify_loads;
+    let s = &mut run.slots[slot];
+    let Block {
+        pos,
+        bytes,
+        started,
+        n_shared,
+        corrupt,
+    } = s.block.clone();
+    // The observation records *expected work* (bytes weighted by the
+    // concurrent host flows sharing the path), so that span ÷
+    // (obs_bytes / believed_rate) stays near 1.0 under contention and
+    // only a genuinely degraded link pushes it up.
+    s.obs.0 += bytes * f64::from(n_shared);
+    s.obs.1 += now.since(started);
+    let layers = &plan.partitions[slot][pos.clone()];
+    if corrupt && verify {
+        // Checksum mismatch: discard the block and fetch it again.
+        let hw = state.hw();
+        hw.refetches += 1;
+        hw.probe.emit(
+            now,
+            ProbeEvent::ChecksumMismatch {
+                run: r.slot(),
+                layer: layers[0],
+                gpu,
+                slot,
+            },
+        );
+        hw.probe.emit(
+            now,
+            ProbeEvent::LoadRefetched {
+                run: r.slot(),
+                layer: layers[0],
+                gpu,
+                slot,
+            },
+        );
+        issue_block(state, ctx, r, slot, false);
+        return;
+    }
+    for &layer in layers {
+        state.hw().probe.emit(
+            now,
+            ProbeEvent::LoadFinished {
+                run: r.slot(),
+                layer,
+                gpu,
+                slot,
+            },
+        );
+        on_load_done(state, ctx, r, slot, layer);
+    }
+    load_next(state, ctx, r, slot, pos.end);
 }
 
 /// A layer finished its host→GPU copy.
@@ -470,50 +527,20 @@ fn on_load_done<S: HasHw>(
     let Some(run) = state.hw().run_mut(r) else {
         return;
     };
-    run.slot_loaded[slot] += 1;
+    run.slots[slot].loaded += 1;
     let (_, migrates) = slot_gpu(&run.spec, slot);
     if !migrates {
         mark_ready(state, ctx, r, layer_idx);
         return;
     }
-    if run.spec.bulk_migrate {
-        // Plain "parallel" mode: wait for the whole partition, then one
-        // bulk NVLink copy.
-        if run.slot_loaded[slot] == run.spec.plan.partitions[slot].len() {
-            bulk_forward(state, ctx, r, slot);
-        }
-    } else {
-        run.mig_queue[slot - 1].push_back(layer_idx);
+    if !run.spec.bulk_migrate {
+        // The layer joins the slot's migration queue.
         mig_pump(state, ctx, r, slot);
+    } else if run.slots[slot].loaded == run.spec.plan.partitions[slot].len() {
+        // Plain "parallel" mode: the whole partition has arrived; it
+        // moves as one bulk NVLink copy.
+        nvlink_launch(state, ctx, forward_launched, r.word(slot));
     }
-}
-
-/// Forwards a fully-arrived partition to the primary as one NVLink flow.
-fn bulk_forward<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, slot: usize) {
-    let Some(run) = state.hw().run_mut(r) else {
-        return;
-    };
-    let plan = Arc::clone(&run.spec.plan);
-    let bytes: f64 = plan.partitions[slot]
-        .iter()
-        .map(|&i| run.spec.rt.layers[i].param_bytes as f64)
-        .sum();
-    let (sec, _) = slot_gpu(&run.spec, slot);
-    let primary = run.spec.primary;
-    nvlink_flow(
-        state,
-        ctx,
-        r,
-        sec,
-        primary,
-        bytes,
-        None,
-        move |state, ctx| {
-            for &idx in &plan.partitions[slot] {
-                mark_ready(state, ctx, r, idx);
-            }
-        },
-    );
 }
 
 /// Starts the next NVLink forward on secondary slot `slot` if idle.
@@ -521,88 +548,137 @@ fn mig_pump<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, slot: usize) {
     let Some(run) = state.hw().run_mut(r) else {
         return;
     };
-    if run.mig_busy[slot - 1] {
+    let s = &mut run.slots[slot];
+    if s.forwarding || s.forwarded == s.loaded {
         return;
     }
-    let Some(layer) = run.mig_queue[slot - 1].pop_front() else {
-        return;
-    };
-    run.mig_busy[slot - 1] = true;
-    let bytes = run.spec.rt.layers[layer].param_bytes as f64;
-    let (from, _) = slot_gpu(&run.spec, slot);
-    let primary = run.spec.primary;
-    let id = r.slot();
-    let started = ProbeEvent::MigrateStarted {
-        run: id,
-        layer,
-        from,
-    };
-    nvlink_flow(
-        state,
-        ctx,
-        r,
-        from,
-        primary,
-        bytes,
-        Some(started),
-        move |state, ctx| {
-            let hw = state.hw();
-            if let Some(run) = hw.run_mut(r) {
-                run.mig_busy[slot - 1] = false;
-            }
-            let finished = ProbeEvent::MigrateFinished {
-                run: id,
-                layer,
-                from,
-            };
-            hw.probe.emit(ctx.now(), finished);
-            mark_ready(state, ctx, r, layer);
-            mig_pump(state, ctx, r, slot);
-        },
-    );
+    s.forwarded += 1;
+    s.forwarding = true;
+    nvlink_launch(state, ctx, forward_launched, r.word(slot));
 }
 
-/// Copies `bytes` from GPU `from` to GPU `to` over their NVLink for run
-/// `r`: the NVLink launch overhead, then one flow. `started` is published
-/// as the flow starts and `on_done` runs when it drains, each only while
-/// `r` is live, so an aborted run's forwards and hops land as no-ops.
-/// The pair is NVLinked: [`start_inference`] asserts that of every pair
+/// Schedules the NVLink launch overhead of a forward or hop, then the
+/// word event `launched(w)` that starts its flow.
+fn nvlink_launch<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, launched: WordFn<S>, w: u64) {
+    let hw = state.hw();
+    let overhead = SimDur::from_nanos(hw.machine.nvlink.map_or(0, |nv| nv.launch_overhead_ns));
+    ctx.call_in(overhead, launched, w);
+}
+
+/// Copies `bytes` from GPU `from` to GPU `to` over their NVLink; the flow
+/// lands as the word event `on_done(w)`. The pair is NVLinked:
+/// [`start_inference`] asserts that of every pair
 /// [`required_nvlink_pairs`] lists, and NVLink connectivity is static.
-#[allow(clippy::too_many_arguments)]
 fn nvlink_flow<S: HasHw>(
     state: &mut S,
     ctx: &mut Ctx<S>,
-    r: RunRef,
     from: usize,
     to: usize,
     bytes: f64,
-    started: Option<ProbeEvent>,
-    on_done: impl FnOnce(&mut S, &mut Ctx<S>) + 'static,
+    on_done: WordFn<S>,
+    w: u64,
 ) {
     let hw = state.hw();
-    let overhead = SimDur::from_nanos(hw.machine.nvlink.map_or(0, |nv| nv.launch_overhead_ns));
     let link = hw
         .map
         .nvlink_between(&hw.machine, from, to)
         .expect("start_inference admits a run only if every pair it moves over is NVLinked");
-    ctx.schedule_in(
-        overhead,
-        Box::new(move |state: &mut S, ctx: &mut Ctx<S>| {
-            let hw = state.hw();
-            if hw.run_mut(r).is_none() {
-                return;
-            }
-            if let Some(e) = started {
-                hw.probe.emit(ctx.now(), e);
-            }
-            let done = move |state: &mut S, ctx: &mut Ctx<S>| {
-                if state.hw().run_mut(r).is_some() {
-                    on_done(state, ctx);
-                }
-            };
-            start_flow(state, ctx, bytes, &[link], Box::new(done));
-        }),
-    );
+    start_flow(state, ctx, bytes, &[link], on_done, w);
+}
+
+/// Secondary slot `slot`'s forward passed its launch overhead: the layer
+/// in flight (or, under bulk migration, the whole partition) starts
+/// crossing to the primary.
+fn forward_launched<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, w: u64) {
+    let (r, slot) = RunRef::from_word(w);
+    let hw = state.hw();
+    let Some(run) = hw.runs.get(r.0) else {
+        return;
+    };
+    let (from, _) = slot_gpu(&run.spec, slot);
+    let to = run.spec.primary;
+    let part = &run.spec.plan.partitions[slot];
+    let layers = &run.spec.rt.layers;
+    let bytes = if run.spec.bulk_migrate {
+        part.iter().map(|&i| layers[i].param_bytes as f64).sum()
+    } else {
+        let layer = part[run.slots[slot].forwarded - 1];
+        let started = ProbeEvent::MigrateStarted {
+            run: r.slot(),
+            layer,
+            from,
+        };
+        hw.probe.emit(ctx.now(), started);
+        layers[layer].param_bytes as f64
+    };
+    nvlink_flow(state, ctx, from, to, bytes, forward_landed, w);
+}
+
+/// Secondary slot `slot`'s forward landed on the primary.
+fn forward_landed<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, w: u64) {
+    let (r, slot) = RunRef::from_word(w);
+    let hw = state.hw();
+    let Some(run) = hw.runs.get_mut(r.0) else {
+        return;
+    };
+    if run.spec.bulk_migrate {
+        let plan = Arc::clone(&run.spec.plan);
+        for &idx in &plan.partitions[slot] {
+            mark_ready(state, ctx, r, idx);
+        }
+        return;
+    }
+    let (from, _) = slot_gpu(&run.spec, slot);
+    let s = &mut run.slots[slot];
+    s.forwarding = false;
+    let layer = run.spec.plan.partitions[slot][s.forwarded - 1];
+    let finished = ProbeEvent::MigrateFinished {
+        run: r.slot(),
+        layer,
+        from,
+    };
+    hw.probe.emit(ctx.now(), finished);
+    mark_ready(state, ctx, r, layer);
+    mig_pump(state, ctx, r, slot);
+}
+
+/// The execution stream's hop passed its launch overhead: the activations
+/// of the last layer run start crossing to the GPU it now sits on.
+fn hop_launched<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, w: u64) {
+    let (r, _) = RunRef::from_word(w);
+    let Some(run) = state.hw().run_mut(r) else {
+        return;
+    };
+    let i = run.exec_next;
+    let bytes = if i > 0 {
+        run.spec.rt.layers[i - 1].act_out_bytes
+    } else {
+        0.0
+    };
+    let (from, to) = (run.hop_from, run.current_gpu);
+    nvlink_flow(state, ctx, from, to, bytes, hop_landed, w);
+}
+
+/// The execution stream's hop landed: it runs its next layer there, or,
+/// back on the primary after the last one, completes.
+fn hop_landed<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, w: u64) {
+    let (r, _) = RunRef::from_word(w);
+    let Some(run) = state.hw().run_mut(r) else {
+        return;
+    };
+    if run.exec_next < exec_len(run) {
+        exec_run_layer(state, ctx, r);
+    } else {
+        complete(state, ctx, r);
+    }
+}
+
+/// Moves the execution stream to GPU `to`: one NVLink hop.
+fn hop_to<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef, to: usize) {
+    if let Some(run) = state.hw().run_mut(r) {
+        run.hop_from = std::mem::replace(&mut run.current_gpu, to);
+        nvlink_launch(state, ctx, hop_launched, r.word(0));
+    }
 }
 
 /// Marks a layer's weights resident on the primary GPU.
@@ -747,12 +823,8 @@ fn exec_finish<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
         complete(state, ctx, r);
         return;
     }
-    let bytes = run.spec.rt.layers.last().map_or(0.0, |l| l.act_out_bytes);
-    let (from, to) = (run.current_gpu, run.spec.primary);
-    run.current_gpu = to;
-    nvlink_flow(state, ctx, r, from, to, bytes, None, move |state, ctx| {
-        complete(state, ctx, r)
-    });
+    let primary = run.spec.primary;
+    hop_to(state, ctx, r, primary);
 }
 
 /// Starts executing layer `exec_next` (gate already open), first hopping
@@ -766,16 +838,8 @@ fn exec_start_layer<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
         exec_run_layer(state, ctx, r);
         return;
     }
-    let bytes = if i > 0 {
-        run.spec.rt.layers[i - 1].act_out_bytes
-    } else {
-        0.0
-    };
-    let (from, to) = (run.current_gpu, run.owner[i]);
-    run.current_gpu = to;
-    nvlink_flow(state, ctx, r, from, to, bytes, None, move |state, ctx| {
-        exec_run_layer(state, ctx, r)
-    });
+    let owner = run.owner[i];
+    hop_to(state, ctx, r, owner);
 }
 
 /// Runs the compute (and DHA flow) of the current layer on the current
@@ -818,24 +882,20 @@ fn exec_run_layer<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
             dha: dha_wire > 0.0,
         },
     );
-    ctx.call_in(
-        compute,
-        |state, ctx, r| exec_part_done(state, ctx, RunRef(GenKey::from_bits(r))),
-        r.0.to_bits(),
-    );
+    ctx.call_in(compute, exec_part_done, r.word(0));
     if dha_wire > 0.0 {
         // DHA reads are weight transfers too: a stuck or silently slow
         // read stalls the exec stream exactly like a stuck load, so it
         // gets the same watchdog.
-        start_host_flow(state, ctx, gpu, dha_wire, hedge, move |state, ctx, _| {
-            exec_part_done(state, ctx, r)
-        });
+        let done = HostDone::Word(exec_part_done, r.word(0));
+        start_host_flow(state, ctx, gpu, dha_wire, hedge, done);
     }
 }
 
-/// One half (compute / DHA flow) of the current layer finished.
-fn exec_part_done<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
+/// One half (compute timer / DHA read) of the current layer finished.
+fn exec_part_done<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, w: u64) {
     let now = ctx.now();
+    let (r, _) = RunRef::from_word(w);
     let advanced = {
         let Some(run) = state.hw().run_mut(r) else {
             return;
@@ -880,14 +940,14 @@ fn complete<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
         },
     );
     let slot_loads: Vec<SlotLoadObs> = run
-        .slot_obs
+        .slots
         .iter()
         .enumerate()
-        .filter(|(_, &(bytes, _))| bytes > 0.0)
-        .map(|(slot, &(bytes, span))| SlotLoadObs {
+        .filter(|(_, s)| s.obs.0 > 0.0)
+        .map(|(slot, s)| SlotLoadObs {
             gpu: slot_gpu(&run.spec, slot).0,
-            bytes,
-            span,
+            bytes: s.obs.0,
+            span: s.obs.1,
         })
         .collect();
     let result = InferenceResult {
@@ -905,7 +965,8 @@ fn complete<S: HasHw>(state: &mut S, ctx: &mut Ctx<S>, r: RunRef) {
 /// Aborts an in-flight run (fault injection: its GPU died). The run is
 /// torn down immediately: its slot is freed, its completion callback is
 /// dropped without firing, and every pending flow/timer event it had
-/// scheduled becomes a no-op, because its [`RunRef`] no longer resolves.
+/// scheduled becomes a no-op, because the (run, slot) word it names no
+/// longer resolves.
 /// The host decides what happens to the request (retry elsewhere, shed).
 ///
 /// Returns `false` when the run already completed — its callback may

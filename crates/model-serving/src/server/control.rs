@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use exec_engine::hw::start_host_flow;
+use exec_engine::hw::{start_host_flow, HostDone};
 use exec_engine::launch::abort_run;
 use exec_engine::result::InferenceResult;
 use exec_planner::generate_degraded;
@@ -422,7 +422,7 @@ fn send_canary(s: &mut ServerState, ctx: &mut Ctx<ServerState>, l: LinkId) {
         },
     );
     let sent = ctx.now();
-    start_host_flow(s, ctx, g0, bytes, None, move |s, ctx, n_shared| {
+    let landed = HostDone::closure(move |s: &mut ServerState, ctx, n_shared| {
         let expected = bytes * f64::from(n_shared) / believed;
         let ratio = (ctx.now() - sent).as_secs_f64() / expected;
         let t = s.detector.as_mut().and_then(|d| d.observe_canary(l, ratio));
@@ -439,6 +439,7 @@ fn send_canary(s: &mut ServerState, ctx: &mut Ctx<ServerState>, l: LinkId) {
             }
         }
     });
+    start_host_flow(s, ctx, g0, bytes, None, landed);
 }
 
 /// A health transition happened (GPU up/down, link degrade/restore, a
@@ -599,12 +600,13 @@ fn migrate_kind(s: &mut ServerState, ctx: &mut Ctx<ServerState>, k: usize, new_b
                         bytes: delta,
                     },
                 );
-                start_host_flow(s, ctx, g, delta as f64, None, move |s, ctx, _| {
+                let landed = HostDone::closure(move |s: &mut ServerState, ctx, _| {
                     s.probe.emit(
                         ctx.now(),
                         ProbeEvent::PlanMigrationFinished { kind: k, gpu: g },
                     );
                 });
+                start_host_flow(s, ctx, g, delta as f64, None, landed);
             }
             None if s.instances[i].active == 0 => {
                 s.caches[g].used = s.caches[g].used.saturating_sub(old);
@@ -618,9 +620,6 @@ fn migrate_kind(s: &mut ServerState, ctx: &mut Ctx<ServerState>, k: usize, new_b
 
 #[cfg(test)]
 mod tests {
-    use std::cell::Cell;
-    use std::rc::Rc;
-
     use dnn_models::zoo::{build, ModelId};
     use exec_planner::generate::PlanMode;
     use gpu_topology::presets::p3_8xlarge;
@@ -640,8 +639,6 @@ mod tests {
         let (g, old) = (0, s.sizes[0]);
         s.instances[0].residency = Residency::Resident(g);
         s.caches[g].used = old;
-        let seen = Rc::new(Cell::new(0));
-        let n_shared = Rc::clone(&seen);
         let mut sim = Sim::new(s);
         sim.schedule_at(
             SimTime::ZERO,
@@ -650,11 +647,12 @@ mod tests {
                 // streams over GPU 0's host path...
                 migrate_kind(s, ctx, 0, old + (64 << 20));
                 // ...so a transfer issued there now shares it.
-                start_host_flow(s, ctx, g, 1e6, None, move |_, _, n| n_shared.set(n));
+                let n_shared =
+                    start_host_flow(s, ctx, g, 1e6, None, HostDone::Word(|_, _, _| {}, 0));
+                assert_eq!(n_shared, 2);
             }),
         );
         sim.run_until_idle();
         assert_eq!(sim.state().report.plan_migrations, 1);
-        assert_eq!(seen.get(), 2);
     }
 }

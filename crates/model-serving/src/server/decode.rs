@@ -6,7 +6,7 @@
 
 use std::ops::Range;
 
-use exec_engine::hw::start_host_flow;
+use exec_engine::hw::{start_host_flow, HostDone};
 use exec_planner::kvplan::{choose_kv, KvPlacement};
 use simcore::probe::{Probe, ProbeEvent};
 use simcore::sim::Ctx;
@@ -374,9 +374,10 @@ fn start_step(s: &mut ServerState, ctx: &mut Ctx<ServerState>, g: usize) {
         SimDur::from_nanos(overhead),
         Box::new(move |s: &mut ServerState, ctx| {
             if live_step(s, g, step_id).is_some() {
-                start_host_flow(s, ctx, g, moved_bytes, None, move |s, ctx, _| {
+                let landed = HostDone::closure(move |s, ctx, _| {
                     step_exec(s, ctx, g, step_id, compute, dha_bytes)
                 });
+                start_host_flow(s, ctx, g, moved_bytes, None, landed);
             }
         }),
     );
@@ -414,9 +415,8 @@ fn step_exec(
         step_id << 8 | g as u64,
     );
     if dha {
-        start_host_flow(s, ctx, g, dha_bytes, None, move |s, ctx, _| {
-            part_done(s, ctx, g, step_id)
-        });
+        let landed = HostDone::closure(move |s, ctx, _| part_done(s, ctx, g, step_id));
+        start_host_flow(s, ctx, g, dha_bytes, None, landed);
     }
 }
 

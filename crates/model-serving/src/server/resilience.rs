@@ -5,7 +5,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use exec_engine::hw::start_host_flow;
+use exec_engine::hw::{start_host_flow, HostDone};
 use exec_planner::kvplan::{choose_restore, RestoreChoice};
 use simcore::probe::{ProbeEvent, ShedCause};
 use simcore::sim::Ctx;
@@ -290,7 +290,8 @@ fn stream_kv(
     ctx.schedule_in(
         overhead,
         Box::new(move |s: &mut ServerState, ctx| {
-            start_host_flow(s, ctx, g, bytes, None, |s, ctx, _| on_done(s, ctx));
+            let landed = HostDone::closure(|s, ctx, _| on_done(s, ctx));
+            start_host_flow(s, ctx, g, bytes, None, landed);
         }),
     );
 }

@@ -1,26 +1,28 @@
 //! Glue between the fluid-flow network and the event simulator.
 //!
 //! [`FlowDriver`] owns a [`FlowNet`] plus the per-flow completion
-//! callbacks, and keeps exactly one *tick* event scheduled at the network's
+//! words, and keeps exactly one *tick* event scheduled at the network's
 //! next completion instant. Every rate-changing mutation bumps a generation
 //! counter so stale ticks become no-ops — this is how flow completions stay
 //! correct when new flows join mid-transfer (e.g. a DHA read starting while
 //! a load is in flight).
 //!
-//! Callbacks live in a [`GenSlab`] whose key's bits travel with the flow
-//! as its tag, so completion delivery is an indexed load instead of a
-//! hash lookup. The tick and a stuck flow's unfreeze each carry one word
-//! (the generation, the flow id), so they are word events
-//! ([`Ctx::call_at`]) and schedule without allocating.
+//! A flow's completion is a word: the caller names a plain function and
+//! the one `u64` it acts on, and the driver queues that word event
+//! ([`Ctx::call_at`]) when the flow drains. The words live in a
+//! [`GenSlab`] whose key's bits travel with the flow as its tag, so
+//! completion delivery is an indexed load instead of a hash lookup. The
+//! tick and a stuck flow's unfreeze each carry one word too (the
+//! generation, the flow id), so no flow event allocates.
 //!
 //! The driver is mechanism only: it starts, freezes and unfreezes,
 //! cancels, re-capacitates and completes flows. Transfer policy (hedged
-//! races, corrupt-transfer arms) belongs to the code that issues the
-//! transfers.
+//! races, corrupt-transfer arms) and closures that want a flow's result
+//! belong to the code that issues the transfers.
 
 use crate::flow::{FlowId, FlowNet, LinkId};
 use crate::probe::{Probe, ProbeEvent};
-use crate::sim::{Ctx, EventFn};
+use crate::sim::{Ctx, WordFn};
 use crate::slab::{GenKey, GenSlab};
 use crate::time::{SimDur, SimTime};
 
@@ -36,8 +38,8 @@ pub struct FlowDriver<S> {
     /// the share changes. Disabled (free) by default.
     pub probe: Probe,
     gen: u64,
-    /// Per-flow completion callbacks; the flow's tag is its key's bits.
-    callbacks: GenSlab<EventFn<S>>,
+    /// Per-flow completion words; the flow's tag is its key's bits.
+    callbacks: GenSlab<(WordFn<S>, u64)>,
     /// Each link's last published `(rate_bps bits, flows)`, `IDLE`
     /// before its first sample. A counter track holds its value until
     /// the next sample, so a link publishes only when this changes.
@@ -135,7 +137,8 @@ pub trait HasFlowDriver: Sized + 'static {
     fn flow_driver(&mut self) -> &mut FlowDriver<Self>;
 }
 
-/// Starts a flow of `bytes` along `path`; `on_done` fires at completion.
+/// Starts a flow of `bytes` along `path`; at completion it delivers the
+/// word event `on_done(state, ctx, arg)`.
 ///
 /// Must be called from inside an event handler (it needs the current
 /// simulated time from `ctx`). Zero-byte flows complete via an immediate
@@ -145,13 +148,14 @@ pub fn start_flow<S: HasFlowDriver>(
     ctx: &mut Ctx<S>,
     bytes: f64,
     path: &[LinkId],
-    on_done: EventFn<S>,
+    on_done: WordFn<S>,
+    arg: u64,
 ) -> FlowId {
     let now = ctx.now();
     let d = state.flow_driver();
     d.net.advance(now);
     let arm = d.stuck_arms.iter().position(|(l, _)| path.contains(l));
-    let tag = d.callbacks.insert(on_done).to_bits();
+    let tag = d.callbacks.insert((on_done, arg)).to_bits();
     let id = d.net.add_flow_tagged(bytes, path, tag);
     // Consume a stuck arm only if the flow actually froze (zero-byte
     // flows complete immediately and cannot stall).
@@ -206,9 +210,9 @@ pub fn set_link_capacity<S: HasFlowDriver>(
 }
 
 /// Cancels an in-flight flow (fault injection: its endpoint died). The
-/// completion callback is dropped, never fired. Returns `false` when
-/// the flow is unknown or already complete — a completed flow's callback
-/// may still be queued for delivery.
+/// completion word is dropped, never fired. Returns `false` when the
+/// flow is unknown or already complete — a completed flow's word may
+/// still be queued for delivery.
 ///
 /// Must be called from inside an event handler.
 pub fn cancel_flow<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>, id: FlowId) -> bool {
@@ -237,17 +241,17 @@ fn settle<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>) {
     reschedule_tick(state, ctx);
 }
 
-/// Delivers callbacks for every flow the network has marked complete.
+/// Delivers the words of every flow the network has marked complete.
 fn fire_completions<S: HasFlowDriver>(state: &mut S, ctx: &mut Ctx<S>) {
     let d = state.flow_driver();
     let mut done = std::mem::take(&mut d.completed_scratch);
     done.clear();
     d.net.drain_completed_into(&mut done);
     for (_, tag) in done.drain(..) {
-        // Deliver through the event queue so that callback effects
+        // Deliver through the event queue so that completion effects
         // observe a consistent driver state.
-        if let Some(cb) = d.callbacks.remove(GenKey::from_bits(tag)) {
-            ctx.schedule_in(SimDur::ZERO, cb);
+        if let Some((f, arg)) = d.callbacks.remove(GenKey::from_bits(tag)) {
+            ctx.call_in(SimDur::ZERO, f, arg);
         }
     }
     state.flow_driver().completed_scratch = done;
@@ -290,6 +294,11 @@ mod tests {
         }
     }
 
+    /// The completion word of flow `id`: logs it with the time it fired.
+    fn landed(w: &mut World, ctx: &mut Ctx<World>, id: u64) {
+        w.log.push((id, ctx.now()));
+    }
+
     fn world_with_link(cap: f64) -> (World, LinkId) {
         let mut net = FlowNet::new();
         let l = net.add_link(cap);
@@ -304,25 +313,32 @@ mod tests {
     }
 
     #[test]
-    fn completion_fires_at_transfer_time() {
+    fn completion_words_fire_at_transfer_time_in_fifo_order() {
         let (world, l) = world_with_link(100.0);
         let mut sim = Sim::new(world);
         sim.schedule_at(
             SimTime::ZERO,
             Box::new(move |w: &mut World, ctx| {
-                start_flow(
-                    w,
-                    ctx,
-                    50.0,
-                    &[l],
-                    Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
-                );
+                for (id, bytes) in [(1, 100.0), (2, 50.0), (3, 100.0), (4, 50.0)] {
+                    start_flow(w, ctx, bytes, &[l], landed, id);
+                }
             }),
         );
         sim.run_until_idle();
-        let log = &sim.state().log;
-        assert_eq!(log.len(), 1);
-        assert!((log[0].1.as_secs_f64() - 0.5).abs() < 1e-6);
+        // Four flows at 25 B/s each: the two 50-byte ones land at t=2,
+        // then the two left share the link and land at t=3; flows that
+        // land together deliver in the order they started.
+        let secs = |s: f64| SimTime::from_nanos((s * 1e9) as u64);
+        assert_eq!(
+            sim.state().log,
+            vec![
+                (2, secs(2.0)),
+                (4, secs(2.0)),
+                (1, secs(3.0)),
+                (3, secs(3.0))
+            ]
+        );
+        assert!(sim.state().driver.callbacks.is_empty());
     }
 
     #[test]
@@ -333,26 +349,14 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             Box::new(move |w: &mut World, ctx| {
-                start_flow(
-                    w,
-                    ctx,
-                    100.0,
-                    &[l],
-                    Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
-                );
+                start_flow(w, ctx, 100.0, &[l], landed, 1);
             }),
         );
         // Flow B joins at t=0.5 with 25 bytes.
         sim.schedule_at(
             SimTime::from_nanos(500_000_000),
             Box::new(move |w: &mut World, ctx| {
-                start_flow(
-                    w,
-                    ctx,
-                    25.0,
-                    &[l],
-                    Box::new(|w: &mut World, ctx| w.log.push((2, ctx.now()))),
-                );
+                start_flow(w, ctx, 25.0, &[l], landed, 2);
             }),
         );
         sim.run_until_idle();
@@ -375,13 +379,7 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             Box::new(move |w: &mut World, ctx| {
-                start_flow(
-                    w,
-                    ctx,
-                    100.0,
-                    &[l],
-                    Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
-                );
+                start_flow(w, ctx, 100.0, &[l], landed, 1);
             }),
         );
         sim.schedule_at(
@@ -403,21 +401,9 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             Box::new(move |w: &mut World, ctx| {
-                let id = start_flow(
-                    w,
-                    ctx,
-                    100.0,
-                    &[l],
-                    Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
-                );
+                let id = start_flow(w, ctx, 100.0, &[l], landed, 1);
                 w.started.push(id);
-                start_flow(
-                    w,
-                    ctx,
-                    100.0,
-                    &[l],
-                    Box::new(|w: &mut World, ctx| w.log.push((2, ctx.now()))),
-                );
+                start_flow(w, ctx, 100.0, &[l], landed, 2);
             }),
         );
         sim.schedule_at(
@@ -445,13 +431,7 @@ mod tests {
             Box::new(move |w: &mut World, ctx| {
                 w.flow_driver()
                     .arm_stuck(l, crate::time::SimDur::from_millis(500));
-                start_flow(
-                    w,
-                    ctx,
-                    100.0,
-                    &[l],
-                    Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
-                );
+                start_flow(w, ctx, 100.0, &[l], landed, 1);
             }),
         );
         sim.run_until_idle();
@@ -478,29 +458,11 @@ mod tests {
                 w.flow_driver()
                     .arm_stuck(l0, crate::time::SimDur::from_secs_f64(10.0));
                 // Crosses only l1: unaffected.
-                start_flow(
-                    w,
-                    ctx,
-                    100.0,
-                    &[l1],
-                    Box::new(|w: &mut World, ctx| w.log.push((1, ctx.now()))),
-                );
+                start_flow(w, ctx, 100.0, &[l1], landed, 1);
                 // First flow on l0 consumes the arm.
-                start_flow(
-                    w,
-                    ctx,
-                    100.0,
-                    &[l0],
-                    Box::new(|w: &mut World, ctx| w.log.push((2, ctx.now()))),
-                );
+                start_flow(w, ctx, 100.0, &[l0], landed, 2);
                 // Second flow on l0 is clean.
-                start_flow(
-                    w,
-                    ctx,
-                    100.0,
-                    &[l0],
-                    Box::new(|w: &mut World, ctx| w.log.push((3, ctx.now()))),
-                );
+                start_flow(w, ctx, 100.0, &[l0], landed, 3);
             }),
         );
         sim.run_until_idle();
@@ -524,13 +486,7 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             Box::new(move |w: &mut World, ctx| {
-                start_flow(
-                    w,
-                    ctx,
-                    0.0,
-                    &[l],
-                    Box::new(|w: &mut World, ctx| w.log.push((7, ctx.now()))),
-                );
+                start_flow(w, ctx, 0.0, &[l], landed, 7);
             }),
         );
         sim.run_until_idle();

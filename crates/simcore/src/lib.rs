@@ -5,15 +5,18 @@
 //!
 //! * [`time`] — integer-nanosecond simulated time ([`SimTime`], [`SimDur`]).
 //! * [`sim`] — a discrete-event simulator ([`Sim`], [`Ctx`]) generic over
-//!   a user state type, whose events are boxed closures or allocation-free
-//!   word events (a plain function and one `u64`).
+//!   a user state type. Its queue holds one kind of entry, a 32-byte word
+//!   event (a plain function and one `u64`), scheduled without
+//!   allocating; a boxed closure waits in the context's slab, named by a
+//!   word.
 //! * [`flow`] — a fluid-flow network with max-min-fair bandwidth sharing,
 //!   used to model PCIe links, PCIe switches and NVLink.
 //! * [`fault`] — deterministic, seed-driven fault injection ([`FaultSpec`]):
 //!   scheduled and probabilistic failure timelines materialized up front so
 //!   every failure scenario replays bit-for-bit.
 //! * [`driver`] — glue that schedules flow-completion events into the
-//!   simulator ([`FlowDriver`], [`HasFlowDriver`]).
+//!   simulator ([`FlowDriver`], [`HasFlowDriver`]); a flow lands as a
+//!   word event its starter names.
 //! * [`slab`] — a generational free-list slab for state that scheduled
 //!   events refer to by key.
 //! * [`rng`] — seeded random-variate helpers (exponential, Poisson process).

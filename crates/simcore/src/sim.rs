@@ -6,21 +6,24 @@
 //! events. Ties in time are broken by scheduling order, which keeps runs
 //! fully deterministic.
 //!
-//! An event is either a boxed closure ([`Ctx::schedule_at`]) or a *word
-//! event* ([`Ctx::call_at`]): a plain function and one `u64` argument,
-//! scheduled without allocating. The hot timers (flow ticks, compute
-//! and token-step timers, hedged-race watchdogs) capture a single word,
-//! so they are word events.
+//! Every queued event is a *word event*: a plain function and one `u64`
+//! argument ([`Ctx::call_at`]), scheduled without allocating. A boxed
+//! closure ([`Ctx::schedule_at`]) waits in the context's slab, and its
+//! queue entry is a trampoline word naming its slot, so the queue holds
+//! one entry type of 32 bytes and runs every event through one path.
+//! The hot events name the state they act on in their word: flow
+//! ticks, weight blocks, NVLink forwards, DHA reads, compute and
+//! token-step timers, hedged races.
 //!
-//! The queue is a binary min-heap over `(timestamp, sequence number)`
-//! whose entries own their handlers. The serving workloads keep only a
-//! handful of events pending (a mean of 3.5 to 210 on the benchmark's
-//! workloads), so each push and pop sifts through a few levels of one
-//! small array.
+//! The queue is a binary min-heap over `(timestamp, sequence number)`.
+//! The serving workloads keep only a handful of events pending (a mean
+//! of 3.5 to 210 on the benchmark's workloads), so each push and pop
+//! sifts through a few levels of one small array.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::slab::{GenKey, GenSlab};
 use crate::time::{SimDur, SimTime};
 
 /// A one-shot event handler.
@@ -30,20 +33,15 @@ pub type EventFn<S> = Box<dyn FnOnce(&mut S, &mut Ctx<S>)>;
 /// event was scheduled with.
 pub type WordFn<S> = fn(&mut S, &mut Ctx<S>, u64);
 
-/// What a queued event runs.
-enum Handler<S> {
-    Boxed(EventFn<S>),
-    Word(WordFn<S>, u64),
-}
-
 /// A queued event: its firing time, its scheduling sequence number and
-/// its handler. Entries compare on `(at, seq)` alone, reversed, so the
+/// its word. Entries compare on `(at, seq)` alone, reversed, so the
 /// max-heap pops the earliest entry first, in scheduling (FIFO) order
-/// at equal times; `seq` is unique, so the handler never decides.
+/// at equal times; `seq` is unique, so the word never decides.
 struct Entry<S> {
     at: SimTime,
     seq: u64,
-    handler: Handler<S>,
+    f: WordFn<S>,
+    arg: u64,
 }
 
 impl<S> PartialEq for Entry<S> {
@@ -66,8 +64,8 @@ impl<S> Ord for Entry<S> {
     }
 }
 
-/// Scheduling context handed to every event handler: the clock and the
-/// event queue.
+/// Scheduling context handed to every event handler: the clock, the
+/// event queue and the boxed closures its entries name.
 ///
 /// Handlers use it to read the clock and to enqueue follow-up events.
 /// Times in the past are clamped to "now": such an event still runs,
@@ -76,6 +74,9 @@ pub struct Ctx<S> {
     now: SimTime,
     seq: u64,
     queue: BinaryHeap<Entry<S>>,
+    /// Boxed closures of pending events, each named by one entry's
+    /// word. Dropped with the context, so an unrun closure still drops.
+    parked: GenSlab<EventFn<S>>,
 }
 
 impl<S> Ctx<S> {
@@ -86,34 +87,42 @@ impl<S> Ctx<S> {
 
     /// Schedules `f` to run at absolute time `at`.
     pub fn schedule_at(&mut self, at: SimTime, f: EventFn<S>) {
-        self.push(at, Handler::Boxed(f));
+        let key = self.parked.insert(f);
+        self.call_at(at, run_parked, key.to_bits());
     }
 
     /// Schedules `f` to run `after` from now.
     pub fn schedule_in(&mut self, after: SimDur, f: EventFn<S>) {
-        self.push(self.now + after, Handler::Boxed(f));
+        self.schedule_at(self.now + after, f);
     }
 
     /// Schedules the word event `f(state, ctx, arg)` at absolute time
     /// `at`, without allocating.
     pub fn call_at(&mut self, at: SimTime, f: WordFn<S>, arg: u64) {
-        self.push(at, Handler::Word(f, arg));
+        self.queue.push(Entry {
+            at: at.max(self.now),
+            seq: self.seq,
+            f,
+            arg,
+        });
+        self.seq += 1;
     }
 
     /// Schedules the word event `f(state, ctx, arg)` to run `after` from
     /// now, without allocating.
     pub fn call_in(&mut self, after: SimDur, f: WordFn<S>, arg: u64) {
-        self.push(self.now + after, Handler::Word(f, arg));
+        self.call_at(self.now + after, f, arg);
     }
+}
 
-    fn push(&mut self, at: SimTime, handler: Handler<S>) {
-        self.queue.push(Entry {
-            at: at.max(self.now),
-            seq: self.seq,
-            handler,
-        });
-        self.seq += 1;
-    }
+/// The trampoline of a boxed event: runs the closure parked under
+/// `key` (its [`GenKey::to_bits`]).
+fn run_parked<S>(state: &mut S, ctx: &mut Ctx<S>, key: u64) {
+    let f = ctx
+        .parked
+        .remove(GenKey::from_bits(key))
+        .expect("each parked closure is named by exactly one entry");
+    f(state, ctx);
 }
 
 /// A deterministic discrete-event simulator over a state type `S`.
@@ -146,6 +155,7 @@ impl<S> Sim<S> {
                 now: SimTime::ZERO,
                 seq: 0,
                 queue: BinaryHeap::new(),
+                parked: GenSlab::new(),
             },
             executed: 0,
             state,
@@ -228,10 +238,7 @@ impl<S> Sim<S> {
     fn exec(&mut self, e: Entry<S>) {
         self.executed += 1;
         self.ctx.now = e.at;
-        match e.handler {
-            Handler::Boxed(f) => f(&mut self.state, &mut self.ctx),
-            Handler::Word(f, arg) => f(&mut self.state, &mut self.ctx, arg),
-        }
+        (e.f)(&mut self.state, &mut self.ctx, e.arg);
     }
 }
 
@@ -312,6 +319,48 @@ mod tests {
             sim.state(),
             &vec![1, 5, 500_000_000, 2_000_000_000, 2_000_000_000]
         );
+    }
+
+    #[test]
+    fn queue_entries_stay_one_32_byte_word() {
+        // Every push and pop moves one entry through the heap; a boxed
+        // handler inline made each 40 bytes.
+        assert_eq!(std::mem::size_of::<Entry<Vec<u64>>>(), 32);
+    }
+
+    #[test]
+    fn parked_closures_run_once_and_drop_with_the_sim() {
+        use std::rc::Rc;
+
+        // Every boxed event runs exactly once, from inside and outside
+        // handlers, and leaves the slab behind it empty.
+        let mut sim = Sim::new(vec![0u32; 4]);
+        for i in 0..3 {
+            sim.schedule_in(
+                SimDur::from_nanos(i as u64),
+                Box::new(move |runs: &mut Vec<u32>, ctx| {
+                    runs[i] += 1;
+                    if i == 0 {
+                        ctx.schedule_in(SimDur::ZERO, Box::new(|runs, _| runs[3] += 1));
+                    }
+                }),
+            );
+        }
+        sim.run_until_idle();
+        assert_eq!(sim.state(), &vec![1; 4]);
+        assert!(sim.ctx.parked.is_empty());
+
+        // A sim dropped with boxed events pending drops their closures.
+        let held = Rc::new(());
+        let mut sim = Sim::new(());
+        for at in [5, 7, 7] {
+            let held = Rc::clone(&held);
+            sim.schedule_at(SimTime::from_nanos(at), Box::new(move |_, _| drop(held)));
+        }
+        sim.run_until(SimTime::from_nanos(5));
+        assert_eq!(Rc::strong_count(&held), 3);
+        drop(sim);
+        assert_eq!(Rc::strong_count(&held), 1);
     }
 
     #[test]

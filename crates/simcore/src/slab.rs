@@ -2,8 +2,9 @@
 //!
 //! [`GenSlab`] recycles freed slots and keeps a per-slot generation, so
 //! a key held by a scheduled event goes stale when its value is removed:
-//! the engine's in-flight runs and hedged races, and the driver's flow
-//! callbacks, live there. It avoids an external dependency.
+//! the kernel's boxed closures, the driver's flow completion words, and
+//! the engine's in-flight runs and host-flow records live there. It
+//! avoids an external dependency.
 
 /// A key into a [`GenSlab`]: slot index plus the generation it was
 /// issued under. A key goes stale the moment its slot is removed, so
@@ -40,10 +41,10 @@ impl GenKey {
 /// where removal bumps the slot's generation so stale keys can never
 /// observe a later occupant.
 ///
-/// This is what long-lived cross-event handles (e.g. hedged-transfer
-/// races referenced from several scheduled closures) use instead of
-/// `Rc<RefCell<..>>`: the handle is `Copy`, and the ABA hazard of a
-/// recycled slot is caught by the generation check.
+/// This is what long-lived cross-event handles (e.g. a hedged host
+/// flow's record, named by both contestants and the watchdog) use
+/// instead of `Rc<RefCell<..>>`: the handle is `Copy`, and the ABA
+/// hazard of a recycled slot is caught by the generation check.
 ///
 /// # Examples
 ///

@@ -84,7 +84,7 @@ fn apply(w: &mut World, ctx: &mut Ctx<World>, op: &Op) {
     match op {
         Op::Start(bytes, path) => {
             let path: Vec<LinkId> = path.iter().map(|&i| w.links[i]).collect();
-            let id = start_flow(w, ctx, *bytes, &path, Box::new(|_, _| {}));
+            let id = start_flow(w, ctx, *bytes, &path, |_, _, _| {}, 0);
             w.started.push(id);
         }
         Op::Cancel(sel) => {
